@@ -25,7 +25,7 @@ from typing import List, Optional
 
 from . import __version__
 from .curve import WeierstrassCurve, minimality_report
-from .errors import BudgetExceeded, EdskitError, PrimeTooLarge, TorsionPoint
+from .errors import BudgetExceeded, EdskitError, PrimeTooLarge, SoundnessError, TorsionPoint
 from .eds import EdsTable, eds_range
 from .factor import Effort
 from .intmath import is_prime, primes_up_to
@@ -201,8 +201,8 @@ def cmd_verify_law(args) -> int:
         try:
             rep = check_valuation_law(E, P, S, p, args.n_max, table)
         except PrimeTooLarge:
-            results.append({"p": str(p), "status": "skipped", "reason": "above counting cap"})
-            lines.append(f"p={p}: skipped (above counting cap)")
+            results.append({"p": str(p), "status": "skipped", "reason": "order not factored"})
+            lines.append(f"p={p}: skipped (order not factored)")
             continue
         status = "pass" if rep.holds else "FAIL"
         if not rep.holds:
@@ -350,6 +350,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SoundnessError as exc:
+        print(f"SOUNDNESS CONTRADICTION: {exc}", file=sys.stderr)
+        return EXIT_SOUNDNESS
     except (TorsionPoint, BudgetExceeded, EdskitError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CURVE

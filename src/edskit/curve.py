@@ -6,29 +6,23 @@ Curves are integral long Weierstrass models
 
 Rational points are ``None`` (infinity) or ``(Fraction, Fraction)`` pairs;
 points over F_p are ``None`` or ``(int, int)`` residue pairs.  All
-operations are pure; the per-curve group-order memo is guarded by a lock
-so concurrent callers see atomic get-or-compute behaviour.
+operations are pure.
 """
 
 from __future__ import annotations
 
-import random
-import threading
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
-from .errors import BadReduction, PrimeTooLarge, TrivialReduction
+from .errors import BadReduction, PrimeTooLarge, SoundnessError, TrivialReduction
 from .factor import Effort, factorize
-from .intmath import sqrt_mod, valuation
+from .intmath import valuation
 
 RatPoint = Optional[Tuple[Fraction, Fraction]]
 FpPoint = Optional[Tuple[int, int]]
 
 INFINITY: RatPoint = None
-
-NAIVE_COUNT_LIMIT = 1 << 20
-DEFAULT_COUNT_CAP = 1 << 40
 
 
 class WeierstrassCurve:
@@ -50,8 +44,6 @@ class WeierstrassCurve:
         assert 4 * b8 == b2 * b6 - b4 * b4
         # Cross-check c4^3 - c6^2 = 1728 * disc.
         assert self.c4 ** 3 - self.c6 ** 2 == 1728 * self.discriminant
-        self._order_memo: Dict[int, int] = {}
-        self._order_lock = threading.Lock()
 
     # -- rational point arithmetic -------------------------------------
 
@@ -132,33 +124,24 @@ class WeierstrassCurve:
             raise BadReduction(f"p={p} divides the discriminant")
         return FpCurve(self.a1 % p, self.a2 % p, self.a3 % p, self.a4 % p, self.a6 % p, p)
 
-    def group_order(self, p: int, cap: int = DEFAULT_COUNT_CAP) -> int:
-        """#E(F_p): naive enumeration below 2^20, BSGS up to the cap."""
-        if not self.has_good_reduction(p):
-            raise BadReduction(f"p={p} divides the discriminant")
-        if p > cap:
-            raise PrimeTooLarge(f"p={p} exceeds the counting cap {cap}")
-        with self._order_lock:
-            if p in self._order_memo:
-                return self._order_memo[p]
-        E = self.fp_curve(p)
-        if p < NAIVE_COUNT_LIMIT:
-            order = E.count_points_naive()
-        else:
-            order = E.count_points_bsgs()
-        assert abs(order - p - 1) <= 2 * isqrt(p) + 1, "Hasse bound violated"
-        with self._order_lock:
-            self._order_memo[p] = order
+    def group_order(self, p: int) -> int:
+        """#E(F_p) by naive enumeration.  O(p); the reference for r_p tests."""
+        order = self.fp_curve(p).count_points_naive()
+        if abs(order - p - 1) > 2 * isqrt(p) + 1:
+            raise SoundnessError(f"#E(F_{p}) = {order} violates the Hasse bound")
         return order
 
-    def reduction_order(self, P: RatPoint, p: int, cap: int = DEFAULT_COUNT_CAP) -> int:
-        """Exact order of the reduction of P in E(F_p)."""
+    def reduction_order(self, P: RatPoint, p: int) -> int:
+        """Exact order of the reduction of P in E(F_p).
+
+        BSGS on P itself finds a multiple of its order in the Hasse
+        interval, so #E(F_p) is never computed.
+        """
         Pt = self.reduce_point(P, p)
         if Pt is None:
             raise TrivialReduction(f"P reduces to the identity mod {p}")
-        N = self.group_order(p, cap)
         E = self.fp_curve(p)
-        return E.point_order(Pt, N)
+        return E.point_order(Pt, E._annihilator_in_hasse_interval(Pt))
 
 
 class FpCurve:
@@ -221,7 +204,7 @@ class FpCurve:
     # -- point counting ------------------------------------------------
 
     def count_points_naive(self) -> int:
-        """#E(F_p) by direct enumeration over x.  O(p); fine below 2^20."""
+        """#E(F_p) by direct enumeration over x.  O(p)."""
         p = self.p
         if p == 2:
             count = 1
@@ -242,23 +225,12 @@ class FpCurve:
             count += 1 if pow(d, half, p) == 1 else -1
         return count
 
-    def random_point(self, rng: random.Random) -> FpPoint:
-        p = self.p
-        while True:
-            x = rng.randrange(p)
-            d = ((self.a1 * x + self.a3) ** 2 + 4 * self.rhs(x)) % p
-            r = sqrt_mod(d, p)
-            if r is None:
-                continue
-            inv2 = pow(2, -1, p)
-            y = (r - self.a1 * x - self.a3) * inv2 % p
-            return (x, y)
-
     def _annihilator_in_hasse_interval(self, Q: FpPoint) -> int:
-        """Some N in [p+1-2*sqrt(p), p+1+2*sqrt(p)] with [N]Q = O, by BSGS."""
+        """Some N >= 1 in [p+1-2*sqrt(p), p+1+2*sqrt(p)] with [N]Q = O, by BSGS."""
         p = self.p
         width = 4 * isqrt(p) + 4
-        lo = p + 1 - width // 2
+        # For p <= 5 the interval reaches 0, and [0]Q = O says nothing.
+        lo = max(1, p + 1 - width // 2)
         m = isqrt(width) + 1
         baby: Dict[FpPoint, int] = {}
         T: FpPoint = None
@@ -273,7 +245,7 @@ class FpCurve:
             if j is not None:
                 return lo + i * m + j
             G = self.add(G, giant_step)
-        raise AssertionError("BSGS failed to find an annihilator in the Hasse interval")
+        raise SoundnessError(f"no multiple of the order of {Q} mod {p} in the Hasse interval")
 
     def point_order(self, Q: FpPoint, annihilator: int) -> int:
         """Exact order of Q given a multiple of it; factors the annihilator."""
@@ -286,34 +258,9 @@ class FpCurve:
         for q, _ in fac.factors:
             while order % q == 0 and self.mul(order // q, Q) is None:
                 order //= q
-        assert self.mul(order, Q) is None
+        if self.mul(order, Q) is not None:
+            raise SoundnessError(f"[{order}]{Q} is not the identity mod {self.p}")
         return order
-
-    def count_points_bsgs(self) -> int:
-        """#E(F_p) by baby-step/giant-step on random points.
-
-        Accumulates the lcm of point orders until exactly one multiple
-        lies in the Hasse interval; a second random point cross-checks.
-        """
-        p = self.p
-        rng = random.Random(p)
-        lo = p + 1 - 2 * isqrt(p) - 1
-        hi = p + 1 + 2 * isqrt(p) + 1
-        L = 1
-        for _ in range(64):
-            Q = self.random_point(rng)
-            if Q is None:
-                continue
-            N = self._annihilator_in_hasse_interval(Q)
-            L = L * self.point_order(Q, N) // gcd(L, self.point_order(Q, N))
-            first = (lo + L - 1) // L * L
-            candidates = list(range(first, hi + 1, L))
-            if len(candidates) == 1:
-                order = candidates[0]
-                check = self.random_point(rng)
-                assert self.mul(order, check) is None, "BSGS cross-check failed"
-                return order
-        raise AssertionError("group order not pinned down after 64 random points")
 
 
 def minimality_report(curve: WeierstrassCurve, effort: Effort = Effort()) -> "MinimalityReport":

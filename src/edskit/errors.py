@@ -10,7 +10,10 @@ class BadReduction(EdskitError):
 
 
 class PrimeTooLarge(EdskitError):
-    """The prime exceeds the configured point-counting cap."""
+    """A number that must be fully factored was not within the budget.
+
+    Raised for the discriminant, D_1 and the annihilator of a reduced point.
+    """
 
 
 class TrivialReduction(EdskitError):
@@ -47,3 +50,10 @@ class HypothesisViolated(EdskitError):
 
 class BudgetExceeded(EdskitError):
     """A search space or projected resource use exceeds the configured budget."""
+
+
+class SoundnessError(EdskitError):
+    """An internal consistency check failed; a result would be unsound.
+
+    Raised instead of ``assert`` so the check survives ``python -O``.
+    """

@@ -120,35 +120,3 @@ def primes_up_to(limit: int) -> List[int]:
     _sieve_cache[limit] = primes
     return primes
 
-
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo prime p, or None if a is a non-residue.
-
-    Tonelli-Shanks; p = 2 handled directly.
-    """
-    a %= p
-    if p == 2 or a == 0:
-        return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r

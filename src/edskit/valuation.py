@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .curve import RatPoint, WeierstrassCurve
-from .errors import PrimeTooLarge, TableMiss, TrivialReduction
+from .errors import PrimeTooLarge, SoundnessError, TableMiss
 from .eds import EdsTable
 from .factor import DEFAULT_EFFORT, Effort, factorize
-from .intmath import primes_up_to, valuation
+from .intmath import is_prime, primes_up_to, valuation
 
 BAD_REDUCTION = "bad_reduction"
 DIVIDES_D1 = "divides_D1"
@@ -184,13 +184,12 @@ def term_radical_data(
     table: EdsTable,
     sieve_bound: int = 10 ** 4,
     effort: Effort = DEFAULT_EFFORT,
-    verify_orders: bool = True,
 ) -> TermRadicalData:
     """All primes p outside S with p | D_l, found by the two-pronged search.
 
-    Small primes come from the sieve (each verified to have reduction
-    order exactly l when l is prime and the order is computable); the
-    cofactor is then attacked by generic factoring within the budget.
+    Small primes come from the sieve, the cofactor from generic factoring
+    within the budget.  When l is prime, every prime found is verified to
+    have reduction order exactly l.
     """
     D_l = table.D(l)
     entries: List[Tuple[int, int]] = []
@@ -204,7 +203,7 @@ def term_radical_data(
         residual //= p ** v
         if p in S:
             continue
-        _verify_structured_divisor(curve, P, S, p, l, table, verify_orders)
+        _verify_structured_divisor(curve, P, p, l, table)
         entries.append((p, v))
     complete = residual == 1
     if not complete:
@@ -212,7 +211,7 @@ def term_radical_data(
         for p, v in fac.factors:
             if p in S:
                 continue
-            _verify_structured_divisor(curve, P, S, p, l, table, verify_orders)
+            _verify_structured_divisor(curve, P, p, l, table)
             entries.append((p, v))
         complete = fac.complete
     entries.sort()
@@ -222,31 +221,25 @@ def term_radical_data(
 def _verify_structured_divisor(
     curve: WeierstrassCurve,
     P: RatPoint,
-    S: ExceptionalSet,
     p: int,
     l: int,
     table: EdsTable,
-    verify_orders: bool,
 ) -> None:
-    """Assert that p | D_l is structured as the law predicts.
+    """Check that p | D_l is structured as the law predicts.
 
-    For prime l: r_p must be exactly l, which also certifies primitivity
-    (p divides no D_m with m < l).  The primitivity claim is additionally
-    checked against the stored table rather than assumed.
+    For prime l: r_p must be exactly l, i.e. P mod p is not O and
+    [l]P = O mod p, which costs O(log l) group operations for any p.  That
+    also certifies primitivity (p divides no D_m with m < l), which is
+    additionally checked against the stored table rather than assumed.
     """
-    from .intmath import is_prime
-
     if not is_prime(l):
         return
-    if verify_orders:
-        try:
-            r_p = curve.reduction_order(P, p)
-        except (PrimeTooLarge, TrivialReduction):
-            return
-        assert r_p == l, f"prime {p} divides D_{l} but has reduction order {r_p}"
+    Q = curve.reduce_point(P, p)
+    if Q is None or curve.fp_curve(p).mul(l, Q) is not None:
+        raise SoundnessError(f"prime {p} divides D_{l} but its reduction order is not {l}")
     for m in range(1, l):
         if m <= table.max_index and table.D(m) % p == 0:
-            raise AssertionError(f"prime {p} dividing D_{l} is not primitive: p | D_{m}")
+            raise SoundnessError(f"prime {p} dividing D_{l} is not primitive: p | D_{m}")
 
 
 def detecting_primes(

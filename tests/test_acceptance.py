@@ -41,7 +41,7 @@ def test_02_divisibility_on_all_fixtures(all_fixtures):
 
 
 def test_03_valuation_law_to_ten_thousand(all_fixtures):
-    """Both clauses of the valuation law for p <= 10^4, n <= 60, all fixtures. < 5 min."""
+    """Both clauses of the valuation law for p <= 10^4, n <= 60, all fixtures. < 30 s."""
     start = time.monotonic()
     checked = 0
     for curve, point, table, S in all_fixtures:
@@ -53,7 +53,7 @@ def test_03_valuation_law_to_ten_thousand(all_fixtures):
             checked += 1
     elapsed = time.monotonic() - start
     assert checked > 3000
-    assert elapsed < 300.0, f"valuation-law suite took {elapsed:.1f}s"
+    assert elapsed < 30.0, f"valuation-law suite took {elapsed:.1f}s"
 
 
 def test_04_reduction_order_fixtures(curve37, point37):

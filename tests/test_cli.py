@@ -80,6 +80,16 @@ def test_obstruct_exclusion(curve_file, capsys):
     assert "oracle is_power=False" in text
 
 
+def test_obstruct_soundness_error_exits_4(curve_file, capsys, monkeypatch):
+    from edskit.curve import FpCurve
+
+    # A broken F_p group law: [l]P never reaches O, contradicting p | D_l.
+    monkeypatch.setattr(FpCurve, "mul", lambda self, n, P: P)
+    rc = main(["obstruct", "--curve", curve_file, "--rho", "2", "--tuple", "5,3"])
+    assert rc == 4
+    assert "SOUNDNESS CONTRADICTION" in capsys.readouterr().err
+
+
 def test_obstruct_square(curve_file, capsys):
     rc = main(["obstruct", "--curve", curve_file, "--rho", "2", "--tuple", "5,5"])
     assert rc == 0

@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from edskit.curve import WeierstrassCurve, minimality_report
-from edskit.errors import BadReduction, PrimeTooLarge, TrivialReduction
+from edskit.errors import BadReduction, TrivialReduction
+from edskit.factor import factorize
+from edskit.intmath import primes_up_to
 from oracles import enumerate_fp_points, oracle_add, oracle_mul
 
 F = Fraction
@@ -107,10 +110,6 @@ def test_group_order_examples_vs_enumeration(E):
 
 
 def test_group_order_hasse_bound(E):
-    from math import isqrt
-
-    from edskit.intmath import primes_up_to
-
     for p in primes_up_to(200):
         if p == 37:
             continue
@@ -118,24 +117,28 @@ def test_group_order_hasse_bound(E):
         assert abs(N - p - 1) <= 2 * isqrt(p) + 1
 
 
-def test_group_order_cap(E):
-    with pytest.raises(PrimeTooLarge):
-        E.group_order(101, cap=100)
+def assert_exact_order(curve, P, p, r):
+    """[r]P = O and [r/q]P != O mod p for every prime q | r."""
+    Ep = curve.fp_curve(p)
+    Pt = curve.reduce_point(P, p)
+    assert Ep.mul(r, Pt) is None
+    fac = factorize(r)
+    assert fac.complete
+    for q, _ in fac.factors:
+        assert Ep.mul(r // q, Pt) is not None, (p, r, q)
 
 
-def test_reduction_order_divides_group_order(E):
-    from edskit.intmath import primes_up_to
-
-    P = (F(0), F(0))
-    for p in primes_up_to(100):
-        if p == 37:
-            continue
-        try:
-            r = E.reduction_order(P, p)
-        except TrivialReduction:
-            continue
-        assert E.group_order(p) % r == 0
-        assert E.fp_curve(p).mul(r, E.reduce_point(P, p)) is None
+def test_reduction_order_divides_group_order(all_fixtures):
+    for curve, P, _table, _S in all_fixtures:
+        for p in primes_up_to(1999):
+            if not curve.has_good_reduction(p):
+                continue
+            try:
+                r = curve.reduction_order(P, p)
+            except TrivialReduction:
+                continue
+            assert curve.group_order(p) % r == 0, (p, r)
+            assert_exact_order(curve, P, p, r)
 
 
 def test_reduction_order_fixture_values(E):
@@ -170,27 +173,15 @@ def test_fp_point_counting_naive_vs_enumeration():
         assert Ep.count_points_naive() == len(enumerate_fp_points((0, 1, 1, 0, 0), p))
 
 
-def test_bsgs_matches_naive(E):
-    for p in (10007, 65537, 500009):
-        Ep = E.fp_curve(p)
-        assert Ep.count_points_bsgs() == Ep.count_points_naive()
-
-
-def test_bsgs_above_naive_limit(E):
-    from math import isqrt
-
-    p = 1048583  # smallest prime above 2^20
-    N = E.group_order(p)
-    assert abs(N - p - 1) <= 2 * isqrt(p) + 1
-    # The order annihilates random points.
-    Ep = E.fp_curve(p)
-    rng = random.Random(7)
-    for _ in range(3):
-        assert Ep.mul(N, Ep.random_point(rng)) is None
-
-
-def test_group_order_memo_is_consistent(E):
-    assert E.group_order(101) == E.group_order(101)
+def test_bsgs_above_naive_limit(all_fixtures):
+    # The smallest primes above 2^20 and 2^40, the old counting limits.
+    for p in (1048583, 1099511627791):
+        for curve, P, _table, _S in all_fixtures:
+            r = curve.reduction_order(P, p)
+            assert_exact_order(curve, P, p, r)
+            # Some multiple of r lies in the Hasse interval.
+            hi = p + 1 + 2 * isqrt(p) + 1
+            assert hi // r * r >= p + 1 - 2 * isqrt(p) - 1, (p, r)
 
 
 def test_minimality_report_fixture(E):

@@ -8,7 +8,6 @@ from edskit.intmath import (
     is_prime,
     is_rho_power,
     primes_up_to,
-    sqrt_mod,
     valuation,
 )
 from oracles import brute_nth_root, brute_valuation
@@ -95,14 +94,3 @@ def test_primes_up_to():
     # Shrinking the bound must slice the cached sieve consistently.
     big = primes_up_to(1000)
     assert primes_up_to(100) == [p for p in big if p <= 100]
-
-
-@given(st.sampled_from(primes_up_to(500)), st.integers(min_value=0, max_value=499))
-def test_sqrt_mod_is_correct(p, a):
-    a %= p
-    r = sqrt_mod(a, p)
-    residues = {x * x % p for x in range(p)}
-    if a in residues:
-        assert r is not None and r * r % p == a
-    else:
-        assert r is None

@@ -1,16 +1,28 @@
 """Exceptional sets, the valuation law, detecting primes."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
-from edskit.errors import TableMiss
+import edskit
+from edskit.curve import WeierstrassCurve
+from edskit.errors import SoundnessError, TableMiss
+from edskit.factor import Effort
 from edskit.intmath import primes_up_to, valuation
 from edskit.valuation import (
+    _verify_structured_divisor,
     build_exceptional_set,
     check_valuation_law,
     detecting_primes,
     term_radical_data,
     valuation_via_law,
 )
+
+P_ABOVE_2_40 = 1149313944433  # divides D_53 on the Delta=37 fixture
 
 
 def test_build_exceptional_set_with_guard(curve37, point37, point37q):
@@ -132,3 +144,52 @@ def test_term_radical_data_excludes_s(curve37, point37, table37):
     assert data.entries == []  # D_5 = 2 is entirely inside S
     assert data.complete
     assert data.power_radical(2) == (1, "certain")
+
+
+def test_law_and_radical_data_never_count_points(all_fixtures, monkeypatch):
+    def forbidden(self, p):
+        raise RuntimeError(f"group_order({p}) called outside the tests")
+
+    monkeypatch.setattr(WeierstrassCurve, "group_order", forbidden)
+    for curve, point, table, S in all_fixtures:
+        for p in primes_up_to(200):
+            if p not in S and curve.has_good_reduction(p):
+                assert check_valuation_law(curve, point, S, p, 60, table).holds
+        for l in primes_up_to(31):
+            # A small factoring budget: only the sieve's r_p checks matter here.
+            term_radical_data(curve, point, S, l, table, effort=Effort(10 ** 4, 10 ** 4))
+
+
+def test_structured_divisor_check_above_2_40(curve37, point37, table37):
+    p = P_ABOVE_2_40
+    assert p > 2 ** 40 and table37.D(53) % p == 0
+    _verify_structured_divisor(curve37, point37, p, 53, table37)
+    with pytest.raises(SoundnessError):
+        _verify_structured_divisor(curve37, point37, p, 47, table37)
+
+
+def test_structured_divisor_check_survives_optimize():
+    code = textwrap.dedent(f"""
+        import sys
+        from fractions import Fraction
+        from edskit.curve import WeierstrassCurve
+        from edskit.eds import eds_range
+        from edskit.errors import SoundnessError
+        from edskit.valuation import _verify_structured_divisor
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        E = WeierstrassCurve(0, 0, 1, -1, 0)
+        P = (Fraction(0), Fraction(0))
+        try:
+            _verify_structured_divisor(E, P, {P_ABOVE_2_40}, 47, eds_range(E, P, 53))
+        except SoundnessError:
+            sys.exit(0)
+        sys.exit("order check did not raise")
+    """)
+    src = str(Path(edskit.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
