@@ -167,13 +167,14 @@ def cmd_gen(args) -> int:
     if out is None:
         out = f"eds-table-{table.key}.jsonl"
     table.dump(out)
+    digest = table.content_hash()
     shown = table.d_values()[: min(args.n_max, 20)]
     doc = _header(args, S, minim, n_max=args.n_max, max_digits=args.max_digits)
     doc["table_file"] = out
-    doc["content_hash"] = table.content_hash()
+    doc["content_hash"] = digest
     doc["D_prefix"] = [str(d) for d in shown]
     lines = [
-        f"table written to {out} ({args.n_max} terms, hash {table.content_hash()})",
+        f"table written to {out} ({args.n_max} terms, hash {digest})",
         "D_1..D_%d: %s" % (len(shown), ", ".join(str(d) for d in shown)),
     ]
     if not minim.certified:

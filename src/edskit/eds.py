@@ -1,7 +1,9 @@
 """Generation and persistence of the denominator sequence attached to (E, P).
 
 For each n >= 1 the x-coordinate of [n]P is A_n / D_n^2 in lowest terms
-with D_n > 0.  The perfect-squareness of the reduced denominator is
+with D_n > 0.  Tables come from the division-polynomial values psi_n(P),
+computed over Z by Ward's recurrence; the Fraction group law is kept only
+to cross-check them.  The perfect-squareness of the reduced denominator is
 asserted on every term, never assumed.
 """
 
@@ -11,12 +13,20 @@ import hashlib
 import json
 import math
 import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .curve import RatPoint, WeierstrassCurve
-from .errors import BudgetExceeded, NonSquareDenominator, TableMiss, TorsionPoint
+from .errors import (
+    BudgetExceeded,
+    NonSquareDenominator,
+    SoundnessError,
+    TableMiss,
+    TorsionPoint,
+)
 from .intmath import int_nth_root
 
 TOOL_VERSION = "0.1.0"
@@ -32,7 +42,11 @@ class EdsTerm:
 
 
 def eds_term(curve: WeierstrassCurve, P: RatPoint, n: int) -> EdsTerm:
-    """Exact (A_n, D_n) from x([n]P); errors if [n]P is the identity."""
+    """Exact (A_n, D_n) from x([n]P) by double-and-add over Q.
+
+    Independent of the recurrence in ``eds_range``, which uses it as a
+    cross-check; errors if [n]P is the identity.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     Q = curve.mul(n, P)
@@ -65,6 +79,28 @@ def curve_point_key(curve: WeierstrassCurve, P: RatPoint) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+@contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    """Lift the interpreter's int/str conversion limit (4300 digits) while active.
+
+    Table files and the content hash hold every term in decimal, so terms
+    past the limit must convert.  The previous limit is restored on exit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _hash_row(n: int, A: str, D: str) -> bytes:
+    return f"{n}:{A}:{D};".encode()
+
+
 class EdsTable:
     """Contiguous terms 1..N of the sequence for one (E, P) pair."""
 
@@ -73,6 +109,7 @@ class EdsTable:
         self.point = P
         self.terms = terms
         self.key = curve_point_key(curve, P)
+        self._content_hash: Optional[str] = None
 
     @property
     def max_index(self) -> int:
@@ -103,41 +140,80 @@ class EdsTable:
         return bad
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.key.encode())
-        for t in self.terms:
-            h.update(f"{t.n}:{t.A}:{t.D};".encode())
-        return h.hexdigest()[:16]
+        """Digest of the key and every (n, A_n, D_n) in decimal; computed once per table."""
+        if self._content_hash is None:
+            digest = hashlib.sha256(self.key.encode())
+            with _unlimited_int_digits():
+                for t in self.terms:
+                    digest.update(_hash_row(t.n, str(t.A), str(t.D)))
+            self._content_hash = digest.hexdigest()[:16]
+        return self._content_hash
 
     # -- JSON-lines persistence ----------------------------------------
 
+    def _header_line(self, content_hash: str) -> str:
+        header = {
+            "curve_hash": self.key,
+            "tool_version": TOOL_VERSION,
+            "n_max": self.max_index,
+            "content_hash": content_hash,
+        }
+        return json.dumps(header, sort_keys=True) + "\n"
+
     def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
-            header = {
-                "curve_hash": self.key,
-                "tool_version": TOOL_VERSION,
-                "n_max": self.max_index,
-                "content_hash": self.content_hash(),
-            }
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for t in self.terms:
-                fh.write(json.dumps({"n": t.n, "A": str(t.A), "D": str(t.D)}) + "\n")
+        """Write the table atomically: a temp file beside ``path``, then ``os.replace``.
+
+        Each term is converted to decimal once, for its line and the content
+        hash together.  The header goes first with a placeholder hash of the
+        same length and is rewritten in place once the hash is known.
+        """
+        digest = hashlib.sha256(self.key.encode())
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh, _unlimited_int_digits():
+                fh.write(self._header_line("0" * 16))
+                for t in self.terms:
+                    A, D = str(t.A), str(t.D)
+                    digest.update(_hash_row(t.n, A, D))
+                    fh.write(json.dumps({"n": t.n, "A": A, "D": D}) + "\n")
+                self._content_hash = digest.hexdigest()[:16]
+                fh.seek(0)
+                fh.write(self._header_line(self._content_hash))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @staticmethod
     def load(path: str, curve: WeierstrassCurve, P: RatPoint) -> "EdsTable":
-        with open(path) as fh:
-            header = json.loads(fh.readline())
-            expected = curve_point_key(curve, P)
-            if header.get("curve_hash") != expected:
-                raise ValueError("table file does not match the given curve/point")
-            terms = []
-            for line in fh:
-                rec = json.loads(line)
-                terms.append(EdsTerm(n=rec["n"], A=int(rec["A"]), D=int(rec["D"])))
-        terms.sort(key=lambda t: t.n)
+        """Read a table written by ``dump`` and verify it.
+
+        Raises ValueError if the file is malformed, belongs to another
+        (E, P), is not contiguous from 1, disagrees with its header's
+        ``n_max`` or ``content_hash``, or fails the divisibility scan.
+        """
+        try:
+            with open(path) as fh, _unlimited_int_digits():
+                header = json.loads(fh.readline())
+                if header.get("curve_hash") != curve_point_key(curve, P):
+                    raise ValueError("table file does not match the given curve/point")
+                terms = []
+                for line in fh:
+                    rec = json.loads(line)
+                    terms.append(EdsTerm(n=rec["n"], A=int(rec["A"]), D=int(rec["D"])))
+            terms.sort(key=lambda t: t.n)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed table file {path}: {exc!r}") from exc
         if [t.n for t in terms] != list(range(1, len(terms) + 1)):
             raise ValueError("table file is not contiguous from 1")
-        return EdsTable(curve, P, terms)
+        table = EdsTable(curve, P, terms)
+        if header.get("n_max") != table.max_index:
+            raise ValueError("table file does not hold the n_max terms its header names")
+        if header.get("content_hash") != table.content_hash():
+            raise ValueError("table file does not match its content hash")
+        if table.check_divisibility():
+            raise ValueError("table file violates the divisibility property")
+        return table
 
 
 def _projected_digits(terms: List[EdsTerm], N: int) -> float:
@@ -149,6 +225,107 @@ def _projected_digits(terms: List[EdsTerm], N: int) -> float:
     return best * N * N
 
 
+# -- division-polynomial generation ---------------------------------------
+#
+# With x(P) = a/d^2 and y(P) = b/d^3, psi_n has weight n^2 - 1 in (x, y), so
+# Psi_n = d^(n^2-1) * psi_n(P) is an integer satisfying the same recurrence.
+# Then x([n]P) = Phi_n / (d*Psi_n)^2 with Phi_n = a*Psi_n^2 - Psi_{n+1}*Psi_{n-1}.
+
+
+def _scaled_coordinates(P: RatPoint) -> Tuple[int, int, int]:
+    """(a, b, d) with x(P) = a/d^2, y(P) = b/d^3 and d > 0."""
+    if P is None:
+        raise TorsionPoint("P is the identity")
+    x, y = Fraction(P[0]), Fraction(P[1])
+    d = math.isqrt(x.denominator)
+    if d * d != x.denominator:
+        raise NonSquareDenominator(
+            f"denominator of x(P) is not a perfect square: {x.denominator}"
+        )
+    b = y * d ** 3
+    if b.denominator != 1:
+        raise NonSquareDenominator(f"denominator of y(P) is not {d}^3: {y.denominator}")
+    return x.numerator, b.numerator, d
+
+
+def _weighted(coefficients: Tuple[int, ...], a: int, d2: int) -> int:
+    """sum_i c_i * a^(k-i) * d2^i for coefficients c_0..c_k (Horner in a)."""
+    value, scale = 0, 1
+    for c in coefficients:
+        value = value * a + c * scale
+        scale *= d2
+    return value
+
+
+def _psi_seeds(curve: WeierstrassCurve, a: int, b: int, d: int) -> List[int]:
+    """Psi_0..Psi_4 from the curve's b-invariants."""
+    b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
+    d2 = d * d
+    psi2 = 2 * b + curve.a1 * a * d + curve.a3 * d * d2
+    psi3 = _weighted((3, b2, 3 * b4, 3 * b6, b8), a, d2)
+    psi4 = psi2 * _weighted(
+        (2, b2, 5 * b4, 10 * b6, 10 * b8, b2 * b8 - b4 * b6, b4 * b8 - b6 * b6), a, d2
+    )
+    return [0, 1, psi2, psi3, psi4]
+
+
+def _extend_psi(psi: List[int], upto: int) -> None:
+    """Append Psi_n for n = len(psi)..upto by Ward's recurrence.
+
+    Psi_{2m+1} = Psi_{m+2} Psi_m^3 - Psi_{m-1} Psi_{m+1}^3 and
+    Psi_{2m} Psi_2 = Psi_m (Psi_{m+2} Psi_{m-1}^2 - Psi_{m-2} Psi_{m+1}^2);
+    the division by Psi_2 is checked to be exact.
+    """
+    psi2 = psi[2]
+    for n in range(len(psi), upto + 1):
+        m = n // 2
+        if n % 2:
+            psi.append(psi[m + 2] * psi[m] ** 3 - psi[m - 1] * psi[m + 1] ** 3)
+            continue
+        if psi2 == 0:
+            raise TorsionPoint("[2]P is the identity; P is torsion")
+        q, r = divmod(
+            psi[m] * (psi[m + 2] * psi[m - 1] ** 2 - psi[m - 2] * psi[m + 1] ** 2), psi2
+        )
+        if r:
+            raise SoundnessError(f"Psi_2 does not divide the recurrence for Psi_{n}")
+        psi.append(q)
+
+
+def _term_from_psi(psi: List[int], n: int, a: int, d: int) -> EdsTerm:
+    """(A_n, D_n) = (Phi_n / g, |d Psi_n| / sqrt(g)) with g = gcd(Phi_n, (d Psi_n)^2)."""
+    if psi[n] == 0:
+        raise TorsionPoint(f"[{n}]P is the identity; P is torsion")
+    scaled = d * psi[n]
+    phi = a * psi[n] ** 2 - psi[n + 1] * psi[n - 1]
+    # Every prime of g divides gcd(Phi_n, d Psi_n), which is cheaper and usually 1.
+    g = math.gcd(phi, scaled * scaled) if math.gcd(phi, scaled) > 1 else 1
+    root = math.isqrt(g)
+    if root * root != g:
+        raise NonSquareDenominator(f"gcd(Phi_{n}, (d Psi_{n})^2) is not a perfect square: {g}")
+    return EdsTerm(n=n, A=phi // g, D=abs(scaled) // root)
+
+
+def _division_terms(
+    curve: WeierstrassCurve, P: RatPoint, N: int, max_digits: int
+) -> List[EdsTerm]:
+    """Terms 1..N from Psi_0..Psi_{N+1}; the growth guard runs on the first 16."""
+    a, b, d = _scaled_coordinates(P)
+    psi = _psi_seeds(curve, a, b, d)
+    terms: List[EdsTerm] = []
+    probe = min(N, 16)
+    for stop in (probe, N):
+        _extend_psi(psi, stop + 1)
+        terms.extend(_term_from_psi(psi, n, a, d) for n in range(len(terms) + 1, stop + 1))
+        if stop < N:
+            projected = _projected_digits(terms, N)
+            if projected > max_digits:
+                raise BudgetExceeded(
+                    f"projected D_{N} size ~{projected:.0f} digits exceeds limit {max_digits}"
+                )
+    return terms
+
+
 def eds_range(
     curve: WeierstrassCurve,
     P: RatPoint,
@@ -156,11 +333,14 @@ def eds_range(
     max_digits: int = DEFAULT_MAX_DIGITS,
     cache_dir: Optional[str] = None,
 ) -> EdsTable:
-    """Terms 1..N by the incremental chain [n]P = [n-1]P + P.
+    """Terms 1..N from the integer division-polynomial recurrence.
 
-    Cross-checked against double-and-add at n = N//2 and n = N, and the
-    divisibility property D_m | D_n for m | n is verified on the full
-    table before it is returned.
+    D_n = |d Psi_n| / sqrt(g) with g = gcd(Phi_n, (d Psi_n)^2); the square
+    root absorbs the correction at bad primes, and g is checked to be a
+    perfect square on every term.  The table is cross-checked against
+    double-and-add over Q at n = N//2 and n = N, and the divisibility
+    property D_m | D_n for m | n is verified on all of it before it is
+    returned; a failure of either raises SoundnessError.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -168,26 +348,14 @@ def eds_range(
         cached = _load_cached(curve, P, N, cache_dir)
         if cached is not None:
             return cached
-    terms: List[EdsTerm] = []
-    Q: RatPoint = None
-    probe = min(N, 16)
-    for n in range(1, N + 1):
-        Q = curve.add(Q, P)
-        terms.append(_term_from_point(Q, n))
-        if n == probe and N > probe:
-            projected = _projected_digits(terms, N)
-            if projected > max_digits:
-                raise BudgetExceeded(
-                    f"projected D_{N} size ~{projected:.0f} digits exceeds limit {max_digits}"
-                )
+    terms = _division_terms(curve, P, N, max_digits)
     for n in {max(1, N // 2), N}:
-        direct = eds_term(curve, P, n)
-        if (direct.A, direct.D) != (terms[n - 1].A, terms[n - 1].D):
-            raise AssertionError(f"incremental chain disagrees with double-and-add at n={n}")
+        if eds_term(curve, P, n) != terms[n - 1]:
+            raise SoundnessError(f"division-polynomial term disagrees with double-and-add at n={n}")
     table = EdsTable(curve, P, terms)
     bad = table.check_divisibility()
     if bad:
-        raise AssertionError(f"divisibility property violated at pairs {bad[:5]}")
+        raise SoundnessError(f"divisibility property violated at pairs {bad[:5]}")
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         table.dump(os.path.join(cache_dir, f"{table.key}.jsonl"))
@@ -197,12 +365,11 @@ def eds_range(
 def _load_cached(
     curve: WeierstrassCurve, P: RatPoint, N: int, cache_dir: str
 ) -> Optional[EdsTable]:
+    """The verified cached table cut to N terms; None (a miss) if absent, corrupt or short."""
     path = os.path.join(cache_dir, f"{curve_point_key(curve, P)}.jsonl")
-    if not os.path.exists(path):
-        return None
     try:
         table = EdsTable.load(path, curve, P)
-    except (ValueError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
     if table.max_index < N:
         return None

@@ -48,6 +48,41 @@ def test_gen_torsion_point_exits_3(tmp_path, capsys):
     assert rc == 3
 
 
+def test_gen_past_int_str_digit_limit(tmp_path, curve_file, capsys):
+    import sys
+    from fractions import Fraction
+
+    from edskit.curve import WeierstrassCurve
+    from edskit.eds import EdsTable
+
+    # A_441 of this fixture is the first numerator past 4300 decimal digits.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        out = str(tmp_path / "big.jsonl")
+        rc = main(["gen", "--curve", curve_file, "--n-max", "450", "--out", out,
+                   "--format", "json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        E, P = WeierstrassCurve(0, 0, 1, -1, 0), (Fraction(0), Fraction(0))
+        loaded = EdsTable.load(out, E, P)
+        assert loaded.max_index == 450
+        assert loaded.content_hash() == doc["content_hash"]
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_gen_cross_check_disagreement_exits_4(tmp_path, curve_file, capsys, monkeypatch):
+    from edskit import eds
+
+    monkeypatch.setattr(eds, "eds_term", lambda E, P, n: eds.EdsTerm(n=n, A=0, D=1))
+    rc = main(["gen", "--curve", curve_file, "--n-max", "8",
+               "--out", str(tmp_path / "t.jsonl")])
+    assert rc == 4
+    assert "SOUNDNESS CONTRADICTION" in capsys.readouterr().err
+
+
 def test_bad_curve_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     doc = dict(FIXTURE_CURVE, y="1/1")  # point not on the curve

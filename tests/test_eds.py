@@ -1,14 +1,38 @@
 """Denominator-sequence generation, validation, and persistence."""
 
+import json
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from edskit import eds
 from edskit.curve import WeierstrassCurve
-from edskit.eds import EdsTable, _term_from_point, eds_range, eds_term
-from edskit.errors import BudgetExceeded, NonSquareDenominator, TableMiss, TorsionPoint
+from edskit.eds import (
+    EdsTable,
+    EdsTerm,
+    _extend_psi,
+    _psi_seeds,
+    _scaled_coordinates,
+    _term_from_point,
+    _term_from_psi,
+    eds_range,
+    eds_term,
+)
+from edskit.errors import (
+    BudgetExceeded,
+    NonSquareDenominator,
+    SoundnessError,
+    TableMiss,
+    TorsionPoint,
+)
 
 F = Fraction
+
+# y^2 = x^3 - 6x with P = (3, 3): 3 is a bad prime where gcd(Phi_n, Psi_n^2) > 1.
+CURVE_M6 = WeierstrassCurve(0, 0, 0, -6, 0)
+POINT_M6 = (F(3), F(3))
 
 
 def test_eds_term_examples(curve37, point37):
@@ -34,6 +58,11 @@ def test_eds_term_torsion_point():
 def test_non_square_denominator_guard():
     with pytest.raises(NonSquareDenominator):
         _term_from_point((F(1, 3), F(1, 5)), 1)
+    with pytest.raises(NonSquareDenominator):
+        _scaled_coordinates((F(1, 3), F(1, 5)))
+    # Phi_2 = 1*3^2 - 6*1 = 3, so g = gcd(3, 3^2) = 3 is not a square.
+    with pytest.raises(NonSquareDenominator):
+        _term_from_psi([0, 1, 3, 6], 2, 1, 1)
 
 
 def test_eds_range_fixture_prefix(table37):
@@ -45,10 +74,47 @@ def test_eds_range_n_equals_one(curve37, point37):
     assert t.d_values() == [1]
 
 
-def test_eds_range_matches_direct_terms(curve37, point37, table37):
-    for n in (1, 9, 23, 41, 60):
-        direct = eds_term(curve37, point37, n)
-        assert (table37.A(n), table37.D(n)) == (direct.A, direct.D)
+def test_eds_range_matches_direct_terms(curve37, point37, point37q, curve43, point43):
+    # The recurrence against double-and-add over Q at every index; the last
+    # pair has a1 != 0 and x(P) = -1/4 (it is [4](0, 0) on y^2 + xy + y = x^3 - x^2).
+    for E, P, N in ((curve37, point37, 100), (curve43, point43, 100), (curve37, point37q, 40),
+                    (WeierstrassCurve(1, -1, 1, 0, 0), (F(-1, 4), F(-5, 8)), 40)):
+        table = eds_range(E, P, N, max_digits=10 ** 6)
+        assert table.terms == [eds_term(E, P, n) for n in range(1, N + 1)]
+
+
+def test_eds_range_short_tables(curve37, point37, point37q, curve43, point43):
+    for E, P in ((curve37, point37), (curve37, point37q), (curve43, point43),
+                 (CURVE_M6, POINT_M6)):
+        for N in range(1, 5):
+            assert eds_range(E, P, N).terms == [eds_term(E, P, n) for n in range(1, N + 1)]
+
+
+def test_bad_prime_correction():
+    table = eds_range(CURVE_M6, POINT_M6, 30)
+    assert table.terms == [eds_term(CURVE_M6, POINT_M6, n) for n in range(1, 31)]
+    a, b, d = _scaled_coordinates(POINT_M6)
+    psi = _psi_seeds(CURVE_M6, a, b, d)
+    # D_n = |Psi_n| / sqrt(g) with g = 9, 81, 6561 at n = 2, 3, 4.
+    assert [abs(psi[n]) for n in (2, 3, 4)] == [table.D(2) * 3, table.D(3) * 9, table.D(4) * 81]
+
+
+def test_inexact_psi2_division_is_soundness_error():
+    # Psi_5 = 5*2^3 - 3^3 = 13, and Psi_3 (Psi_5 Psi_2^2 - Psi_4^2) = 81 is odd.
+    with pytest.raises(SoundnessError):
+        _extend_psi([0, 1, 2, 3, 5], 6)
+
+
+def test_cross_check_disagreement_is_soundness_error(curve37, point37, monkeypatch):
+    monkeypatch.setattr(eds, "eds_term", lambda E, P, n: EdsTerm(n=n, A=0, D=1))
+    with pytest.raises(SoundnessError):
+        eds_range(curve37, point37, 10)
+
+
+def test_divisibility_violation_is_soundness_error(curve37, point37, monkeypatch):
+    monkeypatch.setattr(EdsTable, "check_divisibility", lambda self: [(5, 10)])
+    with pytest.raises(SoundnessError):
+        eds_range(curve37, point37, 10)
 
 
 def test_divisibility_scan_clean(table37, table43):
@@ -67,6 +133,11 @@ def test_torsion_point_range():
     E = WeierstrassCurve(0, -1, 1, 0, 0)
     with pytest.raises(TorsionPoint):
         eds_range(E, (F(0), F(0)), 8)
+    # (0, 0) on y^2 = x^3 - x has order 2, so Psi_2 = 0 before any division by it.
+    E2 = WeierstrassCurve(0, 0, 0, -1, 0)
+    for N in (2, 8):
+        with pytest.raises(TorsionPoint):
+            eds_range(E2, (F(0), F(0)), N)
 
 
 def test_growth_guard(curve37, point37q):
@@ -109,3 +180,73 @@ def test_second_point_is_fifth_multiple(table37, table37q):
     # (1/4, -5/8) = [5](0,0), so its sequence is the subsequence at 5n.
     for n in range(1, 13):
         assert table37q.D(n) == table37.D(5 * n)
+
+
+def _cache_file(cache, table):
+    return Path(cache) / f"{table.key}.jsonl"
+
+
+@pytest.mark.parametrize("edit", [{"D": "7"}, {"A": "3"}])
+def test_cache_rejects_edited_term(tmp_path, curve37, point37, edit):
+    # D_5 = 2 -> 7 also breaks divisibility; A_5 = 1 -> 3 only the content hash.
+    cache = str(tmp_path / "cache")
+    table = eds_range(curve37, point37, 12, cache_dir=cache)
+    path = _cache_file(cache, table)
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[5]) == {"n": 5, "A": "1", "D": "2"}
+    lines[5] = json.dumps(dict({"n": 5, "A": "1", "D": "2"}, **edit))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        EdsTable.load(path, curve37, point37)
+    served = eds_range(curve37, point37, 12, cache_dir=cache)
+    assert (served.A(5), served.D(5)) == (1, 2)
+    assert EdsTable.load(path, curve37, point37).terms == table.terms  # regenerated
+
+
+def test_cache_rejects_consistent_forgery(tmp_path, curve37, point37):
+    # Header hash rewritten to match the edited term: divisibility catches it.
+    cache = str(tmp_path / "cache")
+    table = eds_range(curve37, point37, 12, cache_dir=cache)
+    forged = EdsTable(curve37, point37, [
+        EdsTerm(t.n, t.A, 7 if t.n == 5 else t.D) for t in table.terms
+    ])
+    forged.dump(str(_cache_file(cache, table)))
+    with pytest.raises(ValueError):
+        EdsTable.load(_cache_file(cache, table), curve37, point37)
+    assert eds_range(curve37, point37, 12, cache_dir=cache).D(5) == 2
+
+
+@pytest.mark.parametrize("cut", ["mid_line", "line_boundary", "header_only", "empty"])
+def test_cache_regenerates_partial_file(tmp_path, curve37, point37, cut):
+    cache = str(tmp_path / "cache")
+    table = eds_range(curve37, point37, 12, cache_dir=cache)
+    path = _cache_file(cache, table)
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
+    partial = {
+        "mid_line": text[: len(text) - 7],
+        "line_boundary": "".join(lines[:-3]),
+        "header_only": lines[0],
+        "empty": "",
+    }[cut]
+    path.write_text(partial)
+    assert eds_range(curve37, point37, 12, cache_dir=cache).terms == table.terms
+    assert path.read_text() == text
+
+
+def test_dump_is_atomic(tmp_path, curve37, point37, table37, monkeypatch):
+    path = tmp_path / "table.jsonl"
+    table37.dump(str(path))
+    before = path.read_text()
+    assert os.listdir(tmp_path) == ["table.jsonl"]
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    short = eds_range(curve37, point37, 5)
+    with pytest.raises(OSError):
+        short.dump(str(path))
+    assert path.read_text() == before
+    assert os.listdir(tmp_path) == ["table.jsonl"]
+
