@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd, isqrt, prod, sqrt
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .curve import RatPoint, WeierstrassCurve
-from .eds import EdsTable
-from .errors import HypothesisViolated, NotSquarefree, PreconditionFailed
-from .factor import DEFAULT_EFFORT, Effort, factorize, is_B_smooth, radical
-from .intmath import is_prime, valuation
+from .eds import EdsTable, _unlimited_int_digits
+from .errors import HypothesisViolated, NotSquarefree, PreconditionFailed, SoundnessError
+from .factor import DEFAULT_EFFORT, Effort, Factorization, factorize, is_B_smooth, radical
+from .intmath import is_prime, is_rho_power, primes_up_to, valuation
 from .valuation import ExceptionalSet, TermRadicalData, term_radical_data
 
 HOLDS = "holds"
@@ -56,34 +56,25 @@ class ObstructionVerdict:
 
 
 def _jsonable(v):
-    if isinstance(v, int):
+    if isinstance(v, int):  # bools too: True renders as "True"
         return str(v)  # decimal strings, no precision loss
     if isinstance(v, (list, tuple, set)):
-        return [_jsonable(x) for x in sorted(v) if True] if isinstance(v, set) else [
-            _jsonable(x) for x in v
-        ]
+        return [_jsonable(x) for x in (sorted(v) if isinstance(v, set) else v)]
     return v
 
 
+@dataclass(eq=False, repr=False)
 class ObstructionContext:
-    """Immutable inputs shared by all checkers, with a radical-data cache."""
+    """Immutable inputs shared by all checkers, with radical-data and index-factor caches."""
 
-    def __init__(
-        self,
-        curve: WeierstrassCurve,
-        point: RatPoint,
-        S: ExceptionalSet,
-        table: EdsTable,
-        sieve_bound: int = 10 ** 4,
-        effort: Effort = DEFAULT_EFFORT,
-    ):
-        self.curve = curve
-        self.point = point
-        self.S = S
-        self.table = table
-        self.sieve_bound = sieve_bound
-        self.effort = effort
-        self._radical_cache: Dict[int, TermRadicalData] = {}
+    curve: WeierstrassCurve
+    point: RatPoint
+    S: ExceptionalSet
+    table: EdsTable
+    sieve_bound: int = 10 ** 4
+    effort: Effort = DEFAULT_EFFORT
+    _radical_cache: Dict[int, TermRadicalData] = field(default_factory=dict, init=False)
+    _factor_cache: Dict[int, Factorization] = field(default_factory=dict, init=False)
 
     def radical_data(self, l: int) -> TermRadicalData:
         if l not in self._radical_cache:
@@ -91,6 +82,12 @@ class ObstructionContext:
                 self.curve, self.point, self.S, l, self.table, self.sieve_bound, self.effort
             )
         return self._radical_cache[l]
+
+    def factorization(self, x: int) -> Factorization:
+        """factorize(x) within this context's effort, computed once per x."""
+        if x not in self._factor_cache:
+            self._factor_cache[x] = factorize(x, self.effort)
+        return self._factor_cache[x]
 
     def has_verified_detecting_prime(self, l: int, rho: int) -> bool:
         """A detecting prime for index l was actually found (not assumed)."""
@@ -105,18 +102,14 @@ def incidence_set(n: Sequence[int], l: int) -> List[int]:
     return [i for i, ni in enumerate(n, start=1) if ni % l == 0]
 
 
-def incidence_vector(n: Sequence[int], l: int, rho: int) -> List[int]:
+def incidence_vector(n: Sequence[int], l: int) -> List[int]:
     return [1 if ni % l == 0 else 0 for ni in n]
-
-
-def valuation_vector(n: Sequence[int], q: int, rho: int) -> List[int]:
-    return [valuation(ni, q) % rho for ni in n]
 
 
 def build_incidence_matrix(
     n: Sequence[int], Lambda: Sequence[int], rho: int
 ) -> Dict[int, List[int]]:
-    return {l: incidence_vector(n, l, rho) for l in Lambda}
+    return {l: incidence_vector(n, l) for l in Lambda}
 
 
 def gf_rank(rows: List[List[int]], rho: int) -> int:
@@ -161,76 +154,139 @@ def _hasse_compatible(l: int, q: int) -> bool:
     return t <= 0 or t * t <= 4 * q
 
 
-def _largest_prime_factor_exact(x: int, effort: Effort) -> int:
+def _radical_meets_bound(rad: int, ells: Sequence[int]) -> Optional[bool]:
+    """rad >= prod over ells of (sqrt(l) - 1)^2 for primes l, or None if too close to call.
+
+    With s = isqrt(l * 4^k), 2^k * (sqrt(l) - 1)^2 = 2^k * (l + 1) - 2 * sqrt(l * 4^k) lies
+    in [2^k * (l + 1) - 2s - 2, 2^k * (l + 1) - 2s]; k outgrows the product's bit size.
+    """
+    k = 16 + 2 * len(ells) + sum(l.bit_length() for l in ells)
+    lo = hi = 1
+    for l in ells:
+        s = isqrt(l << 2 * k)
+        lo *= ((l + 1) << k) - 2 * (s + 1)
+        hi *= ((l + 1) << k) - 2 * s
+    scaled = rad << k * len(ells)
+    if scaled >= hi:
+        return True
+    return False if scaled < lo else None
+
+
+def _largest_prime_factor_exact(ctx: ObstructionContext, x: int) -> int:
     """P^+(x) with a completeness requirement; refuses rather than guesses."""
-    if x == 1:
-        return 1
-    fac = factorize(x, effort)
+    fac = ctx.factorization(x)
     if not fac.complete:
         raise HypothesisViolated(f"largest prime divisor of {x} unknown (partial factorization)")
-    return max(p for p, _ in fac.factors)
+    return max((p for p, _ in fac.factors), default=1)
+
+
+def _top_prime_defect(ctx: ObstructionContext, n: Sequence[int], i: int, l: int) -> Optional[str]:
+    """Why l is not the simple top prime of n_i (v_l(n_i) = 1, P^+(n_i) = l); None if it is."""
+    v = valuation(n[i - 1], l)
+    if v != 1:
+        return f"v_l(n_{i})={v} != 1"
+    if _largest_prime_factor_exact(ctx, n[i - 1]) != l:
+        return f"l is not the largest prime divisor of n_{i}={n[i - 1]}"
+    return None
+
+
+def _verifiably_squarefree(ctx: ObstructionContext, x: int) -> bool:
+    fac = ctx.factorization(x)
+    return fac.complete and all(e == 1 for _, e in fac.factors)
+
+
+def _exclusion(
+    statement: str, hyp: Dict[str, bool], wit: dict, detected: bool, fails: str, weak: str
+) -> ObstructionVerdict:
+    """A violated necessary condition: fails only on verified detecting primes."""
+    if detected:
+        return ObstructionVerdict(statement, FAILS, hyp, wit, [fails])
+    return ObstructionVerdict(statement, INCONCLUSIVE, hyp, wit, [weak])
 
 
 # -- valuation-congruence checkers -------------------------------------
 
 
+class _Congruence(NamedTuple):
+    """Silverman's law v_p(D_{n_i}) = v_p(D_l) + v_p(n_i / l) summed over I = I_l(n).
+
+    A rho-th power needs residue = |I| * v_D + quot_sum = 0 mod rho; the four
+    per-(l, p) statements are views on this one record.
+    """
+
+    l: int
+    p: int
+    rho: int
+    I: List[int]
+    v_D: int  # v_p(D_l)
+    v_l: int  # v_p(l)
+    quot_sum: int  # sum over I of v_p(n_i / l)
+    residue: int
+
+    def _view(self, statement: str, hypotheses: Sequence[str], **wit) -> ObstructionVerdict:
+        verdict = HOLDS if self.residue == 0 else FAILS
+        return ObstructionVerdict(statement, verdict, dict.fromkeys(hypotheses, True), wit)
+
+    def absorption(self) -> ObstructionVerdict:
+        return self._view(
+            "absorption_congruence", ["p_outside_S", "p_divides_D_l"],
+            l=self.l, p=self.p, I_l=self.I, v_p_D_l=self.v_D,
+            quotient_valuation_sum=self.quot_sum, lhs_mod_rho=self.residue,
+        )
+
+    def pairing(self) -> ObstructionVerdict:
+        # <e_l(n), v_q(n)> = quot_sum + |I| * v_q(l): e_l(n) vanishes off I.
+        lhs = (self.quot_sum + len(self.I) * self.v_l) % self.rho
+        return self._view(
+            "incidence_pairing", ["q_outside_S", "q_divides_D_l"], l=self.l, q=self.p,
+            lhs=lhs, rhs=len(self.I) * (self.v_l - self.v_D) % self.rho, I_l=self.I,
+        )
+
+    def squarefree(self) -> ObstructionVerdict:
+        # For squarefree n_i and q != l, v_q(n_i / l) = 1 exactly when l*q | n_i.
+        return self._view(
+            "squarefree_incidence", ["squarefree", "q_outside_S", "q_divides_D_l"],
+            l=self.l, q=self.p, N_l=len(self.I), N_lq=self.quot_sum, v_q_D_l=self.v_D,
+        )
+
+    def multiplicity(self) -> ObstructionVerdict:
+        case = "rho_divides_I" if len(self.I) % self.rho == 0 else "rho_not_dividing_I"
+        return self._view(
+            "multiplicity_obstruction", ["q_in_radical", "q_ne_l"], l=self.l, q=self.p,
+            I_l=self.I, v_q_quotient=self.quot_sum, v_q_D_l=self.v_D, case=case,
+        )
+
+
+def _congruence(ctx: ObstructionContext, n: Sequence[int], l: int, p: int, rho: int) -> _Congruence:
+    I = incidence_set(n, l)
+    v_D = valuation(ctx.table.D(l), p)
+    quot_sum = sum(valuation(n[i - 1] // l, p) for i in I)
+    residue = (len(I) * v_D + quot_sum) % rho
+    return _Congruence(l, p, rho, I, v_D, valuation(l, p), quot_sum, residue)
+
+
+def _checked_congruence(
+    ctx: ObstructionContext, n: Sequence[int], l: int, q: int, rho: int, name: str
+) -> _Congruence:
+    if q in ctx.S:
+        raise PreconditionFailed(f"{name}={q} lies in the exceptional set")
+    if ctx.table.D(l) % q != 0:
+        raise PreconditionFailed(f"{name}={q} does not divide D_{l}")
+    return _congruence(ctx, n, l, q, rho)
+
+
 def absorption_congruence(
     ctx: ObstructionContext, n: Sequence[int], l: int, p: int, rho: int
 ) -> ObstructionVerdict:
-    """|I_l(n)| * v_p(D_l) + sum over I_l of v_p(n_i / l), modulo rho.
-
-    Necessary for the product over n to be a rho-th power; evaluated
-    exactly, never assumed.
-    """
-    if p in ctx.S:
-        raise PreconditionFailed(f"p={p} lies in the exceptional set")
-    D_l = ctx.table.D(l)
-    if D_l % p != 0:
-        raise PreconditionFailed(f"p={p} does not divide D_{l}")
-    I = incidence_set(n, l)
-    v_dl = valuation(D_l, p)
-    quot_sum = sum(valuation(n[i - 1] // l, p) for i in I)
-    lhs = len(I) * v_dl + quot_sum
-    v = ObstructionVerdict(
-        statement="absorption_congruence",
-        verdict=HOLDS if lhs % rho == 0 else FAILS,
-        hypotheses={"p_outside_S": True, "p_divides_D_l": True},
-        witnesses={
-            "l": l,
-            "p": p,
-            "I_l": I,
-            "v_p_D_l": v_dl,
-            "quotient_valuation_sum": quot_sum,
-            "lhs_mod_rho": lhs % rho,
-        },
-    )
-    return v
+    """|I_l(n)| * v_p(D_l) + sum over I_l of v_p(n_i / l) = 0 mod rho, evaluated exactly."""
+    return _checked_congruence(ctx, n, l, p, rho, "p").absorption()
 
 
 def incidence_pairing(
     ctx: ObstructionContext, n: Sequence[int], l: int, q: int, rho: int
 ) -> ObstructionVerdict:
-    """<e_l(n), v_q(n)> against |I_l(n)|*(v_q(l) - v_q(D_l)) over F_rho.
-
-    Algebraic rearrangement of the absorption congruence; kept separate
-    so the equivalence can be asserted in tests.
-    """
-    if q in ctx.S:
-        raise PreconditionFailed(f"q={q} lies in the exceptional set")
-    D_l = ctx.table.D(l)
-    if D_l % q != 0:
-        raise PreconditionFailed(f"q={q} does not divide D_{l}")
-    e = incidence_vector(n, l, rho)
-    vq = [valuation(ni, q) for ni in n]
-    lhs = sum(a * b for a, b in zip(e, vq)) % rho
-    I = incidence_set(n, l)
-    rhs = len(I) * (valuation(l, q) - valuation(D_l, q)) % rho
-    return ObstructionVerdict(
-        statement="incidence_pairing",
-        verdict=HOLDS if lhs == rhs else FAILS,
-        hypotheses={"q_outside_S": True, "q_divides_D_l": True},
-        witnesses={"l": l, "q": q, "lhs": lhs, "rhs": rhs, "I_l": I},
-    )
+    """<e_l(n), v_q(n)> against |I_l(n)|*(v_q(l) - v_q(D_l)) over F_rho (pairing form)."""
+    return _checked_congruence(ctx, n, l, q, rho, "q").pairing()
 
 
 def squarefree_incidence(
@@ -238,25 +294,25 @@ def squarefree_incidence(
 ) -> ObstructionVerdict:
     """Counting form for squarefree tuples: N_{l,q} = -N_l * v_q(D_l) mod rho."""
     for ni in n:
-        fac = factorize(ni, ctx.effort)
-        if not fac.complete or any(e > 1 for _, e in fac.factors):
+        if not _verifiably_squarefree(ctx, ni):
             raise NotSquarefree(f"index {ni} is not (verifiably) squarefree")
+    if q == l:
+        raise PreconditionFailed("q must differ from l")
+    return _checked_congruence(ctx, n, l, q, rho, "q").squarefree()
+
+
+def multiplicity_obstruction(
+    ctx: ObstructionContext, n: Sequence[int], l: int, q: int, rho: int
+) -> ObstructionVerdict:
+    """v_q of the quotient product against -|I_l(n)| * v_q(D_l) mod rho."""
     if q == l:
         raise PreconditionFailed("q must differ from l")
     if q in ctx.S:
         raise PreconditionFailed(f"q={q} lies in the exceptional set")
-    D_l = ctx.table.D(l)
-    if D_l % q != 0:
-        raise PreconditionFailed(f"q={q} does not divide D_{l}")
-    N_l = len(incidence_set(n, l))
-    N_lq = sum(1 for ni in n if ni % (l * q) == 0)
-    v_dl = valuation(D_l, q)
-    return ObstructionVerdict(
-        statement="squarefree_incidence",
-        verdict=HOLDS if (N_lq + N_l * v_dl) % rho == 0 else FAILS,
-        hypotheses={"squarefree": True, "q_outside_S": True, "q_divides_D_l": True},
-        witnesses={"l": l, "q": q, "N_l": N_l, "N_lq": N_lq, "v_q_D_l": v_dl},
-    )
+    c = _congruence(ctx, n, l, q, rho)
+    if c.v_D % rho == 0:
+        raise PreconditionFailed(f"q={q} does not divide the power radical of D_{l}")
+    return c.multiplicity()
 
 
 # -- support and packing checkers --------------------------------------
@@ -270,88 +326,40 @@ def prime_support_check(
 ) -> ObstructionVerdict:
     """Radical divisibility, Hasse scale, and top-prime interval at index l."""
     I = incidence_set(n, l)
-    if len(I) % rho == 0:
-        return ObstructionVerdict(
-            statement="prime_support_check",
-            verdict=INCONCLUSIVE,
-            hypotheses={"rho_not_dividing_I": False},
-            witnesses={"l": l, "I_l": I},
-            notes=["vacuous: rho divides |I_l(n)|"],
-        )
+    hyp = {"rho_not_dividing_I": len(I) % rho != 0}
+    wit: Dict[str, object] = {"l": l, "I_l": I}
+
+    def verdict(v: str, *notes: str) -> ObstructionVerdict:
+        return ObstructionVerdict("prime_support_check", v, hyp, wit, list(notes))
+
+    if not hyp["rho_not_dividing_I"]:
+        return verdict(INCONCLUSIVE, "vacuous: rho divides |I_l(n)|")
     data = ctx.radical_data(l)
-    rad, certainty = data.power_radical(rho)
-    quotient = 1
-    for i in I:
-        quotient *= n[i - 1] // l
-    hyp = {"rho_not_dividing_I": True, "radical_complete": data.complete}
-    wit: Dict[str, object] = {"l": l, "I_l": I, "radical": rad, "quotient": quotient}
-    notes: List[str] = []
+    rad, _ = data.power_radical(rho)
+    quotient = prod(n[i - 1] // l for i in I)
+    hyp["radical_complete"] = data.complete
+    wit.update(radical=rad, quotient=quotient)
     if rad == 1:
         if data.complete:
-            notes.append("radical trivial: no detecting prime at this index")
-            return ObstructionVerdict("prime_support_check", HOLDS, hyp, wit, notes)
-        return ObstructionVerdict(
-            "prime_support_check",
-            INCONCLUSIVE,
-            hyp,
-            wit,
-            ["partial factorization and empty certain radical"],
-        )
-    # Divisibility by the certain part is asserted even when partial.
+            return verdict(HOLDS, "radical trivial: no detecting prime at this index")
+        return verdict(INCONCLUSIVE, "partial factorization and empty certain radical")
+    # Divisibility by the certain part is checked even when partial.
     if quotient % rad != 0:
-        notes.append("certain radical part does not divide the quotient product")
-        return ObstructionVerdict("prime_support_check", FAILS, hyp, wit, notes)
+        return verdict(FAILS, "certain radical part does not divide the quotient product")
     radical_primes = [p for p, v in data.entries if v % rho != 0]
-    hasse_ok = all(_hasse_compatible(l, q) for q in radical_primes)
     wit["radical_primes"] = radical_primes
-    if not hasse_ok:
-        notes.append("Hasse-scale inequality violated by a radical prime")
-        return ObstructionVerdict("prime_support_check", FAILS, hyp, wit, notes)
-    top_prime = all(
-        valuation(n[i - 1], l) == 1
-        and _largest_prime_factor_exact(n[i - 1], ctx.effort) == l
-        for i in I
-    )
-    if top_prime:
+    if not all(_hasse_compatible(l, q) for q in radical_primes):
+        return verdict(FAILS, "Hasse-scale inequality violated by a radical prime")
+    if all(_top_prime_defect(ctx, n, i, l) is None for i in I):
         interval_ok = all(
             q < l and not _below_sqrt_l_minus_1_sq(q, l) for q in radical_primes
         )
         wit["top_prime_interval_ok"] = interval_ok
         if not interval_ok:
-            notes.append("top-prime interval violated by a radical prime")
-            return ObstructionVerdict("prime_support_check", FAILS, hyp, wit, notes)
+            return verdict(FAILS, "top-prime interval violated by a radical prime")
     if not data.complete:
-        return ObstructionVerdict(
-            "prime_support_check",
-            INCONCLUSIVE,
-            hyp,
-            wit,
-            ["certain part divides, but the radical is only a lower bound"],
-        )
-    return ObstructionVerdict("prime_support_check", HOLDS, hyp, wit, notes)
-
-
-def multiplicity_obstruction(
-    ctx: ObstructionContext, n: Sequence[int], l: int, q: int, rho: int
-) -> ObstructionVerdict:
-    """v_q of the quotient product against -|I_l(n)| * v_q(D_l) mod rho."""
-    if q == l:
-        raise PreconditionFailed("q must differ from l")
-    if q in ctx.S:
-        raise PreconditionFailed(f"q={q} lies in the exceptional set")
-    D_l = ctx.table.D(l)
-    v_dl = valuation(D_l, q) if D_l % q == 0 else 0
-    if v_dl == 0 or v_dl % rho == 0:
-        raise PreconditionFailed(f"q={q} does not divide the power radical of D_{l}")
-    I = incidence_set(n, l)
-    v_quot = sum(valuation(n[i - 1] // l, q) for i in I)
-    case = "rho_divides_I" if len(I) % rho == 0 else "rho_not_dividing_I"
-    return ObstructionVerdict(
-        statement="multiplicity_obstruction",
-        verdict=HOLDS if (v_quot + len(I) * v_dl) % rho == 0 else FAILS,
-        hypotheses={"q_in_radical": True, "q_ne_l": True},
-        witnesses={"l": l, "q": q, "I_l": I, "v_q_quotient": v_quot, "v_q_D_l": v_dl, "case": case},
-    )
+        return verdict(INCONCLUSIVE, "certain part divides, but the radical is only a lower bound")
+    return verdict(HOLDS)
 
 
 def _check_top_prime_hypotheses(
@@ -366,19 +374,14 @@ def _check_top_prime_hypotheses(
     if not _exceeds_sqrtB_plus_1_sq(l, B):
         reasons.append(f"l={l} does not exceed (sqrt(B)+1)^2 for B={B}")
     for i in incidence_set(n, l):
-        ni = n[i - 1]
-        if valuation(ni, l) != 1:
-            reasons.append(f"v_l(n_{i})={valuation(ni, l)} != 1")
-            continue
         try:
-            top = _largest_prime_factor_exact(ni, ctx.effort)
+            defect = _top_prime_defect(ctx, n, i, l)
         except HypothesisViolated as exc:
-            reasons.append(str(exc))
-            continue
-        if top != l:
-            reasons.append(f"l is not the largest prime divisor of n_{i}={ni}")
-        elif not is_B_smooth(ni // l, B):
-            reasons.append(f"cofactor n_{i}/l={ni // l} is not B-smooth")
+            defect = str(exc)
+        if defect is None and not is_B_smooth(n[i - 1] // l, B):
+            defect = f"cofactor n_{i}/l={n[i - 1] // l} is not B-smooth"
+        if defect is not None:
+            reasons.append(defect)
     return reasons
 
 
@@ -401,24 +404,14 @@ def smooth_cofactor_balance(
         raise HypothesisViolated("; ".join(reasons))
     I = incidence_set(n, l)
     wit = {"l": l, "I_l": I, "size_mod_rho": len(I) % rho}
+    hyp = {"top_prime_hypotheses": True}
     if len(I) % rho == 0:
-        return ObstructionVerdict(
-            "smooth_cofactor_balance", HOLDS, {"top_prime_hypotheses": True}, wit
-        )
-    if ctx.has_verified_detecting_prime(l, rho):
-        return ObstructionVerdict(
-            "smooth_cofactor_balance",
-            FAILS,
-            {"top_prime_hypotheses": True, "detecting_prime_verified": True},
-            wit,
-            ["rho does not divide |I_l(n)|: product cannot be a rho-th power"],
-        )
-    return ObstructionVerdict(
-        "smooth_cofactor_balance",
-        INCONCLUSIVE,
-        {"top_prime_hypotheses": True, "detecting_prime_verified": False},
-        wit,
-        ["no verified detecting prime at l; the guarantee needs the true L_rho"],
+        return ObstructionVerdict("smooth_cofactor_balance", HOLDS, hyp, wit)
+    detected = hyp["detecting_prime_verified"] = ctx.has_verified_detecting_prime(l, rho)
+    return _exclusion(
+        "smooth_cofactor_balance", hyp, wit, detected,
+        "rho does not divide |I_l(n)|: product cannot be a rho-th power",
+        "no verified detecting prime at l; the guarantee needs the true L_rho",
     )
 
 
@@ -465,14 +458,9 @@ def cluster_packing(
     than aborting the whole report.
     """
     k = len(n)
-    dropped: Dict[int, str] = {}
-    surviving: List[int] = []
-    for l in Lambda:
-        reasons = _check_top_prime_hypotheses(ctx, n, l, B, L_rho)
-        if reasons:
-            dropped[l] = "; ".join(reasons)
-        else:
-            surviving.append(l)
+    reasons = {l: _check_top_prime_hypotheses(ctx, n, l, B, L_rho) for l in Lambda}
+    dropped = {l: "; ".join(r) for l, r in reasons.items() if r}
+    surviving = [l for l in Lambda if not reasons[l]]
     matrix = build_incidence_matrix(n, surviving, rho)
     lambda_star = [l for l in surviving if any(matrix[l])]
     conclusions: Dict[int, str] = {}
@@ -492,11 +480,8 @@ def cluster_packing(
     conclusions[4] = HOLDS if len(lambda_star) <= k // rho else FAILS
     # (5) small-tuple emptiness
     conclusions[5] = HOLDS if (k >= rho or not lambda_star) else FAILS
-    failing = [i for i, v in conclusions.items() if v == FAILS]
-    exclusion = bool(failing)
-    certified = exclusion and all(
-        ctx.has_verified_detecting_prime(l, rho) for l in lambda_star
-    ) if exclusion else False
+    exclusion = FAILS in conclusions.values()
+    certified = exclusion and all(ctx.has_verified_detecting_prime(l, rho) for l in lambda_star)
     notes = []
     if exclusion and not certified:
         notes.append("exclusion rests on the detecting-prime threshold, not a verified witness")
@@ -525,7 +510,7 @@ def repeated_top_prime(
     """Indices n_i = l_i * a_i: each top prime must repeat a multiple of rho times."""
     tops: List[int] = []
     for i, ni in enumerate(n, start=1):
-        l_i = _largest_prime_factor_exact(ni, ctx.effort)
+        l_i = _largest_prime_factor_exact(ctx, ni)
         if l_i == 1:
             raise HypothesisViolated(f"n_{i}=1 has no top prime")
         reasons = []
@@ -533,7 +518,7 @@ def repeated_top_prime(
             reasons.append(f"l_{i}={l_i} below L_rho")
         if not _exceeds_sqrtB_plus_1_sq(l_i, B):
             reasons.append(f"l_{i}={l_i} not above (sqrt(B)+1)^2")
-        if valuation(ni, l_i) != 1:
+        if _top_prime_defect(ctx, n, i, l_i) is not None:
             reasons.append(f"v_l(n_{i}) != 1")
         if not is_B_smooth(ni // l_i, B):
             reasons.append(f"cofactor of n_{i} not B-smooth")
@@ -547,25 +532,15 @@ def repeated_top_prime(
         "multiplicities_mod_rho": {str(l): c % rho for l, c in sorted(multiplicities.items())},
         "pairwise_distinct": len(set(tops)) == len(tops),
     }
+    hyp = {"top_prime_hypotheses": True}
     if not offending:
-        return ObstructionVerdict(
-            "repeated_top_prime", HOLDS, {"top_prime_hypotheses": True}, wit
-        )
+        return ObstructionVerdict("repeated_top_prime", HOLDS, hyp, wit)
     verified = all(ctx.has_verified_detecting_prime(l, rho) for l in offending)
-    if verified:
-        return ObstructionVerdict(
-            "repeated_top_prime",
-            FAILS,
-            {"top_prime_hypotheses": True, "detecting_primes_verified": True},
-            wit,
-            ["some top prime occurs with multiplicity not divisible by rho"],
-        )
-    return ObstructionVerdict(
-        "repeated_top_prime",
-        INCONCLUSIVE,
-        {"top_prime_hypotheses": True, "detecting_primes_verified": False},
-        wit,
-        ["no verified detecting prime at an offending top prime"],
+    hyp["detecting_primes_verified"] = verified
+    return _exclusion(
+        "repeated_top_prime", hyp, wit, verified,
+        "some top prime occurs with multiplicity not divisible by rho",
+        "no verified detecting prime at an offending top prime",
     )
 
 
@@ -588,13 +563,13 @@ def large_prime_gap(
         raise HypothesisViolated("m must be at least 2")
     if n is not None and gcd(m, n) != 1:
         raise HypothesisViolated(f"gcd({m},{n}) != 1")
-    l = _largest_prime_factor_exact(m, ctx.effort)
+    l = _largest_prime_factor_exact(ctx, m)
     if valuation(m, l) != 1:
         raise HypothesisViolated(f"v_l(m)={valuation(m, l)} != 1")
     if l <= L_rho:
         raise HypothesisViolated(f"l={l} does not exceed L_rho={L_rho}")
     cofactor = m // l
-    top_cof = _largest_prime_factor_exact(cofactor, ctx.effort)
+    top_cof = _largest_prime_factor_exact(ctx, cofactor)
     detected = ctx.has_verified_detecting_prime(l, rho)
     hyp = {
         "coprime": True,
@@ -607,31 +582,20 @@ def large_prime_gap(
         B is not None and is_B_smooth(cofactor, B) and _exceeds_sqrtB_plus_1_sq(l, B)
     )
     if not (gap or smooth_route):
-        return ObstructionVerdict(
-            "large_prime_gap",
-            HOLDS,
-            hyp,
-            wit,
-            ["necessary gap condition satisfied; no exclusion from this test"],
-        )
+        note = "necessary gap condition satisfied; no exclusion from this test"
+        return ObstructionVerdict("large_prime_gap", HOLDS, hyp, wit, [note])
     wit["route"] = "prime_gap" if gap else "smooth_cofactor"
-    if not detected:
-        return ObstructionVerdict(
-            "large_prime_gap",
-            INCONCLUSIVE,
-            hyp,
-            wit,
-            ["gap condition violated, but no verified detecting prime at l"],
-        )
-    notes = ["D_m * D_n cannot be a rho-th power for any n coprime to m"]
-    if n is not None and max(m, n) <= ctx.table.max_index:
-        from .intmath import is_rho_power
-
+    if detected and n is not None and max(m, n) <= ctx.table.max_index:
         product = ctx.table.D(m) * ctx.table.D(n)
         oracle = is_rho_power(product, rho) if product >= 1 else False
         wit["oracle_product_is_power"] = oracle
-        assert not oracle, "exclusion contradicted by the exact power oracle"
-    return ObstructionVerdict("large_prime_gap", FAILS, hyp, wit, notes)
+        if oracle:
+            raise SoundnessError(f"exclusion of D_{m}*D_{n} contradicted by the exact power oracle")
+    return _exclusion(
+        "large_prime_gap", hyp, wit, detected,
+        "D_m * D_n cannot be a rho-th power for any n coprime to m",
+        "gap condition violated, but no verified detecting prime at l",
+    )
 
 
 def radical_lower_bound(
@@ -642,8 +606,6 @@ def radical_lower_bound(
     L_rho: int = 0,
 ) -> ObstructionVerdict:
     """rad of the quotient product against prod over Lambda of (sqrt(l)-1)^2."""
-    import math
-
     for l in Lambda:
         if not is_prime(l):
             raise HypothesisViolated(f"l={l} is not prime")
@@ -652,48 +614,36 @@ def radical_lower_bound(
         if len(incidence_set(n, l)) % rho == 0:
             raise HypothesisViolated(f"rho divides |I_l(n)| for l={l}")
         for i in incidence_set(n, l):
-            ni = n[i - 1]
-            if valuation(ni, l) != 1 or _largest_prime_factor_exact(ni, ctx.effort) != l:
+            if _top_prime_defect(ctx, n, i, l) is not None:
                 raise HypothesisViolated(f"top-prime condition fails at l={l}, i={i}")
     # Pairwise coprimality of the certain radical parts is unconditional.
     rads = {l: ctx.radical_data(l).power_radical(rho)[0] for l in Lambda}
-    pairs = [(a, b) for ix, a in enumerate(Lambda) for b in Lambda[ix + 1 :]]
-    for a, b in pairs:
-        assert gcd(rads[a], rads[b]) == 1, f"radical coprimality violated at ({a},{b})"
-    quotient = 1
-    for l in Lambda:
-        for i in incidence_set(n, l):
-            quotient *= n[i - 1] // l
+    for ix, a in enumerate(Lambda):
+        for b in Lambda[ix + 1 :]:
+            if gcd(rads[a], rads[b]) != 1:
+                raise SoundnessError(f"radical coprimality violated at ({a},{b})")
+    quotient = prod(n[i - 1] // l for l in Lambda for i in incidence_set(n, l))
     hyp = {"top_prime_hypotheses": True}
-    if quotient == 1:
-        rad_q, certainty = 1, "certain"
-    else:
-        rad_q, certainty = radical(quotient, ctx.effort)
-    bound = math.prod((math.sqrt(l) - 1) ** 2 for l in Lambda) if Lambda else 1.0
+    rad_q, certainty = radical(quotient, ctx.effort)
+    bound = prod((sqrt(l) - 1) ** 2 for l in Lambda)  # shown only; decided exactly below
     wit = {"quotient": quotient, "radical": rad_q, "bound": f"{bound:.6f}"}
     if certainty != "certain":
         return ObstructionVerdict(
             "radical_lower_bound", INCONCLUSIVE, hyp, wit, ["quotient only partially factored"]
         )
-    # Conservative margin against float error in the irrational bound.
-    if rad_q >= bound * (1 - 1e-9):
+    meets = _radical_meets_bound(rad_q, Lambda)
+    if meets:
         return ObstructionVerdict("radical_lower_bound", HOLDS, hyp, wit)
+    if meets is None:
+        return ObstructionVerdict(
+            "radical_lower_bound", INCONCLUSIVE, hyp, wit, ["radical too close to the bound"]
+        )
     detected = all(ctx.has_verified_detecting_prime(l, rho) for l in Lambda)
     hyp["detecting_primes_verified"] = detected
-    if not detected:
-        return ObstructionVerdict(
-            "radical_lower_bound",
-            INCONCLUSIVE,
-            hyp,
-            wit,
-            ["bound violated, but detecting primes not verified for all of Lambda"],
-        )
-    return ObstructionVerdict(
-        "radical_lower_bound",
-        FAILS,
-        hyp,
-        wit,
-        ["radical falls below the packing bound: product cannot be a rho-th power"],
+    return _exclusion(
+        "radical_lower_bound", hyp, wit, detected,
+        "radical falls below the packing bound: product cannot be a rho-th power",
+        "bound violated, but detecting primes not verified for all of Lambda",
     )
 
 
@@ -718,14 +668,15 @@ class TupleReport:
         return out
 
     def to_json(self) -> dict:
-        return {
-            "n": list(self.n),
-            "rho": self.rho,
-            "verdicts": [v.to_json() for v in self.verdicts],
-            "cluster_packing": self.cluster.to_json() if self.cluster else None,
-            "skipped": self.skipped,
-            "certified_exclusions": self.certified_exclusions,
-        }
+        with _unlimited_int_digits():  # witnesses such as a power radical may be huge
+            return {
+                "n": list(self.n),
+                "rho": self.rho,
+                "verdicts": [v.to_json() for v in self.verdicts],
+                "cluster_packing": self.cluster.to_json() if self.cluster else None,
+                "skipped": self.skipped,
+                "certified_exclusions": self.certified_exclusions,
+            }
 
 
 def evaluate_tuple(
@@ -740,59 +691,40 @@ def evaluate_tuple(
     Checkers whose preconditions or hypotheses do not hold are recorded
     as skipped, never silently dropped.
     """
-    from .intmath import primes_up_to
-
     n = tuple(n)
     verdicts: List[ObstructionVerdict] = []
     skipped: List[str] = []
-    top = max(n) if n else 0
-    candidate_primes = [l for l in primes_up_to(top) if l <= ctx.table.max_index]
-    squarefree = all(
-        all(e == 1 for _, e in factorize(ni, ctx.effort).factors)
-        and factorize(ni, ctx.effort).complete
-        for ni in n
-    )
-    for l in candidate_primes:
-        data = ctx.radical_data(l)
-        for p, v in data.entries:
-            a = absorption_congruence(ctx, n, l, p, rho)
-            b = incidence_pairing(ctx, n, l, p, rho)
-            assert a.verdict == b.verdict, "absorption/pairing equivalence violated"
-            verdicts.extend([a, b])
-            if p != l and v % rho != 0:
-                verdicts.append(multiplicity_obstruction(ctx, n, l, p, rho))
-                if squarefree:
-                    verdicts.append(squarefree_incidence(ctx, n, l, p, rho))
-        verdicts.append(prime_support_check(ctx, n, l, rho))
+    candidate_primes = [l for l in primes_up_to(max(n, default=0)) if l <= ctx.table.max_index]
+    squarefree = all(_verifiably_squarefree(ctx, ni) for ni in n)
+
+    def attempt(label: str, checker, *args) -> None:
         try:
-            verdicts.append(smooth_cofactor_balance(ctx, n, l, rho, B, L_rho))
+            verdicts.append(checker(ctx, *args))
         except HypothesisViolated as exc:
-            skipped.append(f"smooth_cofactor_balance(l={l}): {exc}")
+            skipped.append(f"{label}: {exc}")
+
+    for l in candidate_primes:
+        # The entries are the primes outside S dividing D_l: the views' preconditions hold.
+        for p, v in ctx.radical_data(l).entries:
+            c = _congruence(ctx, n, l, p, rho)
+            verdicts.extend([c.absorption(), c.pairing()])
+            if p != l and v % rho != 0:
+                verdicts.append(c.multiplicity())
+                if squarefree:
+                    verdicts.append(c.squarefree())
+        verdicts.append(prime_support_check(ctx, n, l, rho))
+        attempt(f"smooth_cofactor_balance(l={l})", smooth_cofactor_balance, n, l, rho, B, L_rho)
     cluster = cluster_packing(ctx, n, candidate_primes, rho, B, L_rho) if n else None
-    try:
-        verdicts.append(repeated_top_prime(ctx, n, rho, B, L_rho))
-    except HypothesisViolated as exc:
-        skipped.append(f"repeated_top_prime: {exc}")
+    attempt("repeated_top_prime", repeated_top_prime, n, rho, B, L_rho)
     if len(n) == 2 and gcd(n[0], n[1]) == 1:
         for m, other in (n, (n[1], n[0])):
             if m >= 2:
-                try:
-                    verdicts.append(large_prime_gap(ctx, m, other, rho, L_rho, B))
-                except HypothesisViolated as exc:
-                    skipped.append(f"large_prime_gap(m={m}): {exc}")
+                attempt(f"large_prime_gap(m={m})", large_prime_gap, m, other, rho, L_rho, B)
     rl_lambda = [
         l
         for l in candidate_primes
-        if incidence_set(n, l)
-        and len(incidence_set(n, l)) % rho != 0
-        and all(
-            valuation(n[i - 1], l) == 1
-            and _largest_prime_factor_exact(n[i - 1], ctx.effort) == l
-            for i in incidence_set(n, l)
-        )
+        if len(incidence_set(n, l)) % rho != 0
+        and all(_top_prime_defect(ctx, n, i, l) is None for i in incidence_set(n, l))
     ]
-    try:
-        verdicts.append(radical_lower_bound(ctx, n, rl_lambda, rho, L_rho))
-    except HypothesisViolated as exc:
-        skipped.append(f"radical_lower_bound: {exc}")
+    attempt("radical_lower_bound", radical_lower_bound, n, rl_lambda, rho, L_rho)
     return TupleReport(n=n, rho=rho, verdicts=verdicts, cluster=cluster, skipped=skipped)

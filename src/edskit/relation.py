@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
-from .eds import EdsTable
+from .eds import EdsTable, _unlimited_int_digits
 from .errors import BudgetExceeded
 from .intmath import int_nth_root
 
@@ -27,10 +27,12 @@ class ProductRelation:
     root: Optional[int]
 
     def to_json(self) -> dict:
+        with _unlimited_int_digits():  # products pass 4300 digits at modest indices
+            product = str(self.product)
         return {
             "n": list(self.n),
             "rho": self.rho,
-            "product": str(self.product),
+            "product": product,
             "is_power": self.is_power,
         }
 

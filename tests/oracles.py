@@ -93,6 +93,21 @@ def brute_valuation(x, p):
     return e
 
 
+def brute_is_squarefree(x):
+    """True iff no square of an integer d >= 2 divides x, by trial division."""
+    return all(x % (d * d) for d in range(2, x + 1) if d * d <= x)
+
+
+def oracle_pairing(n, l, q):
+    """<e_l(n), v_q(n)>: the sum of v_q(n_i) over the indices n_i divisible by l."""
+    return sum(brute_valuation(ni, q) for ni in n if ni % l == 0)
+
+
+def oracle_lq_count(n, l, q):
+    """N_{l,q} = #{i : l*q | n_i}, the count in the squarefree incidence form."""
+    return sum(1 for ni in n if ni % (l * q) == 0)
+
+
 def brute_is_smooth(x, B):
     """True iff every prime factor of |x| is <= B, by full trial division."""
     x = abs(x)

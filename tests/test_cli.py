@@ -125,6 +125,17 @@ def test_obstruct_soundness_error_exits_4(curve_file, capsys, monkeypatch):
     assert "SOUNDNESS CONTRADICTION" in capsys.readouterr().err
 
 
+def test_obstruct_oracle_contradiction_exits_4(curve_file, capsys, monkeypatch):
+    import edskit.obstruction
+
+    # The prime-gap exclusion of D_14 * D_9 cross-checks the power oracle,
+    # here made to claim the product is a square.
+    monkeypatch.setattr(edskit.obstruction, "is_rho_power", lambda x, rho: True)
+    rc = main(["obstruct", "--curve", curve_file, "--rho", "2", "--tuple", "14,9"])
+    assert rc == 4
+    assert "contradicted by the exact power oracle" in capsys.readouterr().err
+
+
 def test_obstruct_square(curve_file, capsys):
     rc = main(["obstruct", "--curve", curve_file, "--rho", "2", "--tuple", "5,5"])
     assert rc == 0

@@ -11,15 +11,21 @@ The sweeps:
   43  every pair from {1..60}, rho = 3 (1830 tuples).
 
 Everything is built from scratch here, without the session fixtures, so
-the same digests can be recomputed in a fresh interpreter.
+the same digests can be recomputed in a fresh interpreter, including one
+running under python -O, where every assert statement is stripped.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 
+import edskit
 from edskit.curve import WeierstrassCurve
 from edskit.eds import eds_range
 from edskit.obstruction import ObstructionContext, evaluate_tuple
@@ -68,3 +74,22 @@ def test_obstruct_reports_match_golden_digests():
     assert got.keys() == expected.keys()
     changed = [key for key in expected if got[key] != expected[key]]
     assert not changed, f"{len(changed)} reports changed, first: {changed[:5]}"
+
+
+def test_golden_digests_survive_optimize():
+    # No verdict may rest on an assert: the -O run must reproduce every digest.
+    code = textwrap.dedent("""
+        import json, sys
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        from test_golden import golden_digests
+        print(json.dumps(golden_digests()))
+    """)
+    src = str(Path(edskit.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, str(Path(__file__).parent)])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(GOLDEN.read_text())

@@ -5,17 +5,29 @@ whose table starts D = 1,1,1,1,2,1,3,5,... and has detecting primes
 2 (at l=5), 3 (at l=7), 23 (at l=11), 59 (at l=13).
 """
 
+import math
 import random
+import sys
+from decimal import Decimal, localcontext
 from math import gcd
 
 import pytest
 
-from edskit.errors import HypothesisViolated, NotSquarefree, PreconditionFailed
+import edskit.obstruction
+from edskit.errors import (
+    HypothesisViolated,
+    NotSquarefree,
+    PreconditionFailed,
+    SoundnessError,
+)
 from edskit.intmath import is_rho_power, primes_up_to
 from edskit.obstruction import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    ObstructionVerdict,
+    TupleReport,
+    _radical_meets_bound,
     absorption_congruence,
     build_incidence_matrix,
     cluster_packing,
@@ -32,6 +44,8 @@ from edskit.obstruction import (
     squarefree_incidence,
 )
 from edskit.relation import test_relation as product_relation
+from edskit.valuation import TermRadicalData
+from oracles import brute_is_squarefree, brute_valuation, oracle_lq_count, oracle_pairing
 
 
 def test_incidence_set_examples():
@@ -96,16 +110,59 @@ def test_incidence_pairing_examples(ctx37):
 
 
 def test_absorption_pairing_equivalence(ctx37):
+    """All four congruence statements against the textbook forms, computed directly.
+
+    The pairing form is sum_i e_i * v_q(n_i) against |I_l| * (v_q(l) - v_q(D_l));
+    the counting form (squarefree tuples) is N_{l,q} = #{i : l*q | n_i} against
+    -|I_l| * v_q(D_l).  Neither goes through the checkers' shared core.
+    """
     rng = random.Random(11)
     pairs = [(5, 2), (7, 3), (11, 23), (13, 59)]
+    squarefree_seen = 0
     for _ in range(60):
         k = rng.randrange(1, 4)
         n = tuple(rng.randrange(1, 31) for _ in range(k))
+        squarefree = all(brute_is_squarefree(ni) for ni in n)
         for rho in (2, 3):
             for l, p in pairs:
+                I = [i for i, ni in enumerate(n, start=1) if ni % l == 0]
+                v_D = brute_valuation(ctx37.table.D(l), p)
+                quot = sum(brute_valuation(n[i - 1] // l, p) for i in I)
+                lhs = oracle_pairing(n, l, p) % rho
+                rhs = len(I) * (brute_valuation(l, p) - v_D) % rho
+                expected = HOLDS if lhs == rhs else FAILS
+                case = (n, l, p, rho)
+
                 a = absorption_congruence(ctx37, n, l, p, rho)
+                assert a.verdict == expected, case
+                assert a.witnesses == {
+                    "l": l, "p": p, "I_l": I, "v_p_D_l": v_D,
+                    "quotient_valuation_sum": quot,
+                    "lhs_mod_rho": (len(I) * v_D + quot) % rho,
+                }, case
                 b = incidence_pairing(ctx37, n, l, p, rho)
-                assert a.verdict == b.verdict, (n, l, p, rho)
+                assert b.verdict == expected, case
+                assert b.witnesses == {"l": l, "q": p, "lhs": lhs, "rhs": rhs, "I_l": I}, case
+                m = multiplicity_obstruction(ctx37, n, l, p, rho)
+                assert m.verdict == expected, case
+                assert m.witnesses == {
+                    "l": l, "q": p, "I_l": I, "v_q_quotient": quot, "v_q_D_l": v_D,
+                    "case": "rho_divides_I" if len(I) % rho == 0 else "rho_not_dividing_I",
+                }, case
+                if not squarefree:
+                    with pytest.raises(NotSquarefree):
+                        squarefree_incidence(ctx37, n, l, p, rho)
+                    continue
+                squarefree_seen += 1
+                N_lq = oracle_lq_count(n, l, p)
+                counted = HOLDS if (N_lq + len(I) * v_D) % rho == 0 else FAILS
+                assert counted == expected, case  # the two textbook forms agree
+                s = squarefree_incidence(ctx37, n, l, p, rho)
+                assert s.verdict == counted, case
+                assert s.witnesses == {
+                    "l": l, "q": p, "N_l": len(I), "N_lq": N_lq, "v_q_D_l": v_D,
+                }, case
+    assert squarefree_seen > 0
 
 
 # -- squarefree, support, multiplicity ---------------------------------
@@ -246,11 +303,56 @@ def test_radical_lower_bound(ctx37):
     assert radical_lower_bound(ctx37, (10, 3), [], 2).verdict == HOLDS
     # Single l = 5: radical of 10/5 = 2 exceeds (sqrt(5)-1)^2 = 1.527...
     assert radical_lower_bound(ctx37, (10, 3), [5], 2).verdict == HOLDS
-    # n = (22,): radical 2 falls below (sqrt(11)-1)^2 = 5.325...; D_22 is
+    # n = (22,): radical 2 falls below (sqrt(11)-1)^2 = 5.366...; D_22 is
     # certified not a square.
     v = radical_lower_bound(ctx37, (22,), [11], 2)
     assert v.verdict == FAILS and v.certified_exclusion
     assert not is_rho_power(ctx37.table.D(22), 2)
+
+
+def test_radical_meets_bound_exact():
+    # (sqrt(5)-1)^2 = 1.527... and (sqrt(11)-1)^2 = 5.366...
+    assert _radical_meets_bound(1, [5]) is False
+    assert _radical_meets_bound(2, [5]) is True
+    assert _radical_meets_bound(5, [11]) is False
+    assert _radical_meets_bound(6, [11]) is True
+    assert _radical_meets_bound(1, []) is True
+
+
+def test_radical_meets_bound_past_float_range():
+    ells = [l for l in primes_up_to(2000) if l >= 1009][:120]
+    assert len(ells) == 120
+    # The float product overflows, so a float comparison would call every rad "below".
+    assert math.prod((math.sqrt(l) - 1) ** 2 for l in ells) == math.inf
+    with localcontext() as dec:
+        dec.prec = 1000
+        floor = int(math.prod((Decimal(l).sqrt() - 1) ** 2 for l in ells))
+    assert floor.bit_length() > 1024
+    assert _radical_meets_bound(floor, ells) is False
+    assert _radical_meets_bound(floor + 1, ells) is True
+    assert _radical_meets_bound(math.prod(ells), ells) is True
+
+
+def test_radical_lower_bound_undecided_is_inconclusive(ctx37, monkeypatch):
+    monkeypatch.setattr(edskit.obstruction, "_radical_meets_bound", lambda rad, ells: None)
+    v = radical_lower_bound(ctx37, (22,), [11], 2)
+    assert v.verdict == INCONCLUSIVE
+    assert v.notes == ["radical too close to the bound"]
+    assert v.witnesses["bound"] == "5.366750"  # the float witness is unchanged
+
+
+def test_radical_coprimality_violation_is_soundness_error(ctx37, monkeypatch):
+    # Two indices whose certain radicals share the prime 2 contradict primitivity.
+    shared = lambda l: TermRadicalData(l=l, entries=[(2, 1)], complete=True)  # noqa: E731
+    monkeypatch.setattr(ctx37, "radical_data", shared)
+    with pytest.raises(SoundnessError):
+        radical_lower_bound(ctx37, (11, 13), [11, 13], 2)
+
+
+def test_large_prime_gap_oracle_contradiction_is_soundness_error(ctx37, monkeypatch):
+    monkeypatch.setattr(edskit.obstruction, "is_rho_power", lambda x, rho: True)
+    with pytest.raises(SoundnessError):
+        large_prime_gap(ctx37, 14, 9, 2)
 
 
 def test_radical_lower_bound_hypotheses(ctx37):
@@ -297,3 +399,18 @@ def test_verdict_json_uses_decimal_strings(ctx37):
     doc = absorption_congruence(ctx37, (5, 3), 5, 2, 2).to_json()
     assert doc["witnesses"]["p"] == "2"
     assert doc["verdict"] == FAILS
+
+
+def test_tuple_report_json_past_int_str_digit_limit():
+    big = 7 ** 6000  # 5071 decimal digits
+    wit = {"radical": big, "flag": True, "primes": {3, 2}}
+    rep = TupleReport((1,), 2, [ObstructionVerdict("s", HOLDS, {}, wit)], None, [])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        doc = rep.to_json()["verdicts"][0]["witnesses"]
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(doc["radical"]) == 5071 and doc["radical"].startswith("387")
+    assert doc["flag"] == "True" and doc["primes"] == ["2", "3"]

@@ -1,9 +1,11 @@
 """Ground-truth power-relation testing and exhaustive small search."""
 
+import sys
 from itertools import combinations_with_replacement
 
 import pytest
 
+from edskit.eds import _unlimited_int_digits, eds_range
 from edskit.errors import BudgetExceeded, TableMiss
 from edskit.relation import search_relations
 from edskit.relation import test_relation as product_relation
@@ -73,3 +75,18 @@ def test_search_matches_brute_force(table37):
 def test_relation_json(table37):
     doc = product_relation(table37, (5, 3), 2).to_json()
     assert doc == {"n": [5, 3], "rho": 2, "product": "2", "is_power": False}
+
+
+def test_relation_json_past_int_str_digit_limit(curve37, point37):
+    # D_441^3 on this fixture has more than 4300 decimal digits.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        rel = product_relation(eds_range(curve37, point37, 441), (441, 441, 441), 2)
+        doc = rel.to_json()
+        assert sys.get_int_max_str_digits() == 4300
+        assert len(doc["product"]) > 4300
+        with _unlimited_int_digits():
+            assert int(doc["product"]) == rel.product
+    finally:
+        sys.set_int_max_str_digits(limit)
