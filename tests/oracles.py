@@ -7,6 +7,7 @@ and the valuation oracle divides directly.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import sympy as sp
 
@@ -95,7 +96,7 @@ def brute_valuation(x, p):
 
 def brute_is_squarefree(x):
     """True iff no square of an integer d >= 2 divides x, by trial division."""
-    return all(x % (d * d) for d in range(2, x + 1) if d * d <= x)
+    return all(x % (d * d) for d in range(2, isqrt(x) + 1))
 
 
 def oracle_pairing(n, l, q):

@@ -343,7 +343,9 @@ def test_radical_lower_bound_undecided_is_inconclusive(ctx37, monkeypatch):
 
 def test_radical_coprimality_violation_is_soundness_error(ctx37, monkeypatch):
     # Two indices whose certain radicals share the prime 2 contradict primitivity.
-    shared = lambda l: TermRadicalData(l=l, entries=[(2, 1)], complete=True)  # noqa: E731
+    def shared(l):
+        return TermRadicalData(l=l, entries=[(2, 1)], complete=True)
+
     monkeypatch.setattr(ctx37, "radical_data", shared)
     with pytest.raises(SoundnessError):
         radical_lower_bound(ctx37, (11, 13), [11, 13], 2)
