@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
 from . import __version__
@@ -152,9 +153,72 @@ def _header(args, S, minim, **thresholds) -> dict:
     }
 
 
+# Pieces buffered by _write_json between writes: large enough that writes
+# are few, small enough that an obstruct report never exists as one string.
+_FLUSH_PIECES = 4096
+
+
+def _write_json(doc, out) -> None:
+    """Write ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` to ``out``.
+
+    With ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder
+    and builds the whole document in memory.  This walks dicts, lists and
+    tuples itself, encodes strings with the C string encoder, hands every
+    other scalar to a compact ``JSONEncoder`` and writes as it goes, so the
+    output is the same bytes.  Keys must be strings.
+    """
+    scalar = json.JSONEncoder().encode
+    enc = encode_basestring_ascii
+    buf: List[str] = []
+    put = buf.append
+
+    def value(o, pad: str) -> None:
+        if isinstance(o, str):
+            put(enc(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, dict):
+            inner = pad + "  "
+            if not o:
+                put("{}")
+            else:
+                sep = "{\n" + inner
+                for k, v in sorted(o.items()):
+                    put(sep + enc(k) + ": ")
+                    value(v, inner)
+                    sep = ",\n" + inner
+                put("\n" + pad + "}")
+        elif isinstance(o, (list, tuple)):
+            inner = pad + "  "
+            if not o:
+                put("[]")
+            elif all(isinstance(x, str) for x in o):
+                put("[\n" + inner + (",\n" + inner).join(map(enc, o)) + "\n" + pad + "]")
+            else:
+                sep = "[\n" + inner
+                for x in o:
+                    put(sep)
+                    value(x, inner)
+                    sep = ",\n" + inner
+                put("\n" + pad + "]")
+        else:
+            put(scalar(o))
+        if len(buf) >= _FLUSH_PIECES:
+            out.write("".join(buf))
+            buf.clear()
+
+    value(doc, "")
+    put("\n")
+    out.write("".join(buf))
+
+
 def _emit(doc: dict, fmt: str, text_lines: List[str]) -> None:
     if fmt == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        _write_json(doc, sys.stdout)
     else:
         for line in text_lines:
             print(line)

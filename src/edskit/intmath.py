@@ -7,6 +7,9 @@ denominator, so no separate rational type is needed.
 
 from __future__ import annotations
 
+import bisect
+import random
+from itertools import compress
 from typing import Iterable, List, Tuple
 
 
@@ -89,8 +92,6 @@ def is_prime(n: int) -> bool:
 
     bases: Iterable[int] = _SMALL_PRIMES
     if n >= 3317044064679887385961981:
-        import random
-
         rng = random.Random(n)
         bases = list(_SMALL_PRIMES) + [rng.randrange(2, n - 1) for _ in range(20)]
     return not any(witness(a) for a in bases)
@@ -107,15 +108,13 @@ def primes_up_to(limit: int) -> List[int]:
         if bound >= limit:
             if bound == limit:
                 return primes
-            import bisect
-
             return primes[: bisect.bisect_right(primes, limit)]
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for i in range(2, int(limit ** 0.5) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    primes = [i for i in range(limit + 1) if sieve[i]]
+    primes = list(compress(range(limit + 1), sieve))
     _sieve_cache.clear()
     _sieve_cache[limit] = primes
     return primes

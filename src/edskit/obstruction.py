@@ -23,7 +23,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .curve import RatPoint, WeierstrassCurve
 from .eds import EdsTable, _unlimited_int_digits
 from .errors import HypothesisViolated, NotSquarefree, PreconditionFailed, SoundnessError
-from .factor import DEFAULT_EFFORT, Effort, Factorization, factorize, is_B_smooth, radical
+from .factor import DEFAULT_EFFORT, Effort, Factorization, factorize, is_B_smooth
 from .intmath import is_prime, is_rho_power, primes_up_to, valuation
 from .valuation import ExceptionalSet, TermRadicalData, term_radical_data
 
@@ -624,10 +624,11 @@ def radical_lower_bound(
                 raise SoundnessError(f"radical coprimality violated at ({a},{b})")
     quotient = prod(n[i - 1] // l for l in Lambda for i in incidence_set(n, l))
     hyp = {"top_prime_hypotheses": True}
-    rad_q, certainty = radical(quotient, ctx.effort)
+    fac = ctx.factorization(quotient)
+    rad_q = prod(p for p, _ in fac.factors)  # a lower bound when fac is partial
     bound = prod((sqrt(l) - 1) ** 2 for l in Lambda)  # shown only; decided exactly below
     wit = {"quotient": quotient, "radical": rad_q, "bound": f"{bound:.6f}"}
-    if certainty != "certain":
+    if not fac.complete:
         return ObstructionVerdict(
             "radical_lower_bound", INCONCLUSIVE, hyp, wit, ["quotient only partially factored"]
         )

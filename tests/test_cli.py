@@ -1,9 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import io
 import json
+import sys
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, strategies as st
 
+from edskit import cli
 from edskit.cli import main
 
 FIXTURE_CURVE = {
@@ -136,6 +141,28 @@ def test_obstruct_oracle_contradiction_exits_4(curve_file, capsys, monkeypatch):
     assert "contradicted by the exact power oracle" in capsys.readouterr().err
 
 
+def test_obstruct_contradiction_prints_no_report(curve_file, capsys, monkeypatch):
+    from fractions import Fraction
+
+    import edskit.obstruction
+    from edskit.curve import WeierstrassCurve
+    from edskit.eds import eds_range
+
+    # Only the second tuple's product is claimed to be a square, so the
+    # first report is complete before the contradiction ends the run.
+    table = eds_range(WeierstrassCurve(0, 0, 1, -1, 0), (Fraction(0), Fraction(0)), 14)
+    target = table.D(14) * table.D(9)
+    real = edskit.obstruction.is_rho_power
+    monkeypatch.setattr(edskit.obstruction, "is_rho_power",
+                        lambda x, rho: x == target or real(x, rho))
+    rc = main(["obstruct", "--curve", curve_file, "--rho", "2", "--format", "json",
+               "--tuple", "5,3", "--tuple", "14,9", "--tuple", "7,2"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert "contradicted by the exact power oracle" in captured.err
+    assert captured.out == ""
+
+
 def test_obstruct_square(curve_file, capsys):
     rc = main(["obstruct", "--curve", curve_file, "--rho", "2", "--tuple", "5,5"])
     assert rc == 0
@@ -208,3 +235,69 @@ def test_bad_effort_spec(curve_file):
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
+
+
+# -- the streamed JSON writer ---------------------------------------------
+
+_keys = st.text()  # any code point but surrogates: quotes, backslashes, controls
+_scalars = (
+    st.none() | st.booleans() | st.text() | st.floats()
+    | st.integers() | st.integers(min_value=2 ** 64, max_value=2 ** 256)
+    | st.integers(max_value=-(2 ** 64), min_value=-(2 ** 256))
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: (
+        st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+        | st.lists(st.text(), max_size=5) | st.dictionaries(_keys, inner, max_size=5)
+    ),
+    max_leaves=30,
+)
+# Four containers around every generated value guarantee the nesting depth.
+_documents = st.builds(
+    lambda k1, k2, v, strs: {k1: [{k2: (v, strs, {}, [], ())}]},
+    _keys, _keys, _values, st.lists(st.text(), max_size=3),
+) | _values
+
+
+@given(_documents)
+def test_write_json_matches_json_dumps(doc):
+    out = io.StringIO()
+    cli._write_json(doc, out)
+    assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_write_json_keeps_int_str_digit_limit():
+    with pytest.raises(ValueError):
+        json.dumps({"x": 10 ** 5000}, sort_keys=True, indent=2)
+    with pytest.raises(ValueError):
+        cli._write_json({"x": 10 ** 5000}, io.StringIO())
+
+
+class _CountingStream(io.StringIO):
+    writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n-max", "30"],
+    ["verify-law", "--p-max", "200"],
+    ["obstruct", "--rho", "2"] + [
+        arg for t in combinations_with_replacement(range(1, 13), 2)
+        for arg in ("--tuple", "%d,%d" % t)
+    ],
+    ["probe-detecting", "--rho", "2", "--l-max", "13"],
+], ids=["gen", "verify-law", "obstruct", "probe-detecting"])
+def test_json_output_is_json_dumps_bytes(argv, tmp_path, curve_file, monkeypatch):
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(tmp_path / "t.jsonl")]
+    stream = _CountingStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(argv + ["--curve", curve_file, "--format", "json"]) == 0
+    out = stream.getvalue()
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    if argv[0] == "obstruct":  # the 78 reports span several flushes
+        assert stream.writes >= 4

@@ -1,8 +1,11 @@
 """Integer primitives: exact roots, valuations, primality."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import given, strategies as st
 
+from edskit import intmath
 from edskit.intmath import (
     int_nth_root,
     is_prime,
@@ -94,3 +97,11 @@ def test_primes_up_to():
     # Shrinking the bound must slice the cached sieve consistently.
     big = primes_up_to(1000)
     assert primes_up_to(100) == [p for p in big if p <= 100]
+
+
+def test_primes_up_to_grow_and_shrink(monkeypatch):
+    monkeypatch.setattr(intmath, "_sieve_cache", {})
+    for limit in (2, 10, 10 ** 4, 50, 10 ** 5, 7):
+        expected = [n for n in range(2, limit + 1)
+                    if all(n % d for d in range(2, isqrt(n) + 1))]
+        assert primes_up_to(limit) == expected
