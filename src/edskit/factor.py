@@ -1,28 +1,34 @@
-"""Integer factorization with explicit partiality, radicals and smoothness.
+"""Integer factorization with explicit partiality, and B-smoothness.
 
-Partial factorizations are a first-class outcome: every functional that
-depends on completeness returns a certainty tag so downstream theorem
-checkers can downgrade to "inconclusive" instead of silently trusting a
-lower bound.
+Partial factorizations are a first-class outcome: a ``Factorization``
+carries the unfactored cofactor, so downstream theorem checkers can
+downgrade to "inconclusive" instead of silently trusting a lower bound.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
-from .intmath import is_prime, primes_up_to, valuation
-
-CERTAIN = "certain"
-LOWER_BOUND = "lower_bound"
+from .intmath import is_prime, primes_up_to
 
 
 @dataclass(frozen=True)
 class Effort:
-    """Budget for a factorization attempt."""
+    """Budget for a factorization attempt.
+
+    ``rho_iterations`` is a counted budget per composite cofactor, shared
+    by Pollard rho and ECM.  A rho step y -> y*y + c costs one unit (it
+    takes one or two modular multiplications); an ECM curve costs one
+    unit per modular multiplication, squaring or inverse, about 22 000
+    in all, and starts only if that much is left.  ``wall_clock`` is only
+    a safety stop, checked by rho and between ECM curves.
+    """
 
     trial_bound: int = 10 ** 6
     rho_iterations: int = 10 ** 7
@@ -30,6 +36,21 @@ class Effort:
 
 
 DEFAULT_EFFORT = Effort()
+
+# Trial division tests this many consecutive primes with one gcd.
+TRIAL_CHUNK = 256
+# Each composite cofactor first gets this many rho steps, which find
+# factors of up to about 24 bits more cheaply than one ECM curve.
+RHO_SHORT_RUN = 1 << 13
+# ECM bounds: stage 1 multiplies by every prime power <= B1, stage 2 looks
+# for one more prime in (B1, B2], in giant steps of 2 * 210.
+ECM_B1 = 800
+ECM_B2 = 50 * ECM_B1
+_WHEEL = 210
+_GIANT = 2 * _WHEEL
+_BABY = tuple(j for j in range(1, _WHEEL, 2) if math.gcd(j, _WHEEL) == 1)
+
+_chunk_products: Dict[int, int] = {}
 
 
 @dataclass
@@ -66,27 +87,81 @@ class Factorization:
         }
 
 
-def _brent_rho(n: int, iteration_cap: int, deadline: float, seed: int = 1) -> int | None:
-    """Brent's cycle variant of Pollard rho.  Returns a nontrivial factor or None."""
+def _chunk_product(start: int, chunk: List[int]) -> int:
+    """Product of the full chunk of primes at index start, built on first use.
+
+    Every prime list here is a prefix of the primes, so a full chunk is
+    determined by its start index.
+    """
+    prod = _chunk_products.get(start)
+    if prod is None:
+        prod = _chunk_products[start] = math.prod(chunk)
+    return prod
+
+
+def _trial_divide(x: int, bound: int) -> Tuple[List[Tuple[int, int]], int]:
+    """Strip the primes <= bound from x; returns (factors, survivor).
+
+    Stops at the first prime p with p*p above what is left, so the survivor
+    is 1, a prime, or free of primes <= bound.  A full chunk of TRIAL_CHUNK
+    primes is tested with one gcd against its product and scanned prime by
+    prime only when that gcd exceeds 1; the shorter last chunk is scanned
+    directly, since its product would serve no other x.
+    """
+    factors: List[Tuple[int, int]] = []
+    rest = x
+    primes = primes_up_to(min(bound, math.isqrt(x) + 1))
+    for start in range(0, len(primes), TRIAL_CHUNK):
+        if primes[start] * primes[start] > rest:
+            break
+        chunk = primes[start : start + TRIAL_CHUNK]
+        if len(chunk) < TRIAL_CHUNK:
+            g = rest
+        else:
+            g = math.gcd(rest, _chunk_product(start, chunk))
+            if g == 1:
+                continue
+        for p in chunk:
+            if p * p > rest:
+                break
+            if g % p == 0:
+                e = 0
+                while rest % p == 0:
+                    rest //= p
+                    e += 1
+                factors.append((p, e))
+    return factors, rest
+
+
+def _brent_rho(n: int, iteration_cap: int, deadline: float, seed: int = 1) -> Tuple[int | None, int]:
+    """Brent's cycle variant of Pollard rho.
+
+    Returns (a nontrivial factor or None, iterations spent).  Every step
+    y -> y*y + c counts as one iteration, and a run stops before it would
+    pass iteration_cap, bar the backtrack of at most 128 steps that
+    recovers a factor from a batched gcd equal to n.
+    """
     if n % 2 == 0:
-        return 2
+        return 2, 0
     rng = random.Random(seed ^ n)
     spent = 0
-    while spent < iteration_cap and time.monotonic() < deadline:
+    while spent + 1 < iteration_cap and time.monotonic() < deadline:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
         g, r, q = 1, 1, 1
         x = ys = y
-        while g == 1 and spent < iteration_cap:
+        while g == 1 and spent + r < iteration_cap:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
+            spent += r
             k = 0
-            while k < r and g == 1:
+            while k < r and g == 1 and spent < iteration_cap:
                 ys = y
-                for _ in range(min(m, r - k)):
+                steps = min(m, r - k, iteration_cap - spent)
+                for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                spent += min(m, r - k)
+                spent += steps
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -99,28 +174,168 @@ def _brent_rho(n: int, iteration_cap: int, deadline: float, seed: int = 1) -> in
                 g = math.gcd(abs(x - ys), n)
                 spent += 1
         if 1 < g < n:
-            return g
+            return g, spent
+    return None, spent
+
+
+# -- ECM on Montgomery curves By^2 = x^3 + Ax^2 + x, x-only (X:Z) ---------
+#
+# a24 = (A + 2) / 4.  xDBL costs 5 multiplications, xADD 6, and a ladder
+# for k costs one xDBL plus one of each per bit of k after the first.
+
+
+def _xdbl(X: int, Z: int, n: int, a24: int) -> Tuple[int, int]:
+    s = (X + Z) * (X + Z) % n
+    d = (X - Z) * (X - Z) % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t % n) % n
+
+
+def _xadd(X1: int, Z1: int, X2: int, Z2: int, Xd: int, Zd: int, n: int) -> Tuple[int, int]:
+    """x(P1 + P2) from x(P1), x(P2) and x(P1 - P2)."""
+    u = (X1 - Z1) * (X2 + Z2) % n
+    v = (X1 + Z1) * (X2 - Z2) % n
+    w = u + v
+    z = u - v
+    return Zd * w * w % n, Xd * z * z % n
+
+
+def _ladder(k: int, X: int, Z: int, n: int, a24: int) -> Tuple[int, int, int, int]:
+    """(X:Z) of [k]P and [k+1]P for k >= 1, by the Montgomery ladder."""
+    X0, Z0 = X, Z
+    X1, Z1 = _xdbl(X, Z, n, a24)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            X0, Z0 = _xadd(X1, Z1, X0, Z0, X, Z, n)
+            X1, Z1 = _xdbl(X1, Z1, n, a24)
+        else:
+            X1, Z1 = _xadd(X0, Z0, X1, Z1, X, Z, n)
+            X0, Z0 = _xdbl(X0, Z0, n, a24)
+    return X0, Z0, X1, Z1
+
+
+def _ladder_cost(k: int) -> int:
+    return 5 + 11 * (k.bit_length() - 1)
+
+
+@lru_cache(maxsize=1)
+def _ecm_plan() -> Tuple[int, List[Tuple[int, List[int]]], int]:
+    """(stage-1 scalar, stage-2 giant steps, cost of one curve).
+
+    Stage 1 multiplies by the largest power <= B1 of every prime <= B1.
+    Stage 2 writes each prime p in (B1, B2] as m*420 +- j with j in _BABY
+    and catches [p]Q = O through x([m*420]Q) = x([j]Q); the giant steps
+    list each m with its j.
+    """
+    primes = primes_up_to(ECM_B2)
+    cut = bisect.bisect_right(primes, ECM_B1)
+    scalar = 1
+    for p in primes[:cut]:
+        q = p
+        while q * p <= ECM_B1:
+            q *= p
+        scalar *= q
+    giant: Dict[int, List[int]] = {}
+    for p in primes[cut:]:
+        m = (p + _WHEEL) // _GIANT
+        giant.setdefault(m, []).append(abs(p - m * _GIANT))
+    steps = sorted(giant.items())
+    m_first, m_last = steps[0][0], steps[-1][0]
+    cost = (
+        11  # Suyama's parametrization, counting the inverse as one unit
+        + _ladder_cost(scalar)
+        + 5 + 6 * (_WHEEL // 2 - 1)  # [2]Q, then [j]Q for odd j = 3..209
+        + 4 * len(_BABY) + 1  # x([j]Q) for j in _BABY, by one batched inverse
+        + _ladder_cost(_GIANT) + _ladder_cost(m_first)  # [420]Q, [m_first*420]Q
+        + 6 * (m_last - m_first)  # the other giant steps
+        + 2 * (len(primes) - cut)  # per prime: x([j]Q)*Z, and the accumulator
+    )
+    return scalar, steps, cost
+
+
+def _ecm_curve(n: int, sigma: int) -> int | None:
+    """One ECM curve on odd n with Suyama's parameter sigma; a factor or None."""
+    scalar, steps, _ = _ecm_plan()
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    u3 = u * u * u % n
+    den = 16 * u3 * v % n
+    g = math.gcd(den, n)
+    if g != 1:
+        return g if g < n else None
+    t = v - u
+    a24 = t * t * t % n * (3 * u + v) * pow(den, -1, n) % n
+    X, Z, _, _ = _ladder(scalar, u3, v * v * v % n, n, a24)
+    g = math.gcd(Z, n)
+    if g != 1:
+        return g if g < n else None
+    # Baby steps: [j]Q for odd j < 210, then x([j]Q) for j in _BABY.
+    X2, Z2 = _xdbl(X, Z, n, a24)
+    odd = [(X, Z), _xadd(X2, Z2, X, Z, X, Z, n)]  # [1]Q, [3]Q
+    while len(odd) < _WHEEL // 2:
+        odd.append(_xadd(*odd[-1], X2, Z2, *odd[-2], n))
+    baby = [odd[j // 2] for j in _BABY]
+    prefix = [1]
+    for _, Zj in baby:
+        prefix.append(prefix[-1] * Zj % n)
+    g = math.gcd(prefix[-1], n)
+    if g != 1:
+        return g if g < n else None
+    inv = pow(prefix[-1], -1, n)
+    affine = [0] * _WHEEL
+    for i in range(len(baby) - 1, -1, -1):
+        Xj, Zj = baby[i]
+        affine[_BABY[i]] = Xj * (inv * prefix[i] % n) % n
+        inv = inv * Zj % n
+    # Giant steps: [m*420]Q, accumulating x([m*420]Q) - x([j]Q) over each m's j.
+    TX, TZ, _, _ = _ladder(_GIANT, X, Z, n, a24)
+    m = steps[0][0]
+    X0, Z0, X1, Z1 = _ladder(m, TX, TZ, n, a24)
+    acc = 1
+    for mp, js in steps:
+        while m < mp:
+            X0, Z0, (X1, Z1) = X1, Z1, _xadd(X1, Z1, TX, TZ, X0, Z0, n)
+            m += 1
+        for j in js:
+            acc = acc * (X0 - affine[j] * Z0) % n
+    g = math.gcd(acc, n)
+    return g if 1 < g < n else None
+
+
+def _ecm(n: int, budget: int, deadline: float) -> int | None:
+    """ECM curves on odd composite n while a whole curve fits in the budget.
+
+    The curve parameters come from random.Random(n), so the outcome
+    depends only on n and the budget, and not on the global random state.
+    """
+    cost = _ecm_plan()[2]
+    rng = random.Random(n)
+    while budget >= cost and time.monotonic() < deadline:
+        budget -= cost
+        d = _ecm_curve(n, rng.randrange(6, n - 1))
+        if d is not None:
+            return d
     return None
 
 
+def _split(n: int, budget: int, deadline: float) -> int | None:
+    """A nontrivial factor of the composite n within the counted budget, or None.
+
+    A short Brent rho run goes first, since it finds small factors faster
+    than one ECM curve; ECM gets what the rho run left.
+    """
+    d, spent = _brent_rho(n, min(RHO_SHORT_RUN, budget), deadline)
+    if d is None:
+        d = _ecm(n, budget - spent, deadline)
+    return d
+
+
 def factorize(x: int, effort: Effort = DEFAULT_EFFORT) -> Factorization:
-    """Trial division to effort.trial_bound, then Pollard-Brent within budget."""
+    """Trial division to effort.trial_bound, then rho and ECM within budget."""
     if x < 1:
         raise ValueError("x must be positive")
-    result = Factorization(n=x)
-    if x == 1:
-        return result
-    rest = x
-    bound = min(effort.trial_bound, math.isqrt(rest) + 1)
-    for p in primes_up_to(bound):
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            result.factors.append((p, e))
+    factors, rest = _trial_divide(x, effort.trial_bound)
+    result = Factorization(n=x, factors=factors)
     if rest == 1:
         return result
     if rest <= effort.trial_bound * effort.trial_bound or is_prime(rest):
@@ -136,7 +351,7 @@ def factorize(x: int, effort: Effort = DEFAULT_EFFORT) -> Factorization:
         if is_prime(m):
             _merge(result.factors, m, 1)
             continue
-        d = _brent_rho(m, effort.rho_iterations, deadline)
+        d = _split(m, effort.rho_iterations, deadline)
         if d is None:
             result.cofactor *= m
             continue
@@ -154,64 +369,19 @@ def _merge(factors: List[Tuple[int, int]], p: int, e: int) -> None:
     factors.append((p, e))
 
 
-def rad_S_rho(
-    x: int,
-    S: Iterable[int],
-    rho: int,
-    effort: Effort = DEFAULT_EFFORT,
-) -> Tuple[int, str]:
-    """Product of primes p outside S with rho not dividing v_p(x).
-
-    Returns (value, certainty); certainty is "lower_bound" when the
-    factorization is partial, since the unfactored cofactor could hide
-    further qualifying primes.
-    """
-    exclude = set(S)
-    fac = factorize(x, effort)
-    value = 1
-    for p, e in fac.factors:
-        if p not in exclude and e % rho != 0:
-            value *= p
-    return value, (CERTAIN if fac.complete else LOWER_BOUND)
-
-
-def sqf_S(x: int, S: Iterable[int], effort: Effort = DEFAULT_EFFORT) -> Tuple[int, str]:
-    """Squarefree part of x outside S (the rho = 2 power radical)."""
-    return rad_S_rho(x, S, 2, effort)
-
-
-def radical(x: int, effort: Effort = DEFAULT_EFFORT) -> Tuple[int, str]:
-    """Ordinary radical: product of the distinct primes dividing x."""
-    fac = factorize(x, effort)
-    value = 1
-    for p, _ in fac.factors:
-        value *= p
-    return value, (CERTAIN if fac.complete else LOWER_BOUND)
-
-
-def largest_prime_factor(x: int, effort: Effort = DEFAULT_EFFORT) -> Tuple[int, str]:
-    """P^+(x), with P^+(1) = 1; a lower bound when factorization is partial."""
-    if x < 1:
-        raise ValueError("x must be positive")
-    if x == 1:
-        return 1, CERTAIN
-    fac = factorize(x, effort)
-    best = max((p for p, _ in fac.factors), default=1)
-    return best, (CERTAIN if fac.complete else LOWER_BOUND)
-
-
 def is_B_smooth(x: int, B) -> bool:
     """True iff every prime factor of x is <= B.
 
-    Decided by trial division up to B, which is always conclusive: after
-    removing all prime factors <= B the residue is 1 exactly when x is
-    smooth.
+    Trial division by the primes <= min(B, isqrt(x)) is always conclusive:
+    what survives is 1, a prime, or (when B < isqrt(x)) a number whose
+    prime factors all exceed B, so x is smooth exactly when the survivor
+    is at most B.
     """
     if x < 1:
         raise ValueError("x must be positive")
-    for p in primes_up_to(int(B)):
+    for p in primes_up_to(min(int(B), math.isqrt(x))):
+        if p * p > x:
+            break
         while x % p == 0:
             x //= p
-        if x == 1:
-            return True
-    return x == 1
+    return x == 1 or x <= B

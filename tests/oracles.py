@@ -3,13 +3,16 @@
 Nothing in here imports edskit's arithmetic for the quantity being checked:
 the group-law oracle finds the third intersection point by solving the
 curve/line system with sympy, the root oracles enumerate by brute force,
-and the valuation oracle divides directly.
+and the valuation oracle divides directly.  The trial-division oracle
+takes its primes from edskit's sieve, which test_intmath checks.
 """
 
 from fractions import Fraction
 from math import isqrt
 
 import sympy as sp
+
+from edskit.intmath import primes_up_to
 
 
 def oracle_add(coeffs, P, Q):
@@ -119,7 +122,27 @@ def brute_is_smooth(x, B):
             if d > B:
                 return False
             x //= d
-    return x <= B
+    return x == 1 or x <= B
+
+
+def trial_divide_per_prime(x, bound):
+    """(factors, survivor) after stripping the primes <= bound, one `%` per prime.
+
+    The plain loop that factor._trial_divide batches into gcds; it stops at
+    the first prime whose square exceeds what is left.
+    """
+    rest = x
+    factors = []
+    for p in primes_up_to(min(bound, isqrt(rest) + 1)):
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            factors.append((p, e))
+    return factors, rest
 
 
 def enumerate_fp_points(coeffs, p):

@@ -2,21 +2,39 @@
 
 import math
 import random
+import time
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from edskit import intmath
 from edskit.factor import (
+    RHO_SHORT_RUN,
+    TRIAL_CHUNK,
     Effort,
+    _brent_rho,
+    _ecm_plan,
+    _trial_divide,
     factorize,
     is_B_smooth,
-    largest_prime_factor,
-    rad_S_rho,
-    radical,
-    sqf_S,
 )
-from edskit.intmath import valuation
-from oracles import brute_is_smooth
+from edskit.intmath import is_prime, primes_up_to, valuation
+from edskit.obstruction import _largest_prime_factor_exact
+from edskit.valuation import TermRadicalData
+from oracles import brute_is_smooth, trial_divide_per_prime
+
+# Two 150-bit primes: far beyond any small budget.
+BIG_A = 1427247692705959881058285969449495136382747711
+BIG_B = 1427247692705959881058285969449495136382746619
+# Two 41-bit primes: their product needs ECM after the short rho run.
+P41, Q41 = 1099511627791, 1100511627793
+
+
+def power_radical(x, S, rho, effort=Effort()):
+    """rad_{S,rho}(x) with its certainty, through TermRadicalData.power_radical."""
+    fac = factorize(x, effort)
+    entries = [(p, e) for p, e in fac.factors if p not in S]
+    return TermRadicalData(l=0, entries=entries, complete=fac.complete).power_radical(rho)
 
 
 def test_factorize_examples():
@@ -43,12 +61,51 @@ def test_factorize_semiprime_beyond_trial_bound():
 
 
 def test_factorize_partial_within_tiny_budget():
-    # Two 150-bit primes: far beyond a near-zero Pollard budget.
-    a = 1427247692705959881058285969449495136382747623
-    b = 1427247692705959881058285969449495136382746549
-    fac = factorize(a * b, Effort(trial_bound=100, rho_iterations=1, wall_clock=0.01))
+    fac = factorize(BIG_A * BIG_B, Effort(trial_bound=100, rho_iterations=1, wall_clock=0.01))
     assert fac.status == "partial"
-    assert fac.product() == a * b
+    assert fac.product() == BIG_A * BIG_B
+
+
+def test_ecm_splits_what_the_short_rho_run_cannot():
+    n = P41 * Q41
+    assert is_prime(P41) and is_prime(Q41)
+    assert _brent_rho(n, RHO_SHORT_RUN, math.inf)[0] is None
+    fac = factorize(n, Effort(100, 10 ** 6, 600))
+    assert fac.complete
+    assert fac.factors == [(P41, 1), (Q41, 1)]
+
+
+def test_counted_budget_decides_not_the_clock():
+    assert is_prime(BIG_A) and is_prime(BIG_B)
+    start = time.monotonic()
+    fac = factorize(BIG_A * BIG_B, Effort(trial_bound=100, rho_iterations=1, wall_clock=600))
+    assert fac.status == "partial" and fac.cofactor == BIG_A * BIG_B
+    assert time.monotonic() - start < 5
+
+
+def test_ecm_curve_starts_only_if_its_cost_fits(monkeypatch):
+    import edskit.factor as factor
+
+    cost = _ecm_plan()[2]
+    curves = []
+    real = factor._ecm_curve
+    monkeypatch.setattr(factor, "_ecm_curve", lambda n, sigma: curves.append(sigma) or real(n, sigma))
+    for budget, expected in ((RHO_SHORT_RUN + 2 * cost - 1, 1), (RHO_SHORT_RUN + 2 * cost, 2)):
+        curves.clear()
+        fac = factorize(BIG_A * BIG_B, Effort(trial_bound=100, rho_iterations=budget, wall_clock=600))
+        assert fac.status == "partial"
+        assert len(curves) == expected
+
+
+def test_factorize_is_deterministic_and_leaves_global_random_alone():
+    n = 3 * P41 * Q41 * 1000003 ** 2
+    random.seed(12345)
+    state = random.getstate()
+    first = factorize(n, Effort(100, 10 ** 6, 600))
+    second = factorize(n, Effort(100, 10 ** 6, 600))
+    assert random.getstate() == state
+    assert first == second
+    assert first.factors == [(3, 1), (1000003, 2), (P41, 1), (Q41, 1)]
 
 
 @given(st.integers(min_value=1, max_value=10 ** 9))
@@ -58,17 +115,57 @@ def test_factorize_product_identity(x):
     assert fac.complete
 
 
+def _chunk_edge_primes(bound):
+    primes = primes_up_to(bound)
+    edges = set()
+    for start in range(0, len(primes), TRIAL_CHUNK):
+        edges.update(primes[max(start - 1, 0) : start + 2])
+    edges.update(primes[-2:])
+    return sorted(edges)
+
+
+def _primes_above(bound, count):
+    out, q = [], bound + 1
+    while len(out) < count:
+        if is_prime(q):
+            out.append(q)
+        q += 1
+    return out
+
+
+@st.composite
+def trial_division_inputs(draw):
+    bound = draw(st.sampled_from([1, 2, 97, 1621, 3673, 10 ** 4, 10 ** 6]))
+    pool = [2, 3, 5, 7] + _chunk_edge_primes(bound) + _primes_above(bound, 3)
+    parts = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 4)), max_size=5))
+    return math.prod(p ** e for p, e in parts), bound
+
+
+@given(trial_division_inputs())
+@example((1, 10 ** 6))
+@example((1000003 ** 2, 10 ** 6))  # a p^2 survivor just above the bound
+@example((3673 ** 2 * 1621 * 2 ** 20, 10 ** 4))  # prime powers on chunk edges
+@example((999983 * 1000003, 10 ** 6))  # the last prime below the bound, the first above
+def test_batched_trial_division_matches_per_prime_loop(case):
+    x, bound = case
+    assert _trial_divide(x, bound) == trial_divide_per_prime(x, bound)
+
+
+def test_largest_prime_factor_examples(ctx37):
+    assert _largest_prime_factor_exact(ctx37, 1) == 1
+    assert _largest_prime_factor_exact(ctx37, 12) == 3
+    assert _largest_prime_factor_exact(ctx37, 35) == 7
+
+
 def test_rad_S_rho_examples():
-    assert rad_S_rho(12, set(), 2) == (3, "certain")
-    assert rad_S_rho(12, {3}, 2) == (1, "certain")
-    assert rad_S_rho(8, set(), 3) == (1, "certain")
+    assert power_radical(12, set(), 2) == (3, "certain")
+    assert power_radical(12, {3}, 2) == (1, "certain")
+    assert power_radical(8, set(), 3) == (1, "certain")
 
 
 def test_rad_S_rho_partial_is_lower_bound():
-    a = 1427247692705959881058285969449495136382747623
-    b = 1427247692705959881058285969449495136382746549
-    value, certainty = rad_S_rho(
-        a * b * 3, set(), 2, Effort(trial_bound=100, rho_iterations=1, wall_clock=0.01)
+    value, certainty = power_radical(
+        BIG_A * BIG_B * 3, set(), 2, Effort(trial_bound=100, rho_iterations=1, wall_clock=0.01)
     )
     assert certainty == "lower_bound"
     assert value % 3 == 0
@@ -82,13 +179,13 @@ def test_rad_S_rho_partial_is_lower_bound():
 def test_rad_invisible_to_rho_powers(x, y, rho):
     # rad_{S,rho}(x * y^rho) = rad_{S,rho}(x) when y is coprime to x and S.
     assume(math.gcd(x, y) == 1)
-    assert rad_S_rho(x * y ** rho, set(), rho) == rad_S_rho(x, set(), rho)
+    assert power_radical(x * y ** rho, set(), rho) == power_radical(x, set(), rho)
 
 
 def test_sqf_examples():
-    assert sqf_S(12, set()) == (3, "certain")
-    assert sqf_S(36, set()) == (1, "certain")
-    assert sqf_S(18, {2}) == (1, "certain")
+    assert power_radical(12, set(), 2) == (3, "certain")
+    assert power_radical(36, set(), 2) == (1, "certain")
+    assert power_radical(18, {2}, 2) == (1, "certain")
 
 
 def test_sqf_trivial_iff_square_times_s_units():
@@ -97,19 +194,7 @@ def test_sqf_trivial_iff_square_times_s_units():
     for x in range(1, 2000):
         fac = factorize(x)
         expected = all(p in S or e % 2 == 0 for p, e in fac.factors)
-        assert (sqf_S(x, S)[0] == 1) == expected
-
-
-def test_radical():
-    assert radical(12) == (6, "certain")
-    assert radical(1) == (1, "certain")
-    assert radical(7 ** 3) == (7, "certain")
-
-
-def test_largest_prime_factor_examples():
-    assert largest_prime_factor(1) == (1, "certain")
-    assert largest_prime_factor(12) == (3, "certain")
-    assert largest_prime_factor(35) == (7, "certain")
+        assert (power_radical(x, S, 2)[0] == 1) == expected
 
 
 def test_is_B_smooth_examples():
@@ -126,6 +211,20 @@ def test_is_B_smooth_matches_brute_force():
     for x in xs:
         for B in (2, 3, 5, 10, 100):
             assert is_B_smooth(x, B) == brute_is_smooth(x, B), (x, B)
+
+
+@given(st.integers(min_value=1, max_value=10 ** 6), st.integers(min_value=0, max_value=2000))
+def test_is_B_smooth_matches_brute_force_property(x, B):
+    assert is_B_smooth(x, B) == brute_is_smooth(x, B)
+
+
+def test_is_B_smooth_huge_bound_keeps_the_sieve():
+    primes_up_to(10 ** 6)
+    cached = dict(intmath._sieve_cache)
+    assert is_B_smooth(6, 1e12)
+    assert not is_B_smooth(2 * 1000003, 10 ** 6)
+    assert is_B_smooth(3 ** 25, 1e12)
+    assert intmath._sieve_cache.keys() == cached.keys()
 
 
 def test_is_B_smooth_fractional_bound():

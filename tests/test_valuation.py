@@ -160,6 +160,16 @@ def test_law_and_radical_data_never_count_points(all_fixtures, monkeypatch):
             term_radical_data(curve, point, S, l, table, effort=Effort(10 ** 4, 10 ** 4))
 
 
+def test_prime_index_radical_data_complete_on_37_and_43(curve37, point37, table37, s37,
+                                                        curve43, point43, table43, s43):
+    # The bench budget factors every D_l with l <= 60 prime on these two
+    # fixtures completely.  (On 37q the D_l reach 3200 bits and stay partial.)
+    effort = Effort(10 ** 6, 10 ** 6, 600)
+    for curve, point, table, S in ((curve37, point37, table37, s37), (curve43, point43, table43, s43)):
+        for l in primes_up_to(60):
+            assert term_radical_data(curve, point, S, l, table, effort=effort).complete, l
+
+
 def test_structured_divisor_check_above_2_40(curve37, point37, table37):
     p = P_ABOVE_2_40
     assert p > 2 ** 40 and table37.D(53) % p == 0
