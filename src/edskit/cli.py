@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -27,7 +26,7 @@ from typing import List, Optional
 from . import __version__
 from .curve import WeierstrassCurve, minimality_report
 from .errors import BudgetExceeded, EdskitError, PrimeTooLarge, SoundnessError, TorsionPoint
-from .eds import EdsTable, eds_range
+from .eds import DEFAULT_MAX_DIGITS, eds_range
 from .factor import Effort
 from .intmath import is_prime, primes_up_to
 from .obstruction import ObstructionContext, evaluate_tuple
@@ -101,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a denominator table")
     _common_flags(g)
     g.add_argument("--n-max", type=int, required=True)
-    g.add_argument("--out", help="output table path (default: cache dir by curve hash)")
-    g.add_argument("--max-digits", type=int, default=10 ** 5)
+    g.add_argument("--out", help="output table path (default: ./eds-table-<curve hash>.jsonl)")
+    g.add_argument("--max-digits", type=int, default=DEFAULT_MAX_DIGITS)
 
     v = sub.add_parser("verify-law", help="verify the valuation law over a prime range")
     _common_flags(v)
@@ -124,10 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--l-max", type=int, required=True)
     d.add_argument("--l-min", type=int, default=2)
     return ap
-
-
-def _cache_dir(args) -> Optional[str]:
-    return os.environ.get("EDSKIT_CACHE_DIR")
 
 
 def _setup(args):
@@ -226,7 +221,7 @@ def _emit(doc: dict, fmt: str, text_lines: List[str]) -> None:
 
 def cmd_gen(args) -> int:
     E, P, S, minim = _setup(args)
-    table = eds_range(E, P, args.n_max, max_digits=args.max_digits, cache_dir=_cache_dir(args))
+    table = eds_range(E, P, args.n_max, max_digits=args.max_digits)
     out = args.out
     if out is None:
         out = f"eds-table-{table.key}.jsonl"
@@ -249,7 +244,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify_law(args) -> int:
     E, P, S, minim = _setup(args)
-    table = eds_range(E, P, args.n_max, cache_dir=_cache_dir(args))
+    table = eds_range(E, P, args.n_max)
     doc = _header(args, S, minim, p_max=args.p_max, n_max=args.n_max)
     results = []
     lines = []
@@ -322,7 +317,7 @@ def cmd_obstruct(args) -> int:
     tuples = _read_tuples(args)
     E, P, S, minim = _setup(args)
     n_max = args.n_max or max(max(t) for t in tuples)
-    table = eds_range(E, P, n_max, cache_dir=_cache_dir(args))
+    table = eds_range(E, P, n_max)
     ctx = ObstructionContext(
         E, P, S, table, sieve_bound=args.sieve_bound, effort=_parse_effort(args.effort)
     )
@@ -368,7 +363,7 @@ def cmd_probe_detecting(args) -> int:
     lines = []
     results = []
     if ls:
-        table = eds_range(E, P, max(ls), cache_dir=_cache_dir(args))
+        table = eds_range(E, P, max(ls))
         effort = _parse_effort(args.effort)
         largest_without = None
         for l in ls:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
+from . import __version__
 from .curve import RatPoint, WeierstrassCurve
 from .errors import (
     BudgetExceeded,
@@ -28,8 +29,6 @@ from .errors import (
     TorsionPoint,
 )
 from .intmath import int_nth_root
-
-TOOL_VERSION = "0.1.0"
 
 DEFAULT_MAX_DIGITS = 10 ** 5
 
@@ -66,7 +65,7 @@ def _term_from_point(Q: RatPoint, n: int) -> EdsTerm:
 
 
 def curve_point_key(curve: WeierstrassCurve, P: RatPoint) -> str:
-    """Stable hash of (a1..a6, x(P), y(P)) used for caching and file headers."""
+    """Stable hash of (a1..a6, x(P), y(P)): the table key and file-header ``curve_hash``."""
     x, y = Fraction(P[0]), Fraction(P[1])
     blob = json.dumps(
         {
@@ -123,9 +122,6 @@ class EdsTable:
     def D(self, n: int) -> int:
         return self.term(n).D
 
-    def A(self, n: int) -> int:
-        return self.term(n).A
-
     def d_values(self) -> List[int]:
         return [t.D for t in self.terms]
 
@@ -154,7 +150,7 @@ class EdsTable:
     def _header_line(self, content_hash: str) -> str:
         header = {
             "curve_hash": self.key,
-            "tool_version": TOOL_VERSION,
+            "tool_version": __version__,
             "n_max": self.max_index,
             "content_hash": content_hash,
         }
@@ -190,7 +186,8 @@ class EdsTable:
 
         Raises ValueError if the file is malformed, belongs to another
         (E, P), is not contiguous from 1, disagrees with its header's
-        ``n_max`` or ``content_hash``, or fails the divisibility scan.
+        ``n_max`` or ``content_hash``, holds a term with ``D_n < 1``, or
+        fails the divisibility scan.
         """
         try:
             with open(path) as fh, _unlimited_int_digits():
@@ -206,6 +203,8 @@ class EdsTable:
             raise ValueError(f"malformed table file {path}: {exc!r}") from exc
         if [t.n for t in terms] != list(range(1, len(terms) + 1)):
             raise ValueError("table file is not contiguous from 1")
+        if any(t.D < 1 for t in terms):
+            raise ValueError("table file holds a term with D_n < 1")
         table = EdsTable(curve, P, terms)
         if header.get("n_max") != table.max_index:
             raise ValueError("table file does not hold the n_max terms its header names")
@@ -331,7 +330,6 @@ def eds_range(
     P: RatPoint,
     N: int,
     max_digits: int = DEFAULT_MAX_DIGITS,
-    cache_dir: Optional[str] = None,
 ) -> EdsTable:
     """Terms 1..N from the integer division-polynomial recurrence.
 
@@ -344,10 +342,6 @@ def eds_range(
     """
     if N < 1:
         raise ValueError("N must be positive")
-    if cache_dir:
-        cached = _load_cached(curve, P, N, cache_dir)
-        if cached is not None:
-            return cached
     terms = _division_terms(curve, P, N, max_digits)
     for n in {max(1, N // 2), N}:
         if eds_term(curve, P, n) != terms[n - 1]:
@@ -356,23 +350,4 @@ def eds_range(
     bad = table.check_divisibility()
     if bad:
         raise SoundnessError(f"divisibility property violated at pairs {bad[:5]}")
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        table.dump(os.path.join(cache_dir, f"{table.key}.jsonl"))
-    return table
-
-
-def _load_cached(
-    curve: WeierstrassCurve, P: RatPoint, N: int, cache_dir: str
-) -> Optional[EdsTable]:
-    """The verified cached table cut to N terms; None (a miss) if absent, corrupt or short."""
-    path = os.path.join(cache_dir, f"{curve_point_key(curve, P)}.jsonl")
-    try:
-        table = EdsTable.load(path, curve, P)
-    except (OSError, ValueError):
-        return None
-    if table.max_index < N:
-        return None
-    if table.max_index > N:
-        table = EdsTable(curve, P, table.terms[:N])
     return table

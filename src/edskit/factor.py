@@ -57,17 +57,13 @@ _chunk_products: Dict[int, int] = {}
 class Factorization:
     """Multiset of prime powers plus an optional unfactored cofactor.
 
-    status is "complete" when cofactor == 1; otherwise "partial" and the
-    cofactor is composite (or of unestablished primality).
+    ``complete`` when cofactor == 1; otherwise the cofactor is composite (or
+    of unestablished primality).
     """
 
     n: int
     factors: List[Tuple[int, int]] = field(default_factory=list)
     cofactor: int = 1
-
-    @property
-    def status(self) -> str:
-        return "complete" if self.cofactor == 1 else "partial"
 
     @property
     def complete(self) -> bool:
@@ -78,13 +74,6 @@ class Factorization:
         for p, e in self.factors:
             out *= p ** e
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "factors": [[str(p), e] for p, e in self.factors],
-            "cofactor": str(self.cofactor),
-            "status": self.status,
-        }
 
 
 def _chunk_product(start: int, chunk: List[int]) -> int:

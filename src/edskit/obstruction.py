@@ -102,14 +102,9 @@ def incidence_set(n: Sequence[int], l: int) -> List[int]:
     return [i for i, ni in enumerate(n, start=1) if ni % l == 0]
 
 
-def incidence_vector(n: Sequence[int], l: int) -> List[int]:
-    return [1 if ni % l == 0 else 0 for ni in n]
-
-
-def build_incidence_matrix(
-    n: Sequence[int], Lambda: Sequence[int], rho: int
-) -> Dict[int, List[int]]:
-    return {l: incidence_vector(n, l) for l in Lambda}
+def build_incidence_matrix(n: Sequence[int], Lambda: Sequence[int]) -> Dict[int, List[int]]:
+    """Row l is the 0/1 indicator of l | n_i over the positions of n."""
+    return {l: [1 if ni % l == 0 else 0 for ni in n] for l in Lambda}
 
 
 def gf_rank(rows: List[List[int]], rho: int) -> int:
@@ -461,7 +456,7 @@ def cluster_packing(
     reasons = {l: _check_top_prime_hypotheses(ctx, n, l, B, L_rho) for l in Lambda}
     dropped = {l: "; ".join(r) for l, r in reasons.items() if r}
     surviving = [l for l in Lambda if not reasons[l]]
-    matrix = build_incidence_matrix(n, surviving, rho)
+    matrix = build_incidence_matrix(n, surviving)
     lambda_star = [l for l in surviving if any(matrix[l])]
     conclusions: Dict[int, str] = {}
     # (1) each row weight divisible by rho

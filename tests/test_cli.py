@@ -237,6 +237,18 @@ def test_version_flag(capsys):
     assert main(["--version"]) == 0
 
 
+def test_cache_dir_variable_is_ignored(tmp_path, curve_file, capsys, monkeypatch):
+    # Every table comes from eds_range; none is read from or written to a cache.
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("EDSKIT_CACHE_DIR", str(cache))
+    out = str(tmp_path / "table.jsonl")
+    assert main(["gen", "--curve", curve_file, "--n-max", "12", "--out", out]) == 0
+    assert main(["verify-law", "--curve", curve_file, "--p-max", "50", "--n-max", "12"]) == 0
+    assert main(["obstruct", "--curve", curve_file, "--tuple", "5,3"]) == 0
+    assert list(cache.iterdir()) == []
+
+
 # -- the streamed JSON writer ---------------------------------------------
 
 _keys = st.text()  # any code point but surrogates: quotes, backslashes, controls

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import edskit
 from edskit import eds
 from edskit.curve import WeierstrassCurve
 from edskit.eds import (
@@ -162,16 +163,6 @@ def test_load_rejects_wrong_curve(tmp_path, curve37, point37, point37q, table37)
         EdsTable.load(path, curve37, point37q)
 
 
-def test_cache_round_trip(tmp_path, curve37, point37):
-    cache = str(tmp_path / "cache")
-    first = eds_range(curve37, point37, 12, cache_dir=cache)
-    again = eds_range(curve37, point37, 12, cache_dir=cache)
-    assert again.d_values() == first.d_values()
-    # A shorter request is served by truncating the cached table.
-    short = eds_range(curve37, point37, 5, cache_dir=cache)
-    assert short.d_values() == first.d_values()[:5]
-
-
 def test_content_hash_distinguishes_points(table37, table37q):
     assert table37.content_hash() != table37q.content_hash()
 
@@ -182,45 +173,49 @@ def test_second_point_is_fifth_multiple(table37, table37q):
         assert table37q.D(n) == table37.D(5 * n)
 
 
-def _cache_file(cache, table):
-    return Path(cache) / f"{table.key}.jsonl"
+def _dumped(tmp_path, table):
+    path = tmp_path / "table.jsonl"
+    table.dump(str(path))
+    return path
 
 
 @pytest.mark.parametrize("edit", [{"D": "7"}, {"A": "3"}])
-def test_cache_rejects_edited_term(tmp_path, curve37, point37, edit):
+def test_load_rejects_edited_term(tmp_path, curve37, point37, edit):
     # D_5 = 2 -> 7 also breaks divisibility; A_5 = 1 -> 3 only the content hash.
-    cache = str(tmp_path / "cache")
-    table = eds_range(curve37, point37, 12, cache_dir=cache)
-    path = _cache_file(cache, table)
+    path = _dumped(tmp_path, eds_range(curve37, point37, 12))
     lines = path.read_text().splitlines()
     assert json.loads(lines[5]) == {"n": 5, "A": "1", "D": "2"}
     lines[5] = json.dumps(dict({"n": 5, "A": "1", "D": "2"}, **edit))
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         EdsTable.load(path, curve37, point37)
-    served = eds_range(curve37, point37, 12, cache_dir=cache)
-    assert (served.A(5), served.D(5)) == (1, 2)
-    assert EdsTable.load(path, curve37, point37).terms == table.terms  # regenerated
 
 
-def test_cache_rejects_consistent_forgery(tmp_path, curve37, point37):
+def _forge(tmp_path, curve, P, n, D):
+    """Dump the 12-term table with D_n replaced, the header hash rewritten to match."""
+    terms = [EdsTerm(t.n, t.A, D if t.n == n else t.D) for t in eds_range(curve, P, 12).terms]
+    return _dumped(tmp_path, EdsTable(curve, P, terms))
+
+
+def test_load_rejects_consistent_forgery(tmp_path, curve37, point37):
     # Header hash rewritten to match the edited term: divisibility catches it.
-    cache = str(tmp_path / "cache")
-    table = eds_range(curve37, point37, 12, cache_dir=cache)
-    forged = EdsTable(curve37, point37, [
-        EdsTerm(t.n, t.A, 7 if t.n == 5 else t.D) for t in table.terms
-    ])
-    forged.dump(str(_cache_file(cache, table)))
+    path = _forge(tmp_path, curve37, point37, 5, 7)
     with pytest.raises(ValueError):
-        EdsTable.load(_cache_file(cache, table), curve37, point37)
-    assert eds_range(curve37, point37, 12, cache_dir=cache).D(5) == 2
+        EdsTable.load(path, curve37, point37)
+
+
+@pytest.mark.parametrize("n, D", [(1, 0), (11, 0), (11, -23)])
+def test_load_rejects_non_positive_term(tmp_path, curve37, point37, n, D):
+    # Consistent hashes: D_1 = 0 would divide by zero in the divisibility
+    # scan, and D_11 has no other multiple among 12 terms to be checked by.
+    path = _forge(tmp_path, curve37, point37, n, D)
+    with pytest.raises(ValueError, match="D_n < 1"):
+        EdsTable.load(path, curve37, point37)
 
 
 @pytest.mark.parametrize("cut", ["mid_line", "line_boundary", "header_only", "empty"])
-def test_cache_regenerates_partial_file(tmp_path, curve37, point37, cut):
-    cache = str(tmp_path / "cache")
-    table = eds_range(curve37, point37, 12, cache_dir=cache)
-    path = _cache_file(cache, table)
+def test_load_rejects_partial_file(tmp_path, curve37, point37, cut):
+    path = _dumped(tmp_path, eds_range(curve37, point37, 12))
     text = path.read_text()
     lines = text.splitlines(keepends=True)
     partial = {
@@ -230,8 +225,16 @@ def test_cache_regenerates_partial_file(tmp_path, curve37, point37, cut):
         "empty": "",
     }[cut]
     path.write_text(partial)
-    assert eds_range(curve37, point37, 12, cache_dir=cache).terms == table.terms
-    assert path.read_text() == text
+    with pytest.raises(ValueError):
+        EdsTable.load(path, curve37, point37)
+
+
+def test_versions_agree(tmp_path, curve37, point37):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    version = tomllib.loads(pyproject.read_text())["project"]["version"]
+    header = json.loads(_dumped(tmp_path, eds_range(curve37, point37, 4)).read_text().splitlines()[0])
+    assert version == edskit.__version__ == header["tool_version"]
 
 
 def test_dump_is_atomic(tmp_path, curve37, point37, table37, monkeypatch):

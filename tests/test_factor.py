@@ -45,7 +45,7 @@ def test_factorize_examples():
     big = 4 * (10 ** 9 + 7)
     fac = factorize(big)
     assert fac.factors == [(2, 2), (10 ** 9 + 7, 1)]
-    assert fac.status == "complete"
+    assert fac.complete
 
 
 def test_factorize_rejects_nonpositive():
@@ -62,7 +62,7 @@ def test_factorize_semiprime_beyond_trial_bound():
 
 def test_factorize_partial_within_tiny_budget():
     fac = factorize(BIG_A * BIG_B, Effort(trial_bound=100, rho_iterations=1, wall_clock=0.01))
-    assert fac.status == "partial"
+    assert not fac.complete
     assert fac.product() == BIG_A * BIG_B
 
 
@@ -79,7 +79,7 @@ def test_counted_budget_decides_not_the_clock():
     assert is_prime(BIG_A) and is_prime(BIG_B)
     start = time.monotonic()
     fac = factorize(BIG_A * BIG_B, Effort(trial_bound=100, rho_iterations=1, wall_clock=600))
-    assert fac.status == "partial" and fac.cofactor == BIG_A * BIG_B
+    assert not fac.complete and fac.cofactor == BIG_A * BIG_B
     assert time.monotonic() - start < 5
 
 
@@ -93,7 +93,7 @@ def test_ecm_curve_starts_only_if_its_cost_fits(monkeypatch):
     for budget, expected in ((RHO_SHORT_RUN + 2 * cost - 1, 1), (RHO_SHORT_RUN + 2 * cost, 2)):
         curves.clear()
         fac = factorize(BIG_A * BIG_B, Effort(trial_bound=100, rho_iterations=budget, wall_clock=600))
-        assert fac.status == "partial"
+        assert not fac.complete
         assert len(curves) == expected
 
 

@@ -365,7 +365,7 @@ def test_radical_lower_bound_hypotheses(ctx37):
 
 
 def test_incidence_matrix():
-    m = build_incidence_matrix((22, 33, 26, 39), [11, 13], 2)
+    m = build_incidence_matrix((22, 33, 26, 39), [11, 13])
     assert m == {11: [1, 1, 0, 0], 13: [0, 0, 1, 1]}
 
 
