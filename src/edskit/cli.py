@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .factor import Effort
 from .intmath import is_prime, primes_up_to
 from .obstruction import ObstructionContext, evaluate_tuple
 from .relation import test_relation
-from .valuation import build_exceptional_set, check_valuation_law, detecting_primes
+from .valuation import build_exceptional_set, check_valuation_law, term_radical_data
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -220,6 +221,8 @@ def _emit(doc: dict, fmt: str, text_lines: List[str]) -> None:
 
 
 def cmd_gen(args) -> int:
+    if args.n_max < 1:
+        raise ConfigError("--n-max must be positive")
     E, P, S, minim = _setup(args)
     table = eds_range(E, P, args.n_max, max_digits=args.max_digits)
     out = args.out
@@ -243,6 +246,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify_law(args) -> int:
+    if args.n_max < 1:
+        raise ConfigError("--n-max must be positive")
     E, P, S, minim = _setup(args)
     table = eds_range(E, P, args.n_max)
     doc = _header(args, S, minim, p_max=args.p_max, n_max=args.n_max)
@@ -310,13 +315,16 @@ def _read_tuples(args) -> List[List[int]]:
 def cmd_obstruct(args) -> int:
     if args.rho < 2 or not is_prime(args.rho):
         raise ConfigError("--rho must be prime")
-    if args.B < 2:
-        raise ConfigError("--B must be at least 2")
+    if not math.isfinite(args.B) or args.B < 2:
+        raise ConfigError("--B must be a finite number of at least 2")
     if args.strict and args.L_rho <= 0:
         raise ConfigError("--strict requires an explicit positive --L-rho")
     tuples = _read_tuples(args)
+    largest = max(max(t) for t in tuples)
+    if args.n_max is not None and args.n_max < largest:
+        raise ConfigError(f"--n-max {args.n_max} is below the largest tuple entry {largest}")
+    n_max = largest if args.n_max is None else args.n_max
     E, P, S, minim = _setup(args)
-    n_max = args.n_max or max(max(t) for t in tuples)
     table = eds_range(E, P, n_max)
     ctx = ObstructionContext(
         E, P, S, table, sieve_bound=args.sieve_bound, effort=_parse_effort(args.effort)
@@ -367,9 +375,8 @@ def cmd_probe_detecting(args) -> int:
         effort = _parse_effort(args.effort)
         largest_without = None
         for l in ls:
-            found, complete = detecting_primes(
-                E, P, S, l, args.rho, table, sieve_bound=args.sieve_bound, effort=effort
-            )
+            data = term_radical_data(E, P, S, l, table, args.sieve_bound, effort)
+            found, complete = data.detecting(args.rho), data.complete
             if not found:
                 largest_without = l
             results.append(

@@ -36,14 +36,6 @@ class TableMiss(EdskitError):
     """A required sequence index is outside the stored table range."""
 
 
-class PreconditionFailed(EdskitError):
-    """A checker was called with arguments violating its stated preconditions."""
-
-
-class NotSquarefree(EdskitError):
-    """An index tuple entry is not squarefree where squarefreeness is required."""
-
-
 class HypothesisViolated(EdskitError):
     """A theorem checker's hypotheses do not hold for the given input."""
 

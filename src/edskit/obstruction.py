@@ -22,7 +22,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .curve import RatPoint, WeierstrassCurve
 from .eds import EdsTable, _unlimited_int_digits
-from .errors import HypothesisViolated, NotSquarefree, PreconditionFailed, SoundnessError
+from .errors import HypothesisViolated, SoundnessError
 from .factor import DEFAULT_EFFORT, Effort, Factorization, factorize, is_B_smooth
 from .intmath import is_prime, is_rho_power, primes_up_to, valuation
 from .valuation import ExceptionalSet, TermRadicalData, term_radical_data
@@ -176,11 +176,18 @@ def _largest_prime_factor_exact(ctx: ObstructionContext, x: int) -> int:
 
 
 def _top_prime_defect(ctx: ObstructionContext, n: Sequence[int], i: int, l: int) -> Optional[str]:
-    """Why l is not the simple top prime of n_i (v_l(n_i) = 1, P^+(n_i) = l); None if it is."""
+    """Why l is not the simple top prime of n_i (v_l(n_i) = 1, P^+(n_i) = l); None if it is.
+
+    An n_i not factored within the budget is a defect: P^+(n_i) = l is then unverified.
+    """
     v = valuation(n[i - 1], l)
     if v != 1:
         return f"v_l(n_{i})={v} != 1"
-    if _largest_prime_factor_exact(ctx, n[i - 1]) != l:
+    try:
+        top = _largest_prime_factor_exact(ctx, n[i - 1])
+    except HypothesisViolated as exc:
+        return str(exc)
+    if top != l:
         return f"l is not the largest prime divisor of n_{i}={n[i - 1]}"
     return None
 
@@ -206,7 +213,9 @@ class _Congruence(NamedTuple):
     """Silverman's law v_p(D_{n_i}) = v_p(D_l) + v_p(n_i / l) summed over I = I_l(n).
 
     A rho-th power needs residue = |I| * v_D + quot_sum = 0 mod rho; the four
-    per-(l, p) statements are views on this one record.
+    per-(l, p) statements are views on this one record.  Every view needs p
+    outside S with p | D_l; multiplicity also p != l and rho not dividing v_D,
+    squarefree also p != l and a squarefree tuple.  evaluate_tuple checks these.
     """
 
     l: int
@@ -258,56 +267,6 @@ def _congruence(ctx: ObstructionContext, n: Sequence[int], l: int, p: int, rho: 
     quot_sum = sum(valuation(n[i - 1] // l, p) for i in I)
     residue = (len(I) * v_D + quot_sum) % rho
     return _Congruence(l, p, rho, I, v_D, valuation(l, p), quot_sum, residue)
-
-
-def _checked_congruence(
-    ctx: ObstructionContext, n: Sequence[int], l: int, q: int, rho: int, name: str
-) -> _Congruence:
-    if q in ctx.S:
-        raise PreconditionFailed(f"{name}={q} lies in the exceptional set")
-    if ctx.table.D(l) % q != 0:
-        raise PreconditionFailed(f"{name}={q} does not divide D_{l}")
-    return _congruence(ctx, n, l, q, rho)
-
-
-def absorption_congruence(
-    ctx: ObstructionContext, n: Sequence[int], l: int, p: int, rho: int
-) -> ObstructionVerdict:
-    """|I_l(n)| * v_p(D_l) + sum over I_l of v_p(n_i / l) = 0 mod rho, evaluated exactly."""
-    return _checked_congruence(ctx, n, l, p, rho, "p").absorption()
-
-
-def incidence_pairing(
-    ctx: ObstructionContext, n: Sequence[int], l: int, q: int, rho: int
-) -> ObstructionVerdict:
-    """<e_l(n), v_q(n)> against |I_l(n)|*(v_q(l) - v_q(D_l)) over F_rho (pairing form)."""
-    return _checked_congruence(ctx, n, l, q, rho, "q").pairing()
-
-
-def squarefree_incidence(
-    ctx: ObstructionContext, n: Sequence[int], l: int, q: int, rho: int
-) -> ObstructionVerdict:
-    """Counting form for squarefree tuples: N_{l,q} = -N_l * v_q(D_l) mod rho."""
-    for ni in n:
-        if not _verifiably_squarefree(ctx, ni):
-            raise NotSquarefree(f"index {ni} is not (verifiably) squarefree")
-    if q == l:
-        raise PreconditionFailed("q must differ from l")
-    return _checked_congruence(ctx, n, l, q, rho, "q").squarefree()
-
-
-def multiplicity_obstruction(
-    ctx: ObstructionContext, n: Sequence[int], l: int, q: int, rho: int
-) -> ObstructionVerdict:
-    """v_q of the quotient product against -|I_l(n)| * v_q(D_l) mod rho."""
-    if q == l:
-        raise PreconditionFailed("q must differ from l")
-    if q in ctx.S:
-        raise PreconditionFailed(f"q={q} lies in the exceptional set")
-    c = _congruence(ctx, n, l, q, rho)
-    if c.v_D % rho == 0:
-        raise PreconditionFailed(f"q={q} does not divide the power radical of D_{l}")
-    return c.multiplicity()
 
 
 # -- support and packing checkers --------------------------------------
@@ -369,10 +328,7 @@ def _check_top_prime_hypotheses(
     if not _exceeds_sqrtB_plus_1_sq(l, B):
         reasons.append(f"l={l} does not exceed (sqrt(B)+1)^2 for B={B}")
     for i in incidence_set(n, l):
-        try:
-            defect = _top_prime_defect(ctx, n, i, l)
-        except HypothesisViolated as exc:
-            defect = str(exc)
+        defect = _top_prime_defect(ctx, n, i, l)
         if defect is None and not is_B_smooth(n[i - 1] // l, B):
             defect = f"cofactor n_{i}/l={n[i - 1] // l} is not B-smooth"
         if defect is not None:
@@ -385,16 +341,15 @@ def smooth_cofactor_balance(
     n: Sequence[int],
     l: int,
     rho: int,
-    B,
-    L_rho: int = 0,
+    reasons: Sequence[str],
 ) -> ObstructionVerdict:
     """rho must divide |I_l(n)| when l is a large top prime with smooth cofactors.
 
-    A fails verdict certifies the product is not a rho-th power, provided
-    a detecting prime at l was actually exhibited; with only the
-    threshold assumption the verdict degrades to inconclusive.
+    reasons is _check_top_prime_hypotheses at l; any reason means the
+    hypotheses fail.  A fails verdict certifies the product is not a rho-th
+    power, provided a detecting prime at l was actually exhibited; with only
+    the threshold assumption the verdict degrades to inconclusive.
     """
-    reasons = _check_top_prime_hypotheses(ctx, n, l, B, L_rho)
     if reasons:
         raise HypothesisViolated("; ".join(reasons))
     I = incidence_set(n, l)
@@ -442,20 +397,18 @@ class ClusterPackingReport:
 def cluster_packing(
     ctx: ObstructionContext,
     n: Sequence[int],
-    Lambda: Sequence[int],
+    reasons: Dict[int, List[str]],
     rho: int,
-    B,
-    L_rho: int = 0,
 ) -> ClusterPackingReport:
     """Build M_Lambda(n) over F_rho and check all five packing conclusions.
 
+    Lambda is the keys of reasons, each l's _check_top_prime_hypotheses.
     Primes failing the per-l hypotheses are dropped with a note rather
     than aborting the whole report.
     """
     k = len(n)
-    reasons = {l: _check_top_prime_hypotheses(ctx, n, l, B, L_rho) for l in Lambda}
     dropped = {l: "; ".join(r) for l, r in reasons.items() if r}
-    surviving = [l for l in Lambda if not reasons[l]]
+    surviving = [l for l, r in reasons.items() if not r]
     matrix = build_incidence_matrix(n, surviving)
     lambda_star = [l for l in surviving if any(matrix[l])]
     conclusions: Dict[int, str] = {}
@@ -699,6 +652,7 @@ def evaluate_tuple(
         except HypothesisViolated as exc:
             skipped.append(f"{label}: {exc}")
 
+    reasons = {l: _check_top_prime_hypotheses(ctx, n, l, B, L_rho) for l in candidate_primes}
     for l in candidate_primes:
         # The entries are the primes outside S dividing D_l: the views' preconditions hold.
         for p, v in ctx.radical_data(l).entries:
@@ -709,8 +663,8 @@ def evaluate_tuple(
                 if squarefree:
                     verdicts.append(c.squarefree())
         verdicts.append(prime_support_check(ctx, n, l, rho))
-        attempt(f"smooth_cofactor_balance(l={l})", smooth_cofactor_balance, n, l, rho, B, L_rho)
-    cluster = cluster_packing(ctx, n, candidate_primes, rho, B, L_rho) if n else None
+        attempt(f"smooth_cofactor_balance(l={l})", smooth_cofactor_balance, n, l, rho, reasons[l])
+    cluster = cluster_packing(ctx, n, reasons, rho) if n else None
     attempt("repeated_top_prime", repeated_top_prime, n, rho, B, L_rho)
     if len(n) == 2 and gcd(n[0], n[1]) == 1:
         for m, other in (n, (n[1], n[0])):

@@ -11,7 +11,7 @@ the model is non-minimal, never a refutation of the law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -19,7 +19,7 @@ from .curve import RatPoint, WeierstrassCurve
 from .errors import PrimeTooLarge, SoundnessError, TableMiss
 from .eds import EdsTable
 from .factor import DEFAULT_EFFORT, Effort, factorize
-from .intmath import is_prime, primes_up_to, valuation
+from .intmath import is_prime, valuation
 
 BAD_REDUCTION = "bad_reduction"
 DIVIDES_D1 = "divides_D1"
@@ -173,6 +173,7 @@ class TermRadicalData:
         return value, ("certain" if self.complete else "lower_bound")
 
     def detecting(self, rho: int) -> List[Tuple[int, int]]:
+        """(p, v) with rho not dividing v; empty and incomplete means "not found", never "none"."""
         return [(p, v) for p, v in self.entries if v % rho != 0]
 
 
@@ -185,37 +186,17 @@ def term_radical_data(
     sieve_bound: int = 10 ** 4,
     effort: Effort = DEFAULT_EFFORT,
 ) -> TermRadicalData:
-    """All primes p outside S with p | D_l, found by the two-pronged search.
+    """All primes p outside S with p | D_l, with v_p(D_l), as far as the budget reaches.
 
-    Small primes come from the sieve, the cofactor from generic factoring
-    within the budget.  When l is prime, every prime found is verified to
-    have reduction order exactly l.
+    Trial division of D_l reaches at least sieve_bound, rho and ECM take the
+    cofactor.  When l is prime, every prime found is verified to have
+    reduction order exactly l.
     """
-    D_l = table.D(l)
-    entries: List[Tuple[int, int]] = []
-    if D_l == 1:
-        return TermRadicalData(l=l, entries=[], complete=True)
-    residual = D_l
-    for p in primes_up_to(min(sieve_bound, D_l)):
-        if residual % p != 0:
-            continue
-        v = valuation(residual, p)
-        residual //= p ** v
-        if p in S:
-            continue
+    fac = factorize(table.D(l), replace(effort, trial_bound=max(effort.trial_bound, sieve_bound)))
+    entries = [(p, v) for p, v in fac.factors if p not in S]
+    for p, _ in entries:
         _verify_structured_divisor(curve, P, p, l, table)
-        entries.append((p, v))
-    complete = residual == 1
-    if not complete:
-        fac = factorize(residual, effort)
-        for p, v in fac.factors:
-            if p in S:
-                continue
-            _verify_structured_divisor(curve, P, p, l, table)
-            entries.append((p, v))
-        complete = fac.complete
-    entries.sort()
-    return TermRadicalData(l=l, entries=entries, complete=complete)
+    return TermRadicalData(l=l, entries=entries, complete=fac.complete)
 
 
 def _verify_structured_divisor(
@@ -240,23 +221,3 @@ def _verify_structured_divisor(
     for m in range(1, l):
         if m <= table.max_index and table.D(m) % p == 0:
             raise SoundnessError(f"prime {p} dividing D_{l} is not primitive: p | D_{m}")
-
-
-def detecting_primes(
-    curve: WeierstrassCurve,
-    P: RatPoint,
-    S: ExceptionalSet,
-    l: int,
-    rho: int,
-    table: EdsTable,
-    sieve_bound: int = 10 ** 4,
-    effort: Effort = DEFAULT_EFFORT,
-) -> Tuple[List[Tuple[int, int]], bool]:
-    """(detecting primes for index l, search-complete flag).
-
-    A detecting prime is p outside S with p | D_l and rho not dividing
-    v_p(D_l).  Emptiness with complete=False means "not found within
-    budget", never "does not exist".
-    """
-    data = term_radical_data(curve, P, S, l, table, sieve_bound, effort)
-    return data.detecting(rho), data.complete

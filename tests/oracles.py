@@ -4,7 +4,9 @@ Nothing in here imports edskit's arithmetic for the quantity being checked:
 the group-law oracle finds the third intersection point by solving the
 curve/line system with sympy, the root oracles enumerate by brute force,
 and the valuation oracle divides directly.  The trial-division oracle
-takes its primes from edskit's sieve, which test_intmath checks.
+takes its primes from edskit's sieve, which test_intmath checks, and the
+sieve-then-factor radical search hands what its sieve leaves to edskit's
+factorize, which test_factor checks.
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ from math import isqrt
 
 import sympy as sp
 
+from edskit.factor import factorize
 from edskit.intmath import primes_up_to
 
 
@@ -143,6 +146,32 @@ def trial_divide_per_prime(x, bound):
                 e += 1
             factors.append((p, e))
     return factors, rest
+
+
+def radical_data_by_sieve(D, S, sieve_bound, effort):
+    """(entries, complete) for D: its primes p outside S with v_p(D), sorted.
+
+    The two-pronged search: strip every prime <= sieve_bound with its own
+    `%`, then factorize what is left within effort.  valuation.term_radical_data
+    must find the same primes with one factorize call.
+    """
+    entries = []
+    rest = D
+    for p in primes_up_to(min(sieve_bound, D)):
+        if rest % p:
+            continue
+        v = 0
+        while rest % p == 0:
+            rest //= p
+            v += 1
+        if p not in S:
+            entries.append((p, v))
+    complete = rest == 1
+    if not complete:
+        fac = factorize(rest, effort)
+        entries.extend((p, v) for p, v in fac.factors if p not in S)
+        complete = fac.complete
+    return sorted(entries), complete
 
 
 def enumerate_fp_points(coeffs, p):

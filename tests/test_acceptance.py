@@ -10,10 +10,17 @@ from math import gcd
 
 from edskit.eds import eds_range
 from edskit.intmath import is_rho_power, primes_up_to, valuation
-from edskit.obstruction import FAILS, HOLDS, cluster_packing, evaluate_tuple
+from edskit.obstruction import (
+    FAILS,
+    HOLDS,
+    _check_top_prime_hypotheses,
+    _congruence,
+    cluster_packing,
+    evaluate_tuple,
+)
 from edskit.relation import search_relations
 from edskit.relation import test_relation as product_relation
-from edskit.valuation import check_valuation_law, detecting_primes
+from edskit.valuation import check_valuation_law
 from oracles import enumerate_fp_points, oracle_d_values
 
 
@@ -109,34 +116,35 @@ def test_07_soundness_sweep(ctx37):
 def test_08_positive_relations_pass_absorption(ctx37):
     """Every exact power relation found satisfies the absorption congruence
     at every detecting prime (k <= 3, N <= 12, rho in {2, 3})."""
-    from edskit.obstruction import absorption_congruence
-
     for rho in (2, 3):
         relations = []
         for k in (1, 2, 3):
             relations.extend(search_relations(ctx37.table, k, 12, rho))
         assert relations
         for l in primes_up_to(12):
-            found, complete = detecting_primes(
-                ctx37.curve, ctx37.point, ctx37.S, l, rho, ctx37.table
-            )
-            assert complete
-            for p, _v in found:
+            data = ctx37.radical_data(l)
+            assert data.complete
+            for p, _v in data.detecting(rho):
                 for rel in relations:
-                    verdict = absorption_congruence(ctx37, rel.n, l, p, rho)
+                    verdict = _congruence(ctx37, rel.n, l, p, rho).absorption()
                     assert verdict.verdict == HOLDS, (rel.n, l, p, rho)
 
 
 def test_09_cluster_packing_fixtures(ctx37):
     """The 4-tuple two-block fixture satisfies all five conclusions; the
     weight-1 fixture yields a certified exclusion confirmed by the oracle."""
-    rep = cluster_packing(ctx37, (22, 33, 26, 39), [11, 13], 2, 3)
+
+    def packing(n):
+        reasons = {l: _check_top_prime_hypotheses(ctx37, n, l, 3, 0) for l in (11, 13)}
+        return cluster_packing(ctx37, n, reasons, 2)
+
+    rep = packing((22, 33, 26, 39))
     assert rep.dropped == {}
     assert rep.lambda_star == [11, 13]
     assert rep.rank == len(rep.lambda_star) == rep.k // rep.rho == 2
     assert all(v == HOLDS for v in rep.conclusions.values())
 
-    rep = cluster_packing(ctx37, (22, 26, 6), [11, 13], 2, 3)
+    rep = packing((22, 26, 6))
     assert rep.conclusions[1] == FAILS
     assert rep.exclusion and rep.certified
     assert not product_relation(ctx37.table, (22, 26, 6), 2).is_power

@@ -163,6 +163,20 @@ def test_obstruct_contradiction_prints_no_report(curve_file, capsys, monkeypatch
     assert captured.out == ""
 
 
+def test_obstruct_partly_factored_index(curve_file, capsys):
+    # With one trial prime and no rho step, 15 stays unfactored: l = 3 and l = 5
+    # are then not verified simple top primes of 15, which skips checkers, not the run.
+    rc = main(["obstruct", "--curve", curve_file, "--rho", "2", "--effort", "1:1:1",
+               "--tuple", "15,3", "--tuple", "5,3", "--format", "json"])
+    assert rc == 0
+    reports = json.loads(capsys.readouterr().out)["tuples"]
+    assert [r["n"] for r in reports] == [[15, 3], [5, 3]]
+    unknown = "largest prime divisor of 15 unknown (partial factorization)"
+    assert unknown in reports[0]["cluster_packing"]["dropped"]["5"]
+    assert any(s.startswith("smooth_cofactor_balance(l=5)") and unknown in s
+               for s in reports[0]["skipped"])
+
+
 def test_obstruct_square(curve_file, capsys):
     rc = main(["obstruct", "--curve", curve_file, "--rho", "2", "--tuple", "5,5"])
     assert rc == 0
@@ -226,6 +240,24 @@ def test_probe_detecting_empty_range(curve_file, capsys):
     assert rc == 0
     doc = capsys.readouterr().out
     assert "largest" not in doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["obstruct", "--B", "nan", "--tuple", "5,3"],
+    ["obstruct", "--B", "inf", "--tuple", "5,3"],
+    ["gen", "--n-max", "0"],
+    ["verify-law", "--n-max", "0", "--p-max", "10"],
+    ["obstruct", "--n-max", "-3", "--tuple", "5,3"],
+    ["obstruct", "--n-max", "10", "--tuple", "14,9"],
+], ids=["B-nan", "B-inf", "gen-n-max-0", "verify-law-n-max-0", "obstruct-n-max-negative",
+        "obstruct-n-max-below-tuple"])
+def test_bad_size_or_bound_exits_2_before_any_work(argv, curve_file, capsys, monkeypatch):
+    def setup(args):
+        raise AssertionError("work started before the configuration was checked")
+
+    monkeypatch.setattr(cli, "_setup", setup)
+    assert main(argv + ["--curve", curve_file]) == 2
+    assert capsys.readouterr().err.startswith("error: --")
 
 
 def test_bad_effort_spec(curve_file):

@@ -13,6 +13,8 @@ The sweeps:
 Everything is built from scratch here, without the session fixtures, so
 the same digests can be recomputed in a fresh interpreter, including one
 running under python -O, where every assert statement is stripped.
+
+The benchmark's obstruct-batch reference is reproduced here too, in process.
 """
 
 import hashlib
@@ -26,6 +28,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import edskit
+from edskit.cli import _parse_effort, load_curve_file
 from edskit.curve import WeierstrassCurve
 from edskit.eds import eds_range
 from edskit.obstruction import ObstructionContext, evaluate_tuple
@@ -33,6 +36,7 @@ from edskit.relation import test_relation as product_relation
 from edskit.valuation import build_exceptional_set
 
 GOLDEN = Path(__file__).parent / "golden" / "obstruct_reports.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _context(coeffs, N):
@@ -93,3 +97,32 @@ def test_golden_digests_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == json.loads(GOLDEN.read_text())
+
+
+def test_obstruct_batch_reference_digests():
+    """Every tuple report in bench/reference/obstruct-batch.json, with its oracle.
+
+    Each run is rebuilt from the thresholds in its recorded header, and each
+    report is digested as bench/run.py digests the reports of `obstruct`.
+    """
+    ref = json.loads((ROOT / "bench" / "reference" / "obstruct-batch.json").read_text())
+    assert sorted(ref["runs"]) == ["37:2", "43:3"]
+    for name, run in ref["runs"].items():
+        header, th = run["header"], run["header"]["thresholds"]
+        curve, point = load_curve_file(str(ROOT / header["curve_file"]))
+        S = build_exceptional_set(curve, point, include_guard=False)
+        assert S.to_json() == header["exceptional_set"]
+        table = eds_range(curve, point, th["n_max"])
+        ctx = ObstructionContext(
+            curve, point, S, table, sieve_bound=th["sieve_bound"], effort=_parse_effort(th["effort"])
+        )
+        assert len(run["reports"]) == 980
+        changed = []
+        for key, digest in run["reports"].items():
+            n = [int(x) for x in key.split(",")]
+            doc = evaluate_tuple(ctx, n, th["rho"], B=th["B"], L_rho=th["L_rho"]).to_json()
+            doc["oracle"] = product_relation(table, n, th["rho"]).to_json()
+            blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            if hashlib.sha256(blob.encode()).hexdigest()[:16] != digest:
+                changed.append(key)
+        assert not changed, f"{name}: {len(changed)} reports changed, first: {changed[:5]}"

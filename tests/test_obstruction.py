@@ -14,37 +14,31 @@ from math import gcd
 import pytest
 
 import edskit.obstruction
-from edskit.errors import (
-    HypothesisViolated,
-    NotSquarefree,
-    PreconditionFailed,
-    SoundnessError,
-)
+from edskit.errors import HypothesisViolated, SoundnessError
 from edskit.intmath import is_rho_power, primes_up_to
 from edskit.obstruction import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    ObstructionContext,
     ObstructionVerdict,
     TupleReport,
+    _check_top_prime_hypotheses,
+    _congruence,
     _radical_meets_bound,
-    absorption_congruence,
     build_incidence_matrix,
     cluster_packing,
     evaluate_tuple,
     gf_rank,
-    incidence_pairing,
     incidence_set,
     large_prime_gap,
-    multiplicity_obstruction,
     prime_support_check,
     radical_lower_bound,
     repeated_top_prime,
     smooth_cofactor_balance,
-    squarefree_incidence,
 )
 from edskit.relation import test_relation as product_relation
-from edskit.valuation import TermRadicalData
+from edskit.valuation import TermRadicalData, build_exceptional_set
 from oracles import brute_is_squarefree, brute_valuation, oracle_lq_count, oracle_pairing
 
 
@@ -80,31 +74,52 @@ def test_rank_equals_row_count_for_disjoint_supports():
             assert gf_rank(rows, rho) == len(rows)
 
 
+def hypotheses(ctx, n, Lambda, B, L_rho=0):
+    """{l: reasons the smooth-cofactor hypotheses fail at l}, as evaluate_tuple builds it."""
+    return {l: _check_top_prime_hypotheses(ctx, n, l, B, L_rho) for l in Lambda}
+
+
+def views(report, statement):
+    """The (l, p) of every verdict of one congruence view in a tuple report."""
+    key = "p" if statement == "absorption_congruence" else "q"
+    return [
+        (v.witnesses["l"], v.witnesses[key]) for v in report.verdicts if v.statement == statement
+    ]
+
+
 # -- absorption congruence and pairing ---------------------------------
 
 
 def test_absorption_examples(ctx37):
-    v = absorption_congruence(ctx37, (5, 5), 5, 2, 2)
+    v = _congruence(ctx37, (5, 5), 5, 2, 2).absorption()
     assert v.verdict == HOLDS  # 2*1 + 0 = 2 even; D_5^2 = 4 is a square
-    v = absorption_congruence(ctx37, (5, 3), 5, 2, 2)
+    v = _congruence(ctx37, (5, 3), 5, 2, 2).absorption()
     assert v.verdict == FAILS  # 1*1 + 0 = 1 odd; D_5 D_3 = 2 not a square
     assert v.certified_exclusion
     assert not is_rho_power(2, 2)
-    v = absorption_congruence(ctx37, (10, 3), 5, 2, 2)
+    v = _congruence(ctx37, (10, 3), 5, 2, 2).absorption()
     assert v.verdict == HOLDS  # 1*1 + v_2(10/5) = 2 even
 
 
-def test_absorption_preconditions(ctx37):
-    with pytest.raises(PreconditionFailed):
-        absorption_congruence(ctx37, (5, 3), 5, 37, 2)  # 37 in S
-    with pytest.raises(PreconditionFailed):
-        absorption_congruence(ctx37, (5, 3), 5, 7, 2)  # 7 does not divide D_5
+def test_absorption_preconditions(ctx37, curve37, point37, table37):
+    # evaluate_tuple builds the views only for primes p outside S with p | D_l.
+    guarded = ObstructionContext(
+        curve37, point37, build_exceptional_set(curve37, point37), table37
+    )
+    for ctx, at_5 in ((ctx37, [(5, 2)]), (guarded, [])):  # D_5 = 2; the guard puts 2 in S
+        rep = evaluate_tuple(ctx, (5, 3, 35), 2)
+        expected = [(l, p) for l in primes_up_to(35) for p, _ in ctx.radical_data(l).entries]
+        assert all(p not in ctx.S and ctx.table.D(l) % p == 0 for l, p in expected)
+        for statement in ("absorption_congruence", "incidence_pairing"):
+            built = views(rep, statement)
+            assert built == expected
+            assert [(l, p) for l, p in built if l == 5] == at_5
 
 
 def test_incidence_pairing_examples(ctx37):
-    assert incidence_pairing(ctx37, (5, 5), 5, 2, 2).verdict == HOLDS
-    assert incidence_pairing(ctx37, (10, 3), 5, 2, 2).verdict == HOLDS
-    v = incidence_pairing(ctx37, (5, 3), 5, 2, 2)
+    assert _congruence(ctx37, (5, 5), 5, 2, 2).pairing().verdict == HOLDS
+    assert _congruence(ctx37, (10, 3), 5, 2, 2).pairing().verdict == HOLDS
+    v = _congruence(ctx37, (5, 3), 5, 2, 2).pairing()
     assert v.verdict == FAILS
     assert v.witnesses["lhs"] == 0 and v.witnesses["rhs"] == 1
 
@@ -114,7 +129,7 @@ def test_absorption_pairing_equivalence(ctx37):
 
     The pairing form is sum_i e_i * v_q(n_i) against |I_l| * (v_q(l) - v_q(D_l));
     the counting form (squarefree tuples) is N_{l,q} = #{i : l*q | n_i} against
-    -|I_l| * v_q(D_l).  Neither goes through the checkers' shared core.
+    -|I_l| * v_q(D_l).  Neither goes through the views' shared core.
     """
     rng = random.Random(11)
     pairs = [(5, 2), (7, 3), (11, 23), (13, 59)]
@@ -133,31 +148,30 @@ def test_absorption_pairing_equivalence(ctx37):
                 expected = HOLDS if lhs == rhs else FAILS
                 case = (n, l, p, rho)
 
-                a = absorption_congruence(ctx37, n, l, p, rho)
+                c = _congruence(ctx37, n, l, p, rho)
+                a = c.absorption()
                 assert a.verdict == expected, case
                 assert a.witnesses == {
                     "l": l, "p": p, "I_l": I, "v_p_D_l": v_D,
                     "quotient_valuation_sum": quot,
                     "lhs_mod_rho": (len(I) * v_D + quot) % rho,
                 }, case
-                b = incidence_pairing(ctx37, n, l, p, rho)
+                b = c.pairing()
                 assert b.verdict == expected, case
                 assert b.witnesses == {"l": l, "q": p, "lhs": lhs, "rhs": rhs, "I_l": I}, case
-                m = multiplicity_obstruction(ctx37, n, l, p, rho)
+                m = c.multiplicity()
                 assert m.verdict == expected, case
                 assert m.witnesses == {
                     "l": l, "q": p, "I_l": I, "v_q_quotient": quot, "v_q_D_l": v_D,
                     "case": "rho_divides_I" if len(I) % rho == 0 else "rho_not_dividing_I",
                 }, case
                 if not squarefree:
-                    with pytest.raises(NotSquarefree):
-                        squarefree_incidence(ctx37, n, l, p, rho)
                     continue
                 squarefree_seen += 1
                 N_lq = oracle_lq_count(n, l, p)
                 counted = HOLDS if (N_lq + len(I) * v_D) % rho == 0 else FAILS
                 assert counted == expected, case  # the two textbook forms agree
-                s = squarefree_incidence(ctx37, n, l, p, rho)
+                s = c.squarefree()
                 assert s.verdict == counted, case
                 assert s.witnesses == {
                     "l": l, "q": p, "N_l": len(I), "N_lq": N_lq, "v_q_D_l": v_D,
@@ -169,12 +183,16 @@ def test_absorption_pairing_equivalence(ctx37):
 
 
 def test_squarefree_incidence_examples(ctx37):
-    assert squarefree_incidence(ctx37, (10, 10), 5, 2, 2).verdict == HOLDS
-    assert squarefree_incidence(ctx37, (5, 5), 5, 2, 2).verdict == HOLDS
-    with pytest.raises(NotSquarefree):
-        squarefree_incidence(ctx37, (4, 10), 5, 2, 2)
-    with pytest.raises(PreconditionFailed):
-        squarefree_incidence(ctx37, (10, 10), 5, 5, 2)  # q must differ from l
+    assert _congruence(ctx37, (10, 10), 5, 2, 2).squarefree().verdict == HOLDS
+    assert _congruence(ctx37, (5, 5), 5, 2, 2).squarefree().verdict == HOLDS
+    # evaluate_tuple builds the view only on squarefree tuples, and only for q != l:
+    # 53 divides D_53.
+    assert views(evaluate_tuple(ctx37, (4, 10), 2), "squarefree_incidence") == []
+    assert (5, 2) in views(evaluate_tuple(ctx37, (10, 10), 2), "squarefree_incidence")
+    rep = evaluate_tuple(ctx37, (53,), 2)
+    assert (53, 53) in views(rep, "absorption_congruence")
+    assert (53, 937) in views(rep, "squarefree_incidence")
+    assert (53, 53) not in views(rep, "squarefree_incidence")
 
 
 def test_prime_support_examples(ctx37):
@@ -189,28 +207,39 @@ def test_prime_support_examples(ctx37):
     assert not v.hypotheses["rho_not_dividing_I"]
 
 
-def test_multiplicity_examples(ctx37):
-    assert multiplicity_obstruction(ctx37, (10, 3), 5, 2, 2).verdict == HOLDS
-    assert multiplicity_obstruction(ctx37, (10, 10), 5, 2, 2).verdict == HOLDS
-    v = multiplicity_obstruction(ctx37, (5, 3), 5, 2, 2)
+def test_multiplicity_examples(ctx37, curve43, point43, s43, table43):
+    assert _congruence(ctx37, (10, 3), 5, 2, 2).multiplicity().verdict == HOLDS
+    assert _congruence(ctx37, (10, 10), 5, 2, 2).multiplicity().verdict == HOLDS
+    v = _congruence(ctx37, (5, 3), 5, 2, 2).multiplicity()
     assert v.verdict == FAILS
-    with pytest.raises(PreconditionFailed):
-        multiplicity_obstruction(ctx37, (10, 3), 5, 7, 2)  # 7 not in the radical
+    # evaluate_tuple builds the view only for q != l in the power radical of D_l.
+    built = views(evaluate_tuple(ctx37, (10, 3), 2), "multiplicity_obstruction")
+    assert (5, 2) in built and (5, 7) not in built  # 7 not in the radical
+    assert (53, 53) not in views(evaluate_tuple(ctx37, (53,), 2), "multiplicity_obstruction")
+    # On 43, v_13(D_19) = 3: 13 lies in the power radical of D_19 for rho = 2 only.
+    ctx43 = ObstructionContext(curve43, point43, s43, table43)
+    for rho, built in ((2, True), (3, False)):
+        rep = evaluate_tuple(ctx43, (19,), rho)
+        assert (19, 13) in views(rep, "absorption_congruence")
+        assert ((19, 13) in views(rep, "multiplicity_obstruction")) == built
 
 
 # -- section-5 checkers ------------------------------------------------
 
 
 def test_smooth_cofactor_balance(ctx37):
+    def balance(n, l, rho, B):
+        return smooth_cofactor_balance(ctx37, n, l, rho, hypotheses(ctx37, n, [l], B)[l])
+
     # |I_7| = 2: balanced, no obstruction.
-    assert smooth_cofactor_balance(ctx37, (7, 14), 7, 2, 2).verdict == HOLDS
+    assert balance((7, 14), 7, 2, 2).verdict == HOLDS
     # |I_7| = 1 with a verified detecting prime (3 | D_7): certified exclusion.
-    v = smooth_cofactor_balance(ctx37, (7,), 7, 2, 2)
+    v = balance((7,), 7, 2, 2)
     assert v.verdict == FAILS
     assert v.certified_exclusion
     # l = 5 sits below (sqrt(4)+1)^2 = 9: threshold hypothesis fails.
     with pytest.raises(HypothesisViolated):
-        smooth_cofactor_balance(ctx37, (5,), 5, 2, 4)
+        balance((5,), 5, 2, 4)
 
 
 def test_smooth_cofactor_threshold_exact():
@@ -226,7 +255,8 @@ def test_smooth_cofactor_threshold_exact():
 
 def test_cluster_packing_disjoint_blocks(ctx37):
     # Two rho-balanced blocks at l=11 and l=13 with 3-smooth cofactors.
-    rep = cluster_packing(ctx37, (22, 33, 26, 39), [11, 13], 2, 3)
+    n = (22, 33, 26, 39)
+    rep = cluster_packing(ctx37, n, hypotheses(ctx37, n, [11, 13], 3), 2)
     assert rep.dropped == {}
     assert rep.lambda_star == [11, 13]
     assert rep.matrix[11] == [1, 1, 0, 0]
@@ -238,7 +268,8 @@ def test_cluster_packing_disjoint_blocks(ctx37):
 
 
 def test_cluster_packing_weight_one_rows(ctx37, table37):
-    rep = cluster_packing(ctx37, (22, 26, 6), [11, 13], 2, 3)
+    n = (22, 26, 6)
+    rep = cluster_packing(ctx37, n, hypotheses(ctx37, n, [11, 13], 3), 2)
     assert rep.conclusions[1] == FAILS
     assert rep.exclusion and rep.certified
     # Ground truth: the product really is not a square.
@@ -246,7 +277,7 @@ def test_cluster_packing_weight_one_rows(ctx37, table37):
 
 
 def test_cluster_packing_empty_lambda_star(ctx37):
-    rep = cluster_packing(ctx37, (2,), [11], 2, 2)
+    rep = cluster_packing(ctx37, (2,), hypotheses(ctx37, (2,), [11], 2), 2)
     assert rep.lambda_star == []
     assert rep.conclusions[5] == HOLDS
     assert not rep.exclusion
@@ -254,7 +285,8 @@ def test_cluster_packing_empty_lambda_star(ctx37):
 
 def test_cluster_packing_drops_bad_hypotheses(ctx37):
     # v_11(121) = 2 violates the top-prime hypothesis at l = 11.
-    rep = cluster_packing(ctx37, (121, 26, 39), [11, 13], 2, 3)
+    n = (121, 26, 39)
+    rep = cluster_packing(ctx37, n, hypotheses(ctx37, n, [11, 13], 3), 2)
     assert 11 in rep.dropped
     assert rep.lambda_used == [13]
 
@@ -398,7 +430,7 @@ def test_no_checker_holds_on_failed_hypotheses(ctx37):
 
 
 def test_verdict_json_uses_decimal_strings(ctx37):
-    doc = absorption_congruence(ctx37, (5, 3), 5, 2, 2).to_json()
+    doc = _congruence(ctx37, (5, 3), 5, 2, 2).absorption().to_json()
     assert doc["witnesses"]["p"] == "2"
     assert doc["verdict"] == FAILS
 

@@ -14,13 +14,14 @@ from edskit.errors import SoundnessError, TableMiss
 from edskit.factor import Effort
 from edskit.intmath import primes_up_to, valuation
 from edskit.valuation import (
+    TermRadicalData,
     _verify_structured_divisor,
     build_exceptional_set,
     check_valuation_law,
-    detecting_primes,
     term_radical_data,
     valuation_via_law,
 )
+from oracles import radical_data_by_sieve
 
 P_ABOVE_2_40 = 1149313944433  # divides D_53 on the Delta=37 fixture
 
@@ -102,24 +103,20 @@ def test_law_agrees_with_direct_valuation(all_fixtures):
 
 
 def test_detecting_primes_examples(curve37, point37, s37, table37):
-    found, complete = detecting_primes(curve37, point37, s37, 5, 2, table37)
-    assert (found, complete) == ([(2, 1)], True)
-    found, complete = detecting_primes(curve37, point37, s37, 7, 2, table37)
-    assert (found, complete) == ([(3, 1)], True)
-    found, complete = detecting_primes(curve37, point37, s37, 2, 2, table37)
-    assert (found, complete) == ([], True)
+    for l, found in ((5, [(2, 1)]), (7, [(3, 1)]), (2, [])):
+        data = term_radical_data(curve37, point37, s37, l, table37)
+        assert (data.detecting(2), data.complete) == (found, True)
 
 
 def test_detecting_primes_larger_indices(curve37, point37, s37, table37):
-    found, complete = detecting_primes(curve37, point37, s37, 11, 2, table37)
-    assert complete and (23, 1) in found
-    found, complete = detecting_primes(curve37, point37, s37, 13, 2, table37)
-    assert complete and (59, 1) in found
+    for l, p in ((11, 23), (13, 59)):
+        data = term_radical_data(curve37, point37, s37, l, table37)
+        assert data.complete and (p, 1) in data.detecting(2)
 
 
 def test_detecting_primes_are_primitive(curve37, point37, s37, table37):
     for l in (5, 7, 11, 13, 17, 19):
-        found, _ = detecting_primes(curve37, point37, s37, l, 2, table37)
+        found = term_radical_data(curve37, point37, s37, l, table37).detecting(2)
         for p, _v in found:
             assert curve37.reduction_order(point37, p) == l
             assert all(table37.D(m) % p != 0 for m in range(1, l))
@@ -144,6 +141,23 @@ def test_term_radical_data_excludes_s(curve37, point37, table37):
     assert data.entries == []  # D_5 = 2 is entirely inside S
     assert data.complete
     assert data.power_radical(2) == (1, "certain")
+
+
+def test_term_radical_data_matches_sieve_oracle(all_fixtures):
+    # A 200-step rho budget leaves many D_l partial: the primes found and the
+    # completeness flag must agree wherever the search stops.  With trial
+    # division below 10 and no rho step, only a search that reaches the sieve
+    # bound finds the primes in (10, 10^4] (checked on 37 and 43).
+    cases = [(fx, Effort(10 ** 4, 200)) for fx in all_fixtures]
+    cases += [(fx, Effort(trial_bound=10, rho_iterations=1)) for fx in all_fixtures[::2]]
+    for (curve, point, table, S), effort in cases:
+        for l in range(1, 61):
+            data = term_radical_data(curve, point, S, l, table, 10 ** 4, effort)
+            oracle = radical_data_by_sieve(table.D(l), S, 10 ** 4, effort)
+            assert (data.entries, data.complete) == oracle, (l, effort)
+    curve, point, table, S = all_fixtures[0]
+    assert table.D(1) == 1
+    assert term_radical_data(curve, point, S, 1, table) == TermRadicalData(1, [], True)
 
 
 def test_law_and_radical_data_never_count_points(all_fixtures, monkeypatch):
