@@ -22,7 +22,7 @@ import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .curve import WeierstrassCurve, minimality_report
@@ -162,54 +162,73 @@ def _write_json(doc, out) -> None:
     tuples itself, encodes strings with the C string encoder, hands every
     other scalar to a compact ``JSONEncoder`` and writes as it goes, so the
     output is the same bytes.  Keys must be strings.
+
+    A container that occurs more than once at one indentation is encoded
+    once: its second occurrence is captured as text, which every later one
+    reuses.  ``doc`` keeps each container alive, so its ``id`` stays unique.
     """
     scalar = json.JSONEncoder().encode
     enc = encode_basestring_ascii
-    buf: List[str] = []
-    put = buf.append
+    pending: List[str] = []
+    buf = pending  # pending, or the buffer of a container being captured
+    seen = set()
+    texts: Dict[Tuple[int, str], str] = {}
 
     def value(o, pad: str) -> None:
+        nonlocal buf
         if isinstance(o, str):
-            put(enc(o))
+            buf.append(enc(o))
         elif o is None:
-            put("null")
+            buf.append("null")
         elif o is True:
-            put("true")
+            buf.append("true")
         elif o is False:
-            put("false")
-        elif isinstance(o, dict):
-            inner = pad + "  "
-            if not o:
-                put("{}")
+            buf.append("false")
+        elif isinstance(o, (dict, list, tuple)):
+            key = (id(o), pad)
+            text = texts.get(key)
+            if text is not None:
+                buf.append(text)
+            elif key in seen:
+                outer, buf = buf, []
+                container(o, pad)
+                text = texts[key] = "".join(buf)
+                buf = outer
+                buf.append(text)
             else:
-                sep = "{\n" + inner
-                for k, v in sorted(o.items()):
-                    put(sep + enc(k) + ": ")
-                    value(v, inner)
-                    sep = ",\n" + inner
-                put("\n" + pad + "}")
-        elif isinstance(o, (list, tuple)):
-            inner = pad + "  "
-            if not o:
-                put("[]")
-            elif all(isinstance(x, str) for x in o):
-                put("[\n" + inner + (",\n" + inner).join(map(enc, o)) + "\n" + pad + "]")
-            else:
-                sep = "[\n" + inner
-                for x in o:
-                    put(sep)
-                    value(x, inner)
-                    sep = ",\n" + inner
-                put("\n" + pad + "]")
+                seen.add(key)
+                container(o, pad)
         else:
-            put(scalar(o))
-        if len(buf) >= _FLUSH_PIECES:
-            out.write("".join(buf))
-            buf.clear()
+            buf.append(scalar(o))
+        if len(pending) >= _FLUSH_PIECES:
+            out.write("".join(pending))
+            pending.clear()
+
+    def container(o, pad: str) -> None:
+        put = buf.append
+        inner = pad + "  "
+        if not o:
+            put("{}" if isinstance(o, dict) else "[]")
+        elif isinstance(o, dict):
+            sep = "{\n" + inner
+            for k, v in sorted(o.items()):
+                put(sep + enc(k) + ": ")
+                value(v, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "}")
+        elif all(isinstance(x, str) for x in o):
+            put("[\n" + inner + (",\n" + inner).join(map(enc, o)) + "\n" + pad + "]")
+        else:
+            sep = "[\n" + inner
+            for x in o:
+                put(sep)
+                value(x, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "]")
 
     value(doc, "")
-    put("\n")
-    out.write("".join(buf))
+    pending.append("\n")
+    out.write("".join(pending))
 
 
 def _emit(doc: dict, fmt: str, text_lines: List[str]) -> None:
@@ -324,11 +343,10 @@ def cmd_obstruct(args) -> int:
     if args.n_max is not None and args.n_max < largest:
         raise ConfigError(f"--n-max {args.n_max} is below the largest tuple entry {largest}")
     n_max = largest if args.n_max is None else args.n_max
+    effort = _parse_effort(args.effort)
     E, P, S, minim = _setup(args)
     table = eds_range(E, P, n_max)
-    ctx = ObstructionContext(
-        E, P, S, table, sieve_bound=args.sieve_bound, effort=_parse_effort(args.effort)
-    )
+    ctx = ObstructionContext(E, P, S, table, sieve_bound=args.sieve_bound, effort=effort)
     doc = _header(
         args, S, minim, rho=args.rho, B=args.B, L_rho=args.L_rho,
         n_max=n_max, sieve_bound=args.sieve_bound, effort=args.effort,
@@ -363,6 +381,7 @@ def cmd_obstruct(args) -> int:
 def cmd_probe_detecting(args) -> int:
     if args.rho < 2 or not is_prime(args.rho):
         raise ConfigError("--rho must be prime")
+    effort = _parse_effort(args.effort)
     E, P, S, minim = _setup(args)
     ls = [l for l in primes_up_to(args.l_max) if l >= args.l_min]
     doc = _header(
@@ -372,7 +391,6 @@ def cmd_probe_detecting(args) -> int:
     results = []
     if ls:
         table = eds_range(E, P, max(ls))
-        effort = _parse_effort(args.effort)
         largest_without = None
         for l in ls:
             data = term_radical_data(E, P, S, l, table, args.sieve_bound, effort)

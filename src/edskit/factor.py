@@ -327,7 +327,7 @@ def factorize(x: int, effort: Effort = DEFAULT_EFFORT) -> Factorization:
     result = Factorization(n=x, factors=factors)
     if rest == 1:
         return result
-    if rest <= effort.trial_bound * effort.trial_bound or is_prime(rest):
+    if rest <= effort.trial_bound * effort.trial_bound:
         # Below the square of the trial bound any survivor is prime.
         _merge(result.factors, rest, 1)
         result.factors.sort()
@@ -337,7 +337,7 @@ def factorize(x: int, effort: Effort = DEFAULT_EFFORT) -> Factorization:
     stack = [rest]
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        if is_prime(m):  # the one primality test of each cofactor
             _merge(result.factors, m, 1)
             continue
         d = _split(m, effort.rho_iterations, deadline)

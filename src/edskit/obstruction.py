@@ -39,6 +39,7 @@ class ObstructionVerdict:
     hypotheses: Dict[str, bool] = field(default_factory=dict)
     witnesses: Dict[str, object] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
+    _json: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def certified_exclusion(self) -> bool:
@@ -46,13 +47,16 @@ class ObstructionVerdict:
         return self.verdict == FAILS and all(self.hypotheses.values())
 
     def to_json(self) -> dict:
-        return {
-            "statement": self.statement,
-            "verdict": self.verdict,
-            "hypotheses": self.hypotheses,
-            "witnesses": {k: _jsonable(v) for k, v in self.witnesses.items()},
-            "notes": self.notes,
-        }
+        """One dict, built on the first call: a verdict is never changed once built."""
+        if self._json is None:
+            self._json = {
+                "statement": self.statement,
+                "verdict": self.verdict,
+                "hypotheses": self.hypotheses,
+                "witnesses": {k: _jsonable(v) for k, v in self.witnesses.items()},
+                "notes": self.notes,
+            }
+        return self._json
 
 
 def _jsonable(v):
@@ -65,7 +69,12 @@ def _jsonable(v):
 
 @dataclass(eq=False, repr=False)
 class ObstructionContext:
-    """Immutable inputs shared by all checkers, with radical-data and index-factor caches."""
+    """Immutable inputs shared by all checkers, with the caches of tuple-independent work.
+
+    Besides radical data and index factorizations, it keeps each l's threshold
+    tests and, per (l, rho, squarefree, B, L_rho), the verdict block of an l
+    that divides no entry of the tuple (see evaluate_tuple).
+    """
 
     curve: WeierstrassCurve
     point: RatPoint
@@ -75,6 +84,8 @@ class ObstructionContext:
     effort: Effort = DEFAULT_EFFORT
     _radical_cache: Dict[int, TermRadicalData] = field(default_factory=dict, init=False)
     _factor_cache: Dict[int, Factorization] = field(default_factory=dict, init=False)
+    _threshold_cache: Dict[tuple, Tuple[bool, bool, bool]] = field(default_factory=dict, init=False)
+    _idle_blocks: Dict[tuple, "_PrimeBlock"] = field(default_factory=dict, init=False)
 
     def radical_data(self, l: int) -> TermRadicalData:
         if l not in self._radical_cache:
@@ -88,6 +99,13 @@ class ObstructionContext:
         if x not in self._factor_cache:
             self._factor_cache[x] = factorize(x, self.effort)
         return self._factor_cache[x]
+
+    def thresholds(self, l: int, B, L_rho: int) -> Tuple[bool, bool, bool]:
+        """(l is prime, l > L_rho, l > (sqrt(B) + 1)^2), decided once per (l, B, L_rho)."""
+        key = (l, B, L_rho)
+        if key not in self._threshold_cache:
+            self._threshold_cache[key] = (is_prime(l), l > L_rho, _exceeds_sqrtB_plus_1_sq(l, B))
+        return self._threshold_cache[key]
 
     def has_verified_detecting_prime(self, l: int, rho: int) -> bool:
         """A detecting prime for index l was actually found (not assumed)."""
@@ -320,12 +338,13 @@ def _check_top_prime_hypotheses(
     ctx: ObstructionContext, n: Sequence[int], l: int, B, L_rho
 ) -> List[str]:
     """Reasons the smooth-cofactor hypotheses fail at l (empty = all hold)."""
+    prime, above_L_rho, above_B = ctx.thresholds(l, B, L_rho)
     reasons = []
-    if not is_prime(l):
+    if not prime:
         reasons.append(f"l={l} is not prime")
-    if l <= L_rho:
+    if not above_L_rho:
         reasons.append(f"l={l} does not exceed the detecting threshold L_rho={L_rho}")
-    if not _exceeds_sqrtB_plus_1_sq(l, B):
+    if not above_B:
         reasons.append(f"l={l} does not exceed (sqrt(B)+1)^2 for B={B}")
     for i in incidence_set(n, l):
         defect = _top_prime_defect(ctx, n, i, l)
@@ -461,10 +480,11 @@ def repeated_top_prime(
         l_i = _largest_prime_factor_exact(ctx, ni)
         if l_i == 1:
             raise HypothesisViolated(f"n_{i}=1 has no top prime")
+        _, above_L_rho, above_B = ctx.thresholds(l_i, B, L_rho)
         reasons = []
-        if l_i <= L_rho:
+        if not above_L_rho:
             reasons.append(f"l_{i}={l_i} below L_rho")
-        if not _exceeds_sqrtB_plus_1_sq(l_i, B):
+        if not above_B:
             reasons.append(f"l_{i}={l_i} not above (sqrt(B)+1)^2")
         if _top_prime_defect(ctx, n, i, l_i) is not None:
             reasons.append(f"v_l(n_{i}) != 1")
@@ -599,6 +619,36 @@ def radical_lower_bound(
 # -- whole-tuple evaluation --------------------------------------------
 
 
+class _PrimeBlock(NamedTuple):
+    """What evaluate_tuple reports at one candidate prime l."""
+
+    reasons: List[str]  # _check_top_prime_hypotheses at l
+    verdicts: List[ObstructionVerdict]
+    skipped: List[str]
+
+
+def _prime_block(
+    ctx: ObstructionContext, n: Sequence[int], l: int, rho: int, squarefree: bool, B, L_rho: int
+) -> _PrimeBlock:
+    """The congruence views at each radical-data entry of l, then the support and balance checks."""
+    reasons = _check_top_prime_hypotheses(ctx, n, l, B, L_rho)
+    verdicts: List[ObstructionVerdict] = []
+    # The entries are the primes outside S dividing D_l: the views' preconditions hold.
+    for p, v in ctx.radical_data(l).entries:
+        c = _congruence(ctx, n, l, p, rho)
+        verdicts.extend([c.absorption(), c.pairing()])
+        if p != l and v % rho != 0:
+            verdicts.append(c.multiplicity())
+            if squarefree:
+                verdicts.append(c.squarefree())
+    verdicts.append(prime_support_check(ctx, n, l, rho))
+    try:
+        verdicts.append(smooth_cofactor_balance(ctx, n, l, rho, reasons))
+    except HypothesisViolated as exc:
+        return _PrimeBlock(reasons, verdicts, [f"smooth_cofactor_balance(l={l}): {exc}"])
+    return _PrimeBlock(reasons, verdicts, [])
+
+
 @dataclass
 class TupleReport:
     """Every applicable checker's verdict for one index tuple."""
@@ -652,18 +702,20 @@ def evaluate_tuple(
         except HypothesisViolated as exc:
             skipped.append(f"{label}: {exc}")
 
-    reasons = {l: _check_top_prime_hypotheses(ctx, n, l, B, L_rho) for l in candidate_primes}
+    reasons = {}
     for l in candidate_primes:
-        # The entries are the primes outside S dividing D_l: the views' preconditions hold.
-        for p, v in ctx.radical_data(l).entries:
-            c = _congruence(ctx, n, l, p, rho)
-            verdicts.extend([c.absorption(), c.pairing()])
-            if p != l and v % rho != 0:
-                verdicts.append(c.multiplicity())
-                if squarefree:
-                    verdicts.append(c.squarefree())
-        verdicts.append(prime_support_check(ctx, n, l, rho))
-        attempt(f"smooth_cofactor_balance(l={l})", smooth_cofactor_balance, n, l, rho, reasons[l])
+        if any(ni % l == 0 for ni in n):
+            block = _prime_block(ctx, n, l, rho, squarefree, B, L_rho)
+        else:
+            # I_l(n) is empty: every congruence reads 0 = 0 and every check is
+            # vacuous, so the block depends on the key alone and is built once.
+            key = (l, rho, squarefree, B, L_rho)
+            block = ctx._idle_blocks.get(key)
+            if block is None:
+                block = ctx._idle_blocks[key] = _prime_block(ctx, n, l, rho, squarefree, B, L_rho)
+        reasons[l] = block.reasons
+        verdicts.extend(block.verdicts)
+        skipped.extend(block.skipped)
     cluster = cluster_packing(ctx, n, reasons, rho) if n else None
     attempt("repeated_top_prime", repeated_top_prime, n, rho, B, L_rho)
     if len(n) == 2 and gcd(n[0], n[1]) == 1:

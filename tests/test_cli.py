@@ -260,9 +260,18 @@ def test_bad_size_or_bound_exits_2_before_any_work(argv, curve_file, capsys, mon
     assert capsys.readouterr().err.startswith("error: --")
 
 
-def test_bad_effort_spec(curve_file):
-    assert main(["obstruct", "--curve", curve_file, "--tuple", "5,3",
-                 "--effort", "oops"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["obstruct", "--tuple", "5,3"],
+    ["probe-detecting", "--l-max", "13"],
+    ["probe-detecting", "--l-max", "13", "--l-min", "14"],  # no prime index to probe
+], ids=["obstruct", "probe-detecting", "probe-detecting-empty-range"])
+def test_bad_effort_spec_exits_2_before_any_work(argv, curve_file, capsys, monkeypatch):
+    def setup(args):
+        raise AssertionError("work started before the effort spec was parsed")
+
+    monkeypatch.setattr(cli, "_setup", setup)
+    assert main(argv + ["--curve", curve_file, "--effort", "oops"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad effort spec")
 
 
 def test_version_flag(capsys):
@@ -309,6 +318,33 @@ def test_write_json_matches_json_dumps(doc):
     out = io.StringIO()
     cli._write_json(doc, out)
     assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@given(_documents)
+def test_write_json_shared_values_match_json_dumps(value):
+    # One object at several positions, at the same and at other indentations.
+    doc = {"a": [value, value, value], "b": {"c": value, "d": [[value], value]}, "e": value}
+    out = io.StringIO()
+    cli._write_json(doc, out)
+    assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("flush_pieces", [1, 5, cli._FLUSH_PIECES])
+def test_write_json_shared_containers_across_flushes(flush_pieces, monkeypatch):
+    monkeypatch.setattr(cli, "_FLUSH_PIECES", flush_pieces)
+    strs = ["p", "q"]
+    inner = {"k": [1, None, "x"], "strs": strs, "empty": {}}
+    verdict = {"inner": inner, "n": list(range(20)), "strs": strs, "none": []}
+    doc = {
+        "tuples": [{"verdicts": [verdict, inner, verdict]} for _ in range(4)],
+        "top": verdict,
+        "lists": [strs, inner["k"], [inner["k"], strs], inner["k"]],
+    }
+    out = _CountingStream()
+    cli._write_json(doc, out)
+    assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if flush_pieces == 1:
+        assert out.writes > 20
 
 
 def test_write_json_keeps_int_str_digit_limit():

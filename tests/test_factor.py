@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from edskit import intmath
+from edskit import factor, intmath
 from edskit.factor import (
     RHO_SHORT_RUN,
     TRIAL_CHUNK,
@@ -58,6 +58,19 @@ def test_factorize_semiprime_beyond_trial_bound():
     fac = factorize(p * q, Effort(trial_bound=100, rho_iterations=10 ** 7))
     assert fac.complete
     assert fac.factors == [(p, 1), (q, 1)]
+
+
+def test_factorize_tests_each_cofactor_for_primality_once(monkeypatch):
+    tested = []
+
+    def counted_is_prime(m):
+        tested.append(m)
+        return is_prime(m)
+
+    monkeypatch.setattr(factor, "is_prime", counted_is_prime)
+    p, q = 1000003, 1000033
+    assert factorize(p * q, Effort(trial_bound=100)).factors == [(p, 1), (q, 1)]
+    assert sorted(tested) == [p, q, p * q]
 
 
 def test_factorize_partial_within_tiny_budget():

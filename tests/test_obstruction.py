@@ -421,6 +421,51 @@ def test_evaluate_tuple_reports_skips(ctx37):
     assert any("repeated_top_prime" in s for s in rep.skipped)
 
 
+PER_L_STATEMENTS = {
+    "absorption_congruence", "incidence_pairing", "multiplicity_obstruction",
+    "squarefree_incidence", "prime_support_check", "smooth_cofactor_balance",
+}
+
+
+def at_l(report, l):
+    """The per-l verdicts of a tuple report at index l."""
+    return [v for v in report.verdicts if v.statement in PER_L_STATEMENTS and v.witnesses["l"] == l]
+
+
+@pytest.mark.parametrize("fixture", ["37", "43"])
+def test_idle_prime_blocks_do_not_leak_between_tuples(fixture, request):
+    curve, point, table, S = request.getfixturevalue("all_fixtures")[0 if fixture == "37" else 2]
+    # (11, 3) and (11, 9) share the idle l = 2, 5, 7; only the first is squarefree.  On 43,
+    # v_13(D_19) = 3, so at an idle 19 the multiplicity view exists for rho = 2 only.
+    tuples = [(11, 3), (11, 9), (5, 3), (4, 3), (13, 3), (7, 7, 2), (1,), (10, 6, 15), (23, 29)]
+    settings = [(2, 2, 0), (3, 2, 0), (2, 7, 0), (2, 2, 5)]  # (rho, B, L_rho)
+    runs = [(n, rho, B, L_rho) for n in tuples for rho, B, L_rho in settings]
+
+    def sweep(order):
+        ctx = ObstructionContext(curve, point, S, table)
+        return {run: evaluate_tuple(ctx, *run) for run in order}
+
+    forward, backward = sweep(runs), sweep(runs[::-1])
+    for run in runs:
+        assert forward[run].to_json() == backward[run].to_json()
+        n = run[0]
+        for l in primes_up_to(max(n)):
+            if not incidence_set(n, l):
+                assert all(v.verdict != FAILS for v in at_l(forward[run], l))
+    # A later tuple reuses the verdict objects of an earlier one at a shared idle l.
+    first, later = forward[((11, 3), 2, 2, 0)], forward[((13, 3), 2, 2, 0)]
+    for l in (2, 5, 7):
+        assert at_l(first, l) and len(at_l(first, l)) == len(at_l(later, l))
+        assert all(a is b for a, b in zip(at_l(first, l), at_l(later, l)))
+    assert not any(a is b for a, b in zip(at_l(first, 3), at_l(later, 3)))
+    if fixture == "37":  # the squarefree view at the idle l = 7 (D_7 = 3)
+        squarefree_at_7 = {
+            n: [v for v in at_l(forward[(n, 2, 2, 0)], 7) if v.statement == "squarefree_incidence"]
+            for n in ((11, 3), (11, 9))
+        }
+        assert len(squarefree_at_7[(11, 3)]) == 1 and squarefree_at_7[(11, 9)] == []
+
+
 def test_no_checker_holds_on_failed_hypotheses(ctx37):
     # Vacuity discipline: the vacuous support check is inconclusive, and
     # its hypothesis record shows which assumption failed.
