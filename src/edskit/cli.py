@@ -59,7 +59,7 @@ def load_curve_file(path: str):
             doc = json.load(fh)
         coeffs = [int(doc[k]) for k in ("a1", "a2", "a3", "a4", "a6")]
         P = (_parse_rational(doc["x"]), _parse_rational(doc["y"]))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad curve file {path}: {exc}")
     try:
         E = WeierstrassCurve(*coeffs)
@@ -128,7 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _setup(args):
     E, P = load_curve_file(args.curve)
-    extra = [int(x) for x in args.extra_s.split(",") if x.strip()]
+    try:
+        extra = [int(x) for x in args.extra_s.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad --extra-s: {exc}")
     for p in extra:
         if not is_prime(p):
             raise ConfigError(f"--extra-s entry {p} is not prime")
@@ -312,17 +315,17 @@ def cmd_verify_law(args) -> int:
 
 def _read_tuples(args) -> List[List[int]]:
     tuples = []
-    for spec in args.tuple:
-        tuples.append([int(x) for x in spec.split(",") if x.strip()])
-    if args.tuple_file:
-        try:
+    try:
+        for spec in args.tuple:
+            tuples.append([int(x) for x in spec.split(",") if x.strip()])
+        if args.tuple_file:
             with open(args.tuple_file) as fh:
                 for line in fh:
                     line = line.strip()
                     if line:
                         tuples.append([int(x) for x in line.split(",")])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"bad tuple file: {exc}")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad tuple: {exc}")
     if not tuples:
         raise ConfigError("no tuples given (use --tuple or --tuple-file)")
     for t in tuples:

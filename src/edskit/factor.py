@@ -34,6 +34,12 @@ class Effort:
     rho_iterations: int = 10 ** 7
     wall_clock: float = 60.0
 
+    def __post_init__(self) -> None:
+        # factorize takes any survivor below trial_bound**2 for a prime: no field may be negative.
+        for name, value in vars(self).items():
+            if not value >= 0:  # NaN compares false
+                raise ValueError(f"effort {name} must be non-negative, not {value}")
+
 
 DEFAULT_EFFORT = Effort()
 
@@ -361,16 +367,11 @@ def _merge(factors: List[Tuple[int, int]], p: int, e: int) -> None:
 def is_B_smooth(x: int, B) -> bool:
     """True iff every prime factor of x is <= B.
 
-    Trial division by the primes <= min(B, isqrt(x)) is always conclusive:
-    what survives is 1, a prime, or (when B < isqrt(x)) a number whose
-    prime factors all exceed B, so x is smooth exactly when the survivor
-    is at most B.
+    Trial division by the primes <= int(B) is always conclusive: what
+    survives is 1, a prime, or a number whose prime factors all exceed B,
+    so x is smooth exactly when the survivor is 1 or at most B.
     """
     if x < 1:
         raise ValueError("x must be positive")
-    for p in primes_up_to(min(int(B), math.isqrt(x))):
-        if p * p > x:
-            break
-        while x % p == 0:
-            x //= p
-    return x == 1 or x <= B
+    _, rest = _trial_divide(x, int(B))
+    return rest == 1 or rest <= B

@@ -69,12 +69,8 @@ def _jsonable(v):
 
 @dataclass(eq=False, repr=False)
 class ObstructionContext:
-    """Immutable inputs shared by all checkers, with the caches of tuple-independent work.
-
-    Besides radical data and index factorizations, it keeps each l's threshold
-    tests and, per (l, rho, squarefree, B, L_rho), the verdict block of an l
-    that divides no entry of the tuple (see evaluate_tuple).
-    """
+    """Immutable inputs shared by all checkers, with caches of work shared across tuples:
+    radical data, index factorizations, each l's threshold tests and the blocks of _prime_block."""
 
     curve: WeierstrassCurve
     point: RatPoint
@@ -85,7 +81,7 @@ class ObstructionContext:
     _radical_cache: Dict[int, TermRadicalData] = field(default_factory=dict, init=False)
     _factor_cache: Dict[int, Factorization] = field(default_factory=dict, init=False)
     _threshold_cache: Dict[tuple, Tuple[bool, bool, bool]] = field(default_factory=dict, init=False)
-    _idle_blocks: Dict[tuple, "_PrimeBlock"] = field(default_factory=dict, init=False)
+    _blocks: Dict[tuple, "_PrimeBlock"] = field(default_factory=dict, init=False)
 
     def radical_data(self, l: int) -> TermRadicalData:
         if l not in self._radical_cache:
@@ -106,10 +102,6 @@ class ObstructionContext:
         if key not in self._threshold_cache:
             self._threshold_cache[key] = (is_prime(l), l > L_rho, _exceeds_sqrtB_plus_1_sq(l, B))
         return self._threshold_cache[key]
-
-    def has_verified_detecting_prime(self, l: int, rho: int) -> bool:
-        """A detecting prime for index l was actually found (not assumed)."""
-        return bool(self.radical_data(l).detecting(rho))
 
 
 # -- index-tuple combinatorics -----------------------------------------
@@ -295,8 +287,9 @@ def prime_support_check(
     n: Sequence[int],
     l: int,
     rho: int,
+    top: bool,
 ) -> ObstructionVerdict:
-    """Radical divisibility, Hasse scale, and top-prime interval at index l."""
+    """Radical divisibility, Hasse scale, and, when top, the top-prime interval at index l."""
     I = incidence_set(n, l)
     hyp = {"rho_not_dividing_I": len(I) % rho != 0}
     wit: Dict[str, object] = {"l": l, "I_l": I}
@@ -307,7 +300,7 @@ def prime_support_check(
     if not hyp["rho_not_dividing_I"]:
         return verdict(INCONCLUSIVE, "vacuous: rho divides |I_l(n)|")
     data = ctx.radical_data(l)
-    rad, _ = data.power_radical(rho)
+    rad = data.power_radical(rho)
     quotient = prod(n[i - 1] // l for i in I)
     hyp["radical_complete"] = data.complete
     wit.update(radical=rad, quotient=quotient)
@@ -318,11 +311,11 @@ def prime_support_check(
     # Divisibility by the certain part is checked even when partial.
     if quotient % rad != 0:
         return verdict(FAILS, "certain radical part does not divide the quotient product")
-    radical_primes = [p for p, v in data.entries if v % rho != 0]
+    radical_primes = [p for p, _ in data.detecting(rho)]
     wit["radical_primes"] = radical_primes
     if not all(_hasse_compatible(l, q) for q in radical_primes):
         return verdict(FAILS, "Hasse-scale inequality violated by a radical prime")
-    if all(_top_prime_defect(ctx, n, i, l) is None for i in I):
+    if top:
         interval_ok = all(
             q < l and not _below_sqrt_l_minus_1_sq(q, l) for q in radical_primes
         )
@@ -336,10 +329,12 @@ def prime_support_check(
 
 def _check_top_prime_hypotheses(
     ctx: ObstructionContext, n: Sequence[int], l: int, B, L_rho
-) -> List[str]:
-    """Reasons the smooth-cofactor hypotheses fail at l (empty = all hold)."""
+) -> Tuple[List[str], bool]:
+    """Reasons the smooth-cofactor hypotheses fail at l (empty = all hold), and the top flag:
+    whether l is the simple top prime of every n_i it divides."""
     prime, above_L_rho, above_B = ctx.thresholds(l, B, L_rho)
     reasons = []
+    top = True
     if not prime:
         reasons.append(f"l={l} is not prime")
     if not above_L_rho:
@@ -348,11 +343,12 @@ def _check_top_prime_hypotheses(
         reasons.append(f"l={l} does not exceed (sqrt(B)+1)^2 for B={B}")
     for i in incidence_set(n, l):
         defect = _top_prime_defect(ctx, n, i, l)
+        top = top and defect is None
         if defect is None and not is_B_smooth(n[i - 1] // l, B):
             defect = f"cofactor n_{i}/l={n[i - 1] // l} is not B-smooth"
         if defect is not None:
             reasons.append(defect)
-    return reasons
+    return reasons, top
 
 
 def smooth_cofactor_balance(
@@ -364,8 +360,8 @@ def smooth_cofactor_balance(
 ) -> ObstructionVerdict:
     """rho must divide |I_l(n)| when l is a large top prime with smooth cofactors.
 
-    reasons is _check_top_prime_hypotheses at l; any reason means the
-    hypotheses fail.  A fails verdict certifies the product is not a rho-th
+    reasons is what _check_top_prime_hypotheses finds at l; any reason means
+    the hypotheses fail.  A fails verdict certifies the product is not a rho-th
     power, provided a detecting prime at l was actually exhibited; with only
     the threshold assumption the verdict degrades to inconclusive.
     """
@@ -376,7 +372,7 @@ def smooth_cofactor_balance(
     hyp = {"top_prime_hypotheses": True}
     if len(I) % rho == 0:
         return ObstructionVerdict("smooth_cofactor_balance", HOLDS, hyp, wit)
-    detected = hyp["detecting_prime_verified"] = ctx.has_verified_detecting_prime(l, rho)
+    detected = hyp["detecting_prime_verified"] = bool(ctx.radical_data(l).detecting(rho))
     return _exclusion(
         "smooth_cofactor_balance", hyp, wit, detected,
         "rho does not divide |I_l(n)|: product cannot be a rho-th power",
@@ -421,7 +417,7 @@ def cluster_packing(
 ) -> ClusterPackingReport:
     """Build M_Lambda(n) over F_rho and check all five packing conclusions.
 
-    Lambda is the keys of reasons, each l's _check_top_prime_hypotheses.
+    Lambda is the keys of reasons, each l's reasons from _check_top_prime_hypotheses.
     Primes failing the per-l hypotheses are dropped with a note rather
     than aborting the whole report.
     """
@@ -448,7 +444,7 @@ def cluster_packing(
     # (5) small-tuple emptiness
     conclusions[5] = HOLDS if (k >= rho or not lambda_star) else FAILS
     exclusion = FAILS in conclusions.values()
-    certified = exclusion and all(ctx.has_verified_detecting_prime(l, rho) for l in lambda_star)
+    certified = exclusion and all(ctx.radical_data(l).detecting(rho) for l in lambda_star)
     notes = []
     if exclusion and not certified:
         notes.append("exclusion rests on the detecting-prime threshold, not a verified witness")
@@ -503,7 +499,7 @@ def repeated_top_prime(
     hyp = {"top_prime_hypotheses": True}
     if not offending:
         return ObstructionVerdict("repeated_top_prime", HOLDS, hyp, wit)
-    verified = all(ctx.has_verified_detecting_prime(l, rho) for l in offending)
+    verified = all(ctx.radical_data(l).detecting(rho) for l in offending)
     hyp["detecting_primes_verified"] = verified
     return _exclusion(
         "repeated_top_prime", hyp, wit, verified,
@@ -538,7 +534,7 @@ def large_prime_gap(
         raise HypothesisViolated(f"l={l} does not exceed L_rho={L_rho}")
     cofactor = m // l
     top_cof = _largest_prime_factor_exact(ctx, cofactor)
-    detected = ctx.has_verified_detecting_prime(l, rho)
+    detected = bool(ctx.radical_data(l).detecting(rho))
     hyp = {
         "coprime": True,
         "simple_top_prime": True,
@@ -585,7 +581,7 @@ def radical_lower_bound(
             if _top_prime_defect(ctx, n, i, l) is not None:
                 raise HypothesisViolated(f"top-prime condition fails at l={l}, i={i}")
     # Pairwise coprimality of the certain radical parts is unconditional.
-    rads = {l: ctx.radical_data(l).power_radical(rho)[0] for l in Lambda}
+    rads = {l: ctx.radical_data(l).power_radical(rho) for l in Lambda}
     for ix, a in enumerate(Lambda):
         for b in Lambda[ix + 1 :]:
             if gcd(rads[a], rads[b]) != 1:
@@ -607,7 +603,7 @@ def radical_lower_bound(
         return ObstructionVerdict(
             "radical_lower_bound", INCONCLUSIVE, hyp, wit, ["radical too close to the bound"]
         )
-    detected = all(ctx.has_verified_detecting_prime(l, rho) for l in Lambda)
+    detected = all(ctx.radical_data(l).detecting(rho) for l in Lambda)
     hyp["detecting_primes_verified"] = detected
     return _exclusion(
         "radical_lower_bound", hyp, wit, detected,
@@ -622,7 +618,9 @@ def radical_lower_bound(
 class _PrimeBlock(NamedTuple):
     """What evaluate_tuple reports at one candidate prime l."""
 
-    reasons: List[str]  # _check_top_prime_hypotheses at l
+    I: List[int]  # I_l(n)
+    top: bool  # l is the simple top prime of every n_i with i in I
+    reasons: List[str]  # why the smooth-cofactor hypotheses fail at l
     verdicts: List[ObstructionVerdict]
     skipped: List[str]
 
@@ -630,8 +628,14 @@ class _PrimeBlock(NamedTuple):
 def _prime_block(
     ctx: ObstructionContext, n: Sequence[int], l: int, rho: int, squarefree: bool, B, L_rho: int
 ) -> _PrimeBlock:
-    """The congruence views at each radical-data entry of l, then the support and balance checks."""
-    reasons = _check_top_prime_hypotheses(ctx, n, l, B, L_rho)
+    """The congruence views at each radical-data entry of l, then the support and balance checks,
+    built once per key: every check reads the tuple only at the positions in I_l(n)."""
+    I = incidence_set(n, l)
+    # B by its text, which the reasons print: 2 == 2.0, but they read "B=2" and "B=2.0".
+    key = (l, rho, squarefree, str(B), L_rho, tuple((i, n[i - 1]) for i in I))
+    if key in ctx._blocks:
+        return ctx._blocks[key]
+    reasons, top = _check_top_prime_hypotheses(ctx, n, l, B, L_rho)
     verdicts: List[ObstructionVerdict] = []
     # The entries are the primes outside S dividing D_l: the views' preconditions hold.
     for p, v in ctx.radical_data(l).entries:
@@ -641,12 +645,14 @@ def _prime_block(
             verdicts.append(c.multiplicity())
             if squarefree:
                 verdicts.append(c.squarefree())
-    verdicts.append(prime_support_check(ctx, n, l, rho))
+    verdicts.append(prime_support_check(ctx, n, l, rho, top))
+    skipped = []
     try:
         verdicts.append(smooth_cofactor_balance(ctx, n, l, rho, reasons))
     except HypothesisViolated as exc:
-        return _PrimeBlock(reasons, verdicts, [f"smooth_cofactor_balance(l={l}): {exc}"])
-    return _PrimeBlock(reasons, verdicts, [])
+        skipped.append(f"smooth_cofactor_balance(l={l}): {exc}")
+    block = ctx._blocks[key] = _PrimeBlock(I, top, reasons, verdicts, skipped)
+    return block
 
 
 @dataclass
@@ -703,30 +709,19 @@ def evaluate_tuple(
             skipped.append(f"{label}: {exc}")
 
     reasons = {}
+    rl_lambda = []
     for l in candidate_primes:
-        if any(ni % l == 0 for ni in n):
-            block = _prime_block(ctx, n, l, rho, squarefree, B, L_rho)
-        else:
-            # I_l(n) is empty: every congruence reads 0 = 0 and every check is
-            # vacuous, so the block depends on the key alone and is built once.
-            key = (l, rho, squarefree, B, L_rho)
-            block = ctx._idle_blocks.get(key)
-            if block is None:
-                block = ctx._idle_blocks[key] = _prime_block(ctx, n, l, rho, squarefree, B, L_rho)
+        block = _prime_block(ctx, n, l, rho, squarefree, B, L_rho)
         reasons[l] = block.reasons
         verdicts.extend(block.verdicts)
         skipped.extend(block.skipped)
+        if block.top and len(block.I) % rho != 0:
+            rl_lambda.append(l)
     cluster = cluster_packing(ctx, n, reasons, rho) if n else None
     attempt("repeated_top_prime", repeated_top_prime, n, rho, B, L_rho)
     if len(n) == 2 and gcd(n[0], n[1]) == 1:
         for m, other in (n, (n[1], n[0])):
             if m >= 2:
                 attempt(f"large_prime_gap(m={m})", large_prime_gap, m, other, rho, L_rho, B)
-    rl_lambda = [
-        l
-        for l in candidate_primes
-        if len(incidence_set(n, l)) % rho != 0
-        and all(_top_prime_defect(ctx, n, i, l) is None for i in incidence_set(n, l))
-    ]
     attempt("radical_lower_bound", radical_lower_bound, n, rl_lambda, rho, L_rho)
     return TupleReport(n=n, rho=rho, verdicts=verdicts, cluster=cluster, skipped=skipped)

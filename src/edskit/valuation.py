@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import prod
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .curve import RatPoint, WeierstrassCurve
@@ -165,12 +166,9 @@ class TermRadicalData:
     entries: List[Tuple[int, int]]  # (p, v_p(D_l)) for p outside S
     complete: bool
 
-    def power_radical(self, rho: int) -> Tuple[int, str]:
-        value = 1
-        for p, v in self.entries:
-            if v % rho != 0:
-                value *= p
-        return value, ("certain" if self.complete else "lower_bound")
+    def power_radical(self, rho: int) -> int:
+        """The product of the detecting primes; a lower bound unless complete."""
+        return prod(p for p, _ in self.detecting(rho))
 
     def detecting(self, rho: int) -> List[Tuple[int, int]]:
         """(p, v) with rho not dividing v; empty and incomplete means "not found", never "none"."""

@@ -85,7 +85,7 @@ def test_05_hasse_interval_for_divisor_primes(ctx37):
 def test_06_radical_coprimality(ctx37):
     """Certain parts of rad_{S,2}(D_l), rad_{S,2}(D_l') coprime for distinct prime l, l' <= 31."""
     ells = primes_up_to(31)
-    rads = {l: ctx37.radical_data(l).power_radical(2)[0] for l in ells}
+    rads = {l: ctx37.radical_data(l).power_radical(2) for l in ells}
     for i, a in enumerate(ells):
         for b in ells[i + 1 :]:
             assert gcd(rads[a], rads[b]) == 1, (a, b)
@@ -135,7 +135,7 @@ def test_09_cluster_packing_fixtures(ctx37):
     weight-1 fixture yields a certified exclusion confirmed by the oracle."""
 
     def packing(n):
-        reasons = {l: _check_top_prime_hypotheses(ctx37, n, l, 3, 0) for l in (11, 13)}
+        reasons = {l: _check_top_prime_hypotheses(ctx37, n, l, 3, 0)[0] for l in (11, 13)}
         return cluster_packing(ctx37, n, reasons, 2)
 
     rep = packing((22, 33, 26, 39))

@@ -96,6 +96,24 @@ def test_bad_curve_file_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("doc", [dict(FIXTURE_CURVE, x="0/0"), [FIXTURE_CURVE]],
+                         ids=["zero-denominator", "json-list"])
+def test_malformed_curve_file_exits_2(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-law", "--curve", str(path), "--p-max", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad curve file")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["obstruct", "--tuple", "5,a"], "error: bad tuple"),
+    (["verify-law", "--p-max", "10", "--extra-s", "x"], "error: bad --extra-s"),
+], ids=["tuple", "extra-s"])
+def test_malformed_number_exits_2(argv, error, curve_file, capsys):
+    assert main(argv + ["--curve", curve_file]) == 2
+    assert capsys.readouterr().err.startswith(error)
+
+
 def test_verify_law_passes(curve_file, capsys):
     rc = main(["verify-law", "--curve", curve_file, "--p-max", "100", "--n-max", "60"])
     assert rc == 0
@@ -261,16 +279,19 @@ def test_bad_size_or_bound_exits_2_before_any_work(argv, curve_file, capsys, mon
 
 
 @pytest.mark.parametrize("argv", [
-    ["obstruct", "--tuple", "5,3"],
-    ["probe-detecting", "--l-max", "13"],
-    ["probe-detecting", "--l-max", "13", "--l-min", "14"],  # no prime index to probe
-], ids=["obstruct", "probe-detecting", "probe-detecting-empty-range"])
+    ["obstruct", "--tuple", "5,3", "--effort", "oops"],
+    ["probe-detecting", "--l-max", "13", "--effort", "oops"],
+    # no prime index to probe
+    ["probe-detecting", "--l-max", "13", "--l-min", "14", "--effort", "oops"],
+    # a negative trial bound would pass 22 and 33 off as primes
+    ["obstruct", "--tuple", "22,33", "--effort=-60:100:10"],
+], ids=["obstruct", "probe-detecting", "probe-detecting-empty-range", "obstruct-negative-budget"])
 def test_bad_effort_spec_exits_2_before_any_work(argv, curve_file, capsys, monkeypatch):
     def setup(args):
         raise AssertionError("work started before the effort spec was parsed")
 
     monkeypatch.setattr(cli, "_setup", setup)
-    assert main(argv + ["--curve", curve_file, "--effort", "oops"]) == 2
+    assert main(argv + ["--curve", curve_file]) == 2
     assert capsys.readouterr().err.startswith("error: bad effort spec")
 
 

@@ -31,10 +31,11 @@ P41, Q41 = 1099511627791, 1100511627793
 
 
 def power_radical(x, S, rho, effort=Effort()):
-    """rad_{S,rho}(x) with its certainty, through TermRadicalData.power_radical."""
+    """rad_{S,rho}(x) with its completeness, through TermRadicalData.power_radical."""
     fac = factorize(x, effort)
-    entries = [(p, e) for p, e in fac.factors if p not in S]
-    return TermRadicalData(l=0, entries=entries, complete=fac.complete).power_radical(rho)
+    data = TermRadicalData(l=0, entries=[(p, e) for p, e in fac.factors if p not in S],
+                           complete=fac.complete)
+    return data.power_radical(rho), data.complete
 
 
 def test_factorize_examples():
@@ -51,6 +52,19 @@ def test_factorize_examples():
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
+
+
+@pytest.mark.parametrize("fields", [
+    (-5, 100, 10), (100, -1, 10), (100, 100, -1.0), (100, 100, float("nan")),
+])
+def test_effort_rejects_negative_or_nan_fields(fields):
+    # With trial_bound = -5 nothing was stripped and 4 <= 25 passed for a prime: [(4, 1)].
+    with pytest.raises(ValueError):
+        Effort(*fields)
+
+
+def test_zero_effort_still_factors():
+    assert factorize(4, Effort(0, 0, 0.0)).factors == [(2, 2)]
 
 
 def test_factorize_semiprime_beyond_trial_bound():
@@ -171,16 +185,16 @@ def test_largest_prime_factor_examples(ctx37):
 
 
 def test_rad_S_rho_examples():
-    assert power_radical(12, set(), 2) == (3, "certain")
-    assert power_radical(12, {3}, 2) == (1, "certain")
-    assert power_radical(8, set(), 3) == (1, "certain")
+    assert power_radical(12, set(), 2) == (3, True)
+    assert power_radical(12, {3}, 2) == (1, True)
+    assert power_radical(8, set(), 3) == (1, True)
 
 
 def test_rad_S_rho_partial_is_lower_bound():
-    value, certainty = power_radical(
+    value, complete = power_radical(
         BIG_A * BIG_B * 3, set(), 2, Effort(trial_bound=100, rho_iterations=1, wall_clock=0.01)
     )
-    assert certainty == "lower_bound"
+    assert not complete
     assert value % 3 == 0
 
 
@@ -196,9 +210,9 @@ def test_rad_invisible_to_rho_powers(x, y, rho):
 
 
 def test_sqf_examples():
-    assert power_radical(12, set(), 2) == (3, "certain")
-    assert power_radical(36, set(), 2) == (1, "certain")
-    assert power_radical(18, {2}, 2) == (1, "certain")
+    assert power_radical(12, set(), 2) == (3, True)
+    assert power_radical(36, set(), 2) == (1, True)
+    assert power_radical(18, {2}, 2) == (1, True)
 
 
 def test_sqf_trivial_iff_square_times_s_units():

@@ -76,7 +76,12 @@ def test_rank_equals_row_count_for_disjoint_supports():
 
 def hypotheses(ctx, n, Lambda, B, L_rho=0):
     """{l: reasons the smooth-cofactor hypotheses fail at l}, as evaluate_tuple builds it."""
-    return {l: _check_top_prime_hypotheses(ctx, n, l, B, L_rho) for l in Lambda}
+    return {l: _check_top_prime_hypotheses(ctx, n, l, B, L_rho)[0] for l in Lambda}
+
+
+def support(ctx, n, l, rho):
+    """prime_support_check with the top flag evaluate_tuple passes it."""
+    return prime_support_check(ctx, n, l, rho, _check_top_prime_hypotheses(ctx, n, l, 2, 0)[1])
 
 
 def views(report, statement):
@@ -196,15 +201,20 @@ def test_squarefree_incidence_examples(ctx37):
 
 
 def test_prime_support_examples(ctx37):
-    v = prime_support_check(ctx37, (10, 3), 5, 2)
+    v = support(ctx37, (10, 3), 5, 2)
     assert v.verdict == HOLDS
     assert v.witnesses["radical"] == 2
-    v = prime_support_check(ctx37, (5, 3), 5, 2)
+    v = support(ctx37, (5, 3), 5, 2)
     assert v.verdict == FAILS  # rad = 2 does not divide the quotient product 1
     assert v.certified_exclusion
-    v = prime_support_check(ctx37, (10, 10), 5, 2)
+    v = support(ctx37, (10, 10), 5, 2)
     assert v.verdict == INCONCLUSIVE  # |I_5| = 2 is even: vacuous
     assert not v.hypotheses["rho_not_dividing_I"]
+    # 253 = 11 * 23: 11 is not its top prime, so the interval test (which 23 > 11 fails) is off.
+    assert not _check_top_prime_hypotheses(ctx37, (253,), 11, 2, 0)[1]
+    assert support(ctx37, (253,), 11, 2).verdict == HOLDS
+    v = prime_support_check(ctx37, (253,), 11, 2, True)
+    assert v.verdict == FAILS and not v.witnesses["top_prime_interval_ok"]
 
 
 def test_multiplicity_examples(ctx37, curve43, point43, s43, table43):
@@ -437,7 +447,10 @@ def test_idle_prime_blocks_do_not_leak_between_tuples(fixture, request):
     curve, point, table, S = request.getfixturevalue("all_fixtures")[0 if fixture == "37" else 2]
     # (11, 3) and (11, 9) share the idle l = 2, 5, 7; only the first is squarefree.  On 43,
     # v_13(D_19) = 3, so at an idle 19 the multiplicity view exists for rho = 2 only.
-    tuples = [(11, 3), (11, 9), (5, 3), (4, 3), (13, 3), (7, 7, 2), (1,), (10, 6, 15), (23, 29)]
+    tuples = [
+        (11, 3), (11, 9), (5, 3), (4, 3), (13, 3), (7, 7, 2), (1,), (10, 6, 15), (23, 29),
+        (3, 11), (11, 6),
+    ]
     settings = [(2, 2, 0), (3, 2, 0), (2, 7, 0), (2, 2, 5)]  # (rho, B, L_rho)
     runs = [(n, rho, B, L_rho) for n in tuples for rho, B, L_rho in settings]
 
@@ -452,12 +465,19 @@ def test_idle_prime_blocks_do_not_leak_between_tuples(fixture, request):
         for l in primes_up_to(max(n)):
             if not incidence_set(n, l):
                 assert all(v.verdict != FAILS for v in at_l(forward[run], l))
-    # A later tuple reuses the verdict objects of an earlier one at a shared idle l.
-    first, later = forward[((11, 3), 2, 2, 0)], forward[((13, 3), 2, 2, 0)]
-    for l in (2, 5, 7):
-        assert at_l(first, l) and len(at_l(first, l)) == len(at_l(later, l))
-        assert all(a is b for a, b in zip(at_l(first, l), at_l(later, l)))
-    assert not any(a is b for a, b in zip(at_l(first, 3), at_l(later, 3)))
+    # A block is keyed on the positions and entries that l divides: (11, 3) and (13, 3)
+    # share theirs at the idle l = 2, 5, 7 and at l = 3, where both read n_2 = 3.
+    def shared(a, b, l):
+        """For each per-l verdict of a (rho 2, B 2), whether b holds the same object."""
+        va, vb = at_l(forward[(a, 2, 2, 0)], l), at_l(forward[(b, 2, 2, 0)], l)
+        assert va and len(va) == len(vb)
+        return [x is y for x, y in zip(va, vb)]
+
+    for l in (2, 3, 5, 7):
+        assert all(shared((11, 3), (13, 3), l))
+    # At l = 3, (3, 11) has 3 at position 1, and (11, 6) has 6 at position 2 (both squarefree).
+    assert not any(shared((11, 3), (3, 11), 3))
+    assert not any(shared((11, 3), (11, 6), 3))
     if fixture == "37":  # the squarefree view at the idle l = 7 (D_7 = 3)
         squarefree_at_7 = {
             n: [v for v in at_l(forward[(n, 2, 2, 0)], 7) if v.statement == "squarefree_incidence"]
@@ -466,10 +486,19 @@ def test_idle_prime_blocks_do_not_leak_between_tuples(fixture, request):
         assert len(squarefree_at_7[(11, 3)]) == 1 and squarefree_at_7[(11, 9)] == []
 
 
+def test_blocks_keep_equal_bounds_of_different_text_apart(curve37, point37, s37, table37):
+    # 2 == 2.0, but the reasons print B, so a block built for one must not serve the other.
+    shared = ObstructionContext(curve37, point37, s37, table37)
+    for B in (2, 2.0, 2, 2.0):
+        fresh = ObstructionContext(curve37, point37, s37, table37)
+        expected = evaluate_tuple(fresh, (5, 3), 2, B).to_json()
+        assert evaluate_tuple(shared, (5, 3), 2, B).to_json() == expected
+
+
 def test_no_checker_holds_on_failed_hypotheses(ctx37):
     # Vacuity discipline: the vacuous support check is inconclusive, and
     # its hypothesis record shows which assumption failed.
-    v = prime_support_check(ctx37, (10, 10), 5, 2)
+    v = support(ctx37, (10, 10), 5, 2)
     assert v.verdict == INCONCLUSIVE
     assert v.hypotheses == {"rho_not_dividing_I": False}
 

@@ -127,7 +127,7 @@ def test_radical_coprimality(curve37, point37, s37, table37):
     rads = {}
     for l in ells:
         data = term_radical_data(curve37, point37, s37, l, table37)
-        rads[l] = data.power_radical(2)[0]
+        rads[l] = data.power_radical(2)
     from math import gcd
 
     for i, a in enumerate(ells):
@@ -140,7 +140,7 @@ def test_term_radical_data_excludes_s(curve37, point37, table37):
     data = term_radical_data(curve37, point37, S, 5, table37)
     assert data.entries == []  # D_5 = 2 is entirely inside S
     assert data.complete
-    assert data.power_radical(2) == (1, "certain")
+    assert data.power_radical(2) == 1
 
 
 def test_term_radical_data_matches_sieve_oracle(all_fixtures):
