@@ -86,17 +86,20 @@ class WeierstrassCurve:
         return (Fraction(x3), Fraction(y3))
 
     def mul(self, n: int, P: RatPoint) -> RatPoint:
-        """[n]P by double-and-add; n may be any integer."""
+        """[n]P by left-to-right double-and-add; n may be any integer.
+
+        Every addition adds P itself, whose coordinates stay small, rather
+        than a second large multiple.
+        """
         if n < 0:
             return self.mul(-n, self.negate(P))
-        R: RatPoint = None
-        Q = P
-        while n:
-            if n & 1:
-                R = self.add(R, Q)
-            n >>= 1
-            if n:
-                Q = self.add(Q, Q)
+        if n == 0:
+            return None
+        R = P
+        for bit in bin(n)[3:]:
+            R = self.add(R, R)
+            if bit == "1":
+                R = self.add(R, P)
         return R
 
     # -- reduction mod p -----------------------------------------------

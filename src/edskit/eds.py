@@ -3,8 +3,11 @@
 For each n >= 1 the x-coordinate of [n]P is A_n / D_n^2 in lowest terms
 with D_n > 0.  Tables come from the division-polynomial values psi_n(P),
 computed over Z by Ward's recurrence; the Fraction group law is kept only
-to cross-check them.  The perfect-squareness of the reduced denominator is
-asserted on every term, never assumed.
+to cross-check them.  The bad-prime correction g of each term needs no gcd
+of big integers when Psi_n is a strong divisibility sequence, which Ward's
+theorem decides once per table from Psi_2, Psi_3 and Psi_4.  The
+perfect-squareness of the reduced denominator is asserted on every term,
+never assumed.
 """
 
 from __future__ import annotations
@@ -126,13 +129,16 @@ class EdsTable:
         return [t.D for t in self.terms]
 
     def check_divisibility(self) -> List[Tuple[int, int]]:
-        """All (m, n) with m | n but D_m not dividing D_n (empty when healthy)."""
-        bad = []
-        for n in range(1, self.max_index + 1):
-            Dn = self.D(n)
-            for m in range(1, n):
-                if n % m == 0 and Dn % self.D(m) != 0:
-                    bad.append((m, n))
+        """All (m, n) with m | n, m < n but D_m not dividing D_n, sorted by (n, m).
+
+        Each m <= N/2 steps through its multiples 2m, 3m, ... <= N, so the
+        scan visits the O(N log N) divisor pairs and nothing else.
+        """
+        D = self.d_values()
+        N = len(D)
+        bad = [(m, n) for m in range(1, N // 2 + 1)
+               for n in range(2 * m, N + 1, m) if D[n - 1] % D[m - 1]]
+        bad.sort(key=lambda pair: (pair[1], pair[0]))
         return bad
 
     def content_hash(self) -> str:
@@ -229,6 +235,14 @@ def _projected_digits(terms: List[EdsTerm], N: int) -> float:
 # With x(P) = a/d^2 and y(P) = b/d^3, psi_n has weight n^2 - 1 in (x, y), so
 # Psi_n = d^(n^2-1) * psi_n(P) is an integer satisfying the same recurrence.
 # Then x([n]P) = Phi_n / (d*Psi_n)^2 with Phi_n = a*Psi_n^2 - Psi_{n+1}*Psi_{n-1}.
+#
+# Ward ("Memoir on elliptic divisibility sequences", Amer. J. Math. 70,
+# 1948): an integral elliptic sequence with W_0 = 0, W_1 = 1, W_2 W_3 != 0,
+# W_2 | W_4 and gcd(W_3, W_4) = 1 is a strong divisibility sequence,
+# gcd(W_m, W_n) = |W_gcd(m,n)|.  For Psi this gives gcd(Psi_n, Psi_{n+1}) = 1,
+# and a prime dividing Phi_n and Psi_n would divide Psi_{n+1} Psi_{n-1}; so
+# gcd(Phi_n, Psi_n) = 1 and the correction gcd(Phi_n, (d Psi_n)^2) is
+# gcd(Phi_n mod d^2, d^2), which is 1 when d = 1.
 
 
 def _scaled_coordinates(P: RatPoint) -> Tuple[int, int, int]:
@@ -291,14 +305,31 @@ def _extend_psi(psi: List[int], upto: int) -> None:
         psi.append(q)
 
 
-def _term_from_psi(psi: List[int], n: int, a: int, d: int) -> EdsTerm:
-    """(A_n, D_n) = (Phi_n / g, |d Psi_n| / sqrt(g)) with g = gcd(Phi_n, (d Psi_n)^2)."""
+def _strong_divisibility(psi: List[int]) -> bool:
+    """Ward's hypothesis on Psi_0..Psi_4: W_2 W_3 != 0, W_2 | W_4 and gcd(W_3, W_4) = 1.
+
+    W_0 = 0 and W_1 = 1 hold by construction (``_psi_seeds``).
+    """
+    return bool(psi[2] and psi[3]) and psi[4] % psi[2] == 0 and math.gcd(psi[3], psi[4]) == 1
+
+
+def _term_from_psi(psi: List[int], n: int, a: int, d: int, strong: bool) -> EdsTerm:
+    """(A_n, D_n) = (Phi_n / g, |d Psi_n| / sqrt(g)) with g = gcd(Phi_n, (d Psi_n)^2).
+
+    ``strong`` says that Psi satisfies Ward's hypothesis (``_strong_divisibility``);
+    then gcd(Phi_n, Psi_n) = 1, so g = gcd(Phi_n mod d^2, d^2), and g = 1 when
+    d = 1.  Otherwise g comes from the gcd of Phi_n with d Psi_n.
+    """
     if psi[n] == 0:
         raise TorsionPoint(f"[{n}]P is the identity; P is torsion")
     scaled = d * psi[n]
     phi = a * psi[n] ** 2 - psi[n + 1] * psi[n - 1]
-    # Every prime of g divides gcd(Phi_n, d Psi_n), which is cheaper and usually 1.
-    g = math.gcd(phi, scaled * scaled) if math.gcd(phi, scaled) > 1 else 1
+    if strong:
+        d2 = d * d
+        g = math.gcd(phi % d2, d2) if d > 1 else 1
+    else:
+        # Every prime of g divides gcd(Phi_n, d Psi_n), which is cheaper and usually 1.
+        g = math.gcd(phi, scaled * scaled) if math.gcd(phi, scaled) > 1 else 1
     root = math.isqrt(g)
     if root * root != g:
         raise NonSquareDenominator(f"gcd(Phi_{n}, (d Psi_{n})^2) is not a perfect square: {g}")
@@ -311,11 +342,14 @@ def _division_terms(
     """Terms 1..N from Psi_0..Psi_{N+1}; the growth guard runs on the first 16."""
     a, b, d = _scaled_coordinates(P)
     psi = _psi_seeds(curve, a, b, d)
+    strong = _strong_divisibility(psi)
     terms: List[EdsTerm] = []
     probe = min(N, 16)
     for stop in (probe, N):
         _extend_psi(psi, stop + 1)
-        terms.extend(_term_from_psi(psi, n, a, d) for n in range(len(terms) + 1, stop + 1))
+        terms.extend(
+            _term_from_psi(psi, n, a, d, strong) for n in range(len(terms) + 1, stop + 1)
+        )
         if stop < N:
             projected = _projected_digits(terms, N)
             if projected > max_digits:
@@ -335,7 +369,11 @@ def eds_range(
 
     D_n = |d Psi_n| / sqrt(g) with g = gcd(Phi_n, (d Psi_n)^2); the square
     root absorbs the correction at bad primes, and g is checked to be a
-    perfect square on every term.  The table is cross-checked against
+    perfect square on every term.  When Psi meets Ward's strong-divisibility
+    hypothesis (W_0 = 0, W_1 = 1, W_2 W_3 != 0, W_2 | W_4, gcd(W_3, W_4) = 1,
+    tested once per table), g = gcd(Phi_n mod d^2, d^2), which is 1 for an
+    integral P; otherwise g is found per term from gcd(Phi_n, d Psi_n).
+    The table is cross-checked against
     double-and-add over Q at n = N//2 and n = N, and the divisibility
     property D_m | D_n for m | n is verified on all of it before it is
     returned; a failure of either raises SoundnessError.

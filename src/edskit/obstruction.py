@@ -569,24 +569,48 @@ def radical_lower_bound(
     rho: int,
     L_rho: int = 0,
 ) -> ObstructionVerdict:
-    """rad of the quotient product against prod over Lambda of (sqrt(l)-1)^2."""
+    """rad of the quotient product against prod over Lambda of (sqrt(l)-1)^2.
+
+    Each l in Lambda must be prime, above L_rho, with rho not dividing
+    |I_l(n)|, and the simple top prime of every n_i it divides.
+    """
+    incidences = []
     for l in Lambda:
         if not is_prime(l):
             raise HypothesisViolated(f"l={l} is not prime")
-        if l <= L_rho:
-            raise HypothesisViolated(f"l={l} below L_rho")
-        if len(incidence_set(n, l)) % rho == 0:
+        _require_above_L_rho(l, L_rho)
+        I = incidence_set(n, l)
+        if len(I) % rho == 0:
             raise HypothesisViolated(f"rho divides |I_l(n)| for l={l}")
-        for i in incidence_set(n, l):
+        for i in I:
             if _top_prime_defect(ctx, n, i, l) is not None:
                 raise HypothesisViolated(f"top-prime condition fails at l={l}, i={i}")
+        incidences.append((l, I))
+    return _radical_lower_bound(ctx, n, incidences, rho, L_rho)
+
+
+def _require_above_L_rho(l: int, L_rho: int) -> None:
+    if l <= L_rho:
+        raise HypothesisViolated(f"l={l} below L_rho")
+
+
+def _radical_lower_bound(
+    ctx: ObstructionContext, n: Sequence[int], incidences: Sequence[Tuple[int, List[int]]],
+    rho: int, L_rho: int,
+) -> ObstructionVerdict:
+    """radical_lower_bound on pairs (l, I_l(n)) whose l are known to be prime, with rho
+    not dividing |I_l(n)| and l the simple top prime of each n_i, i in I_l(n):
+    evaluate_tuple's blocks have decided that.  Only l > L_rho is checked here."""
+    Lambda = [l for l, _ in incidences]
+    for l in Lambda:
+        _require_above_L_rho(l, L_rho)
     # Pairwise coprimality of the certain radical parts is unconditional.
     rads = {l: ctx.radical_data(l).power_radical(rho) for l in Lambda}
     for ix, a in enumerate(Lambda):
         for b in Lambda[ix + 1 :]:
             if gcd(rads[a], rads[b]) != 1:
                 raise SoundnessError(f"radical coprimality violated at ({a},{b})")
-    quotient = prod(n[i - 1] // l for l in Lambda for i in incidence_set(n, l))
+    quotient = prod(n[i - 1] // l for l, I in incidences for i in I)
     hyp = {"top_prime_hypotheses": True}
     fac = ctx.factorization(quotient)
     rad_q = prod(p for p, _ in fac.factors)  # a lower bound when fac is partial
@@ -709,19 +733,19 @@ def evaluate_tuple(
             skipped.append(f"{label}: {exc}")
 
     reasons = {}
-    rl_lambda = []
+    rl_lambda = []  # (l, I_l(n)) for each simple top prime l with rho not dividing |I_l(n)|
     for l in candidate_primes:
         block = _prime_block(ctx, n, l, rho, squarefree, B, L_rho)
         reasons[l] = block.reasons
         verdicts.extend(block.verdicts)
         skipped.extend(block.skipped)
         if block.top and len(block.I) % rho != 0:
-            rl_lambda.append(l)
+            rl_lambda.append((l, block.I))
     cluster = cluster_packing(ctx, n, reasons, rho) if n else None
     attempt("repeated_top_prime", repeated_top_prime, n, rho, B, L_rho)
     if len(n) == 2 and gcd(n[0], n[1]) == 1:
         for m, other in (n, (n[1], n[0])):
             if m >= 2:
                 attempt(f"large_prime_gap(m={m})", large_prime_gap, m, other, rho, L_rho, B)
-    attempt("radical_lower_bound", radical_lower_bound, n, rl_lambda, rho, L_rho)
+    attempt("radical_lower_bound", _radical_lower_bound, n, rl_lambda, rho, L_rho)
     return TupleReport(n=n, rho=rho, verdicts=verdicts, cluster=cluster, skipped=skipped)

@@ -6,11 +6,13 @@ curve/line system with sympy, the root oracles enumerate by brute force,
 and the valuation oracle divides directly.  The trial-division oracle
 takes its primes from edskit's sieve, which test_intmath checks, and the
 sieve-then-factor radical search hands what its sieve leaves to edskit's
-factorize, which test_factor checks.
+factorize, which test_factor checks.  The per-term-gcd oracle takes its
+Psi_n from edskit's recurrence, which test_eds checks against
+double-and-add, and recomputes only the bad-prime correction.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import sympy as sp
 
@@ -79,6 +81,31 @@ def oracle_d_values(coeffs, P, N):
         assert root.is_Integer, "denominator of x([n]P) is not a perfect square"
         out.append(int(root))
     return out
+
+
+def term_by_per_term_gcd(psi, n, a, d):
+    """(A_n, D_n) from Psi_{n-1}, Psi_n, Psi_{n+1} with the full per-term correction.
+
+    x([n]P) = Phi_n / (d Psi_n)^2 with Phi_n = a Psi_n^2 - Psi_{n+1} Psi_{n-1};
+    dividing out g = gcd(Phi_n, (d Psi_n)^2) leaves A_n / D_n^2 in lowest terms.
+    eds._term_from_psi skips this gcd when Psi meets Ward's hypothesis.
+    """
+    scaled = d * psi[n]
+    phi = a * psi[n] ** 2 - psi[n + 1] * psi[n - 1]
+    g = gcd(phi, scaled * scaled)
+    root = isqrt(g)
+    assert root * root == g, "g is not a perfect square"
+    return phi // g, abs(scaled) // root
+
+
+def divisibility_violations_by_pairs(d_values):
+    """All (m, n) with m | n, m < n and D_m not dividing D_n, testing n % m for every m < n."""
+    bad = []
+    for n in range(1, len(d_values) + 1):
+        for m in range(1, n):
+            if n % m == 0 and d_values[n - 1] % d_values[m - 1] != 0:
+                bad.append((m, n))
+    return bad
 
 
 def brute_nth_root(x, r):

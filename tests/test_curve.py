@@ -79,6 +79,17 @@ def test_scalar_mul_is_homomorphic(E):
             assert E.mul(n + m, P) == E.add(E.mul(n, P), E.mul(m, P))
 
 
+def test_scalar_mul_through_the_identity():
+    # (0, 0) has order 5 on y^2 + y = x^3 - x^2, so the running multiple
+    # passes through O for n >= 10; negative n goes through -P.
+    E5 = WeierstrassCurve(0, -1, 1, 0, 0)
+    P = (F(0), F(0))
+    residues = [oracle_mul((0, -1, 1, 0, 0), r, P) for r in range(5)]
+    assert residues[0] is None and None not in residues[1:]
+    for n in range(-12, 13):
+        assert E5.mul(n, P) == residues[n % 5]
+
+
 def test_associativity_spot_checks(E):
     P = (F(0), F(0))
     rng = random.Random(1)

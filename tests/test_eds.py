@@ -1,7 +1,9 @@
 """Denominator-sequence generation, validation, and persistence."""
 
 import json
+import math
 import os
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from edskit.eds import (
     _extend_psi,
     _psi_seeds,
     _scaled_coordinates,
+    _strong_divisibility,
     _term_from_point,
     _term_from_psi,
     eds_range,
@@ -28,6 +31,7 @@ from edskit.errors import (
     TableMiss,
     TorsionPoint,
 )
+from oracles import divisibility_violations_by_pairs, term_by_per_term_gcd
 
 F = Fraction
 
@@ -63,7 +67,7 @@ def test_non_square_denominator_guard():
         _scaled_coordinates((F(1, 3), F(1, 5)))
     # Phi_2 = 1*3^2 - 6*1 = 3, so g = gcd(3, 3^2) = 3 is not a square.
     with pytest.raises(NonSquareDenominator):
-        _term_from_psi([0, 1, 3, 6], 2, 1, 1)
+        _term_from_psi([0, 1, 3, 6], 2, 1, 1, strong=False)
 
 
 def test_eds_range_fixture_prefix(table37):
@@ -100,6 +104,87 @@ def test_bad_prime_correction():
     assert [abs(psi[n]) for n in (2, 3, 4)] == [table.D(2) * 3, table.D(3) * 9, table.D(4) * 81]
 
 
+def _psi_upto(E, P, n):
+    a, b, d = _scaled_coordinates(P)
+    psi = _psi_seeds(E, a, b, d)
+    _extend_psi(psi, n)
+    return psi, a, d
+
+
+def _random_pairs(seed, count):
+    """Non-torsion (E, P) with |a_i| <= 2 for i <= 4: P is [k]P0 for an integral
+    P0 with |x|, |y| <= 3 (a6 solved from P0) and k in {1, 2}, so some x(P) = u/v^2
+    with v > 1.  P is not torsion: [n]P != O for n <= 12 (Mazur)."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        a1, a2, a3, a4 = (rng.randint(-2, 2) for _ in range(4))
+        x0, y0 = rng.randint(-3, 3), rng.randint(-3, 3)
+        a6 = y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0 ** 3 - a2 * x0 * x0 - a4 * x0
+        try:
+            E = WeierstrassCurve(a1, a2, a3, a4, a6)
+        except ValueError:  # singular
+            continue
+        P = E.mul(rng.choice((1, 2)), (F(x0), F(y0)))
+        if P is not None and all(E.mul(n, P) is not None for n in range(1, 13)):
+            pairs.append((E, P))
+    return pairs
+
+
+def test_ward_shortcut_matches_per_term_gcd():
+    # Every term n <= 40 of 24 seeded pairs against the per-term gcd and
+    # double-and-add; the pairs cover both paths, some with d > 1.
+    N = 40
+    paths = []
+    for E, P in _random_pairs(seed=12, count=24):
+        psi, a, d = _psi_upto(E, P, N + 1)
+        strong = _strong_divisibility(psi)
+        assert strong == (math.gcd(psi[3], psi[4]) == 1)
+        paths.append((strong, d > 1))
+        table = eds_range(E, P, N, max_digits=10 ** 6)
+        assert [(t.A, t.D) for t in table.terms] == [
+            term_by_per_term_gcd(psi, n, a, d) for n in range(1, N + 1)
+        ]
+        assert table.terms == [eds_term(E, P, n) for n in range(1, N + 1)]
+    assert paths.count((False, False)) >= 2
+    assert paths.count((True, True)) >= 2
+
+
+def test_bad_prime_curve_takes_the_fallback(curve37, point37, monkeypatch):
+    psi, a, d = _psi_upto(CURVE_M6, POINT_M6, 4)
+    assert math.gcd(psi[3], psi[4]) == 9 and not _strong_divisibility(psi)
+    seen = []
+
+    def spy(psi, n, a, d, strong):
+        seen.append(strong)
+        return _term_from_psi(psi, n, a, d, strong)
+
+    monkeypatch.setattr(eds, "_term_from_psi", spy)
+    eds_range(CURVE_M6, POINT_M6, 12)
+    assert seen == [False] * 12
+    seen.clear()
+    eds_range(curve37, point37, 12)
+    assert seen == [True] * 12
+
+
+def test_division_terms_use_no_big_gcd(curve37, point37, point37q, curve43, point43, monkeypatch):
+    # Ward's shortcut leaves only gcd(Psi_3, Psi_4) and gcd(Phi_n mod d^2, d^2):
+    # a per-term gcd of Phi_n with d Psi_n would take arguments of thousands of bits.
+    widest = []
+    gcd = math.gcd
+
+    def recording_gcd(*args):
+        widest.append(max(abs(x).bit_length() for x in args))
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", recording_gcd)
+    for E, P in ((curve37, point37), (curve37, point37q), (curve43, point43)):
+        widest.clear()
+        terms = eds._division_terms(E, P, 200, 10 ** 6)
+        assert max(t.D.bit_length() for t in terms) > 1000
+        assert widest and max(widest) <= 64
+
+
 def test_inexact_psi2_division_is_soundness_error():
     # Psi_5 = 5*2^3 - 3^3 = 13, and Psi_3 (Psi_5 Psi_2^2 - Psi_4^2) = 81 is odd.
     with pytest.raises(SoundnessError):
@@ -121,6 +206,24 @@ def test_divisibility_violation_is_soundness_error(curve37, point37, monkeypatch
 def test_divisibility_scan_clean(table37, table43):
     assert table37.check_divisibility() == []
     assert table43.check_divisibility() == []
+
+
+def _planted(table, edits):
+    """A copy of the table with D_n replaced by edits[n]."""
+    terms = [EdsTerm(t.n, t.A, edits.get(t.n, t.D)) for t in table.terms]
+    return EdsTable(table.curve, table.point, terms)
+
+
+# D_30 = 7 breaks the pair (30, 60), which only a scan over every m <= N/2 sees;
+# D_59 = 4 breaks nothing, since 59 has no proper multiple in the table.
+@pytest.mark.parametrize("edits", [{6: 7, 12: 13}, {12: 13}, {5: 3, 30: 7, 59: 4}])
+def test_divisibility_scan_matches_pairwise_oracle(tmp_path, table37, edits):
+    planted = _planted(table37, edits)
+    bad = planted.check_divisibility()
+    assert bad and bad == divisibility_violations_by_pairs(planted.d_values())
+    path = _dumped(tmp_path, planted)
+    with pytest.raises(ValueError, match="divisibility"):
+        EdsTable.load(path, table37.curve, table37.point)
 
 
 def test_table_lookup_bounds(table37):

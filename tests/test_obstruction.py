@@ -406,6 +406,53 @@ def test_radical_lower_bound_hypotheses(ctx37):
         radical_lower_bound(ctx37, (22,), [4], 2)  # 4 is not prime
 
 
+@pytest.mark.parametrize("n, Lambda, L_rho, message", [
+    ((10, 10), [5], 0, "rho divides |I_l(n)| for l=5"),
+    ((22,), [4], 0, "l=4 is not prime"),
+    ((10, 3), [5], 5, "l=5 below L_rho"),
+    ((35, 3), [5], 0, "top-prime condition fails at l=5, i=1"),  # P+(35) = 7
+    ((25, 3), [5], 0, "top-prime condition fails at l=5, i=1"),  # v_5(25) = 2
+    ((10, 3), [5, 3], 3, "l=3 below L_rho"),
+])
+def test_radical_lower_bound_hypothesis_messages(ctx37, n, Lambda, L_rho, message):
+    with pytest.raises(HypothesisViolated) as info:
+        radical_lower_bound(ctx37, n, Lambda, 2, L_rho)
+    assert str(info.value) == message
+
+
+def _largest_prime_factor(x):
+    return max(p for p in range(2, x + 1) if x % p == 0 and all(p % q for q in range(2, p)))
+
+
+def test_evaluate_tuple_radical_bound_agrees_with_public_entry(ctx37, monkeypatch):
+    # evaluate_tuple hands the Lambda its blocks decided to the core unchecked; the
+    # public entry, given the same Lambda, checks every hypothesis and must agree.
+    public = radical_lower_bound
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("evaluate_tuple re-checked Lambda")
+
+    monkeypatch.setattr(edskit.obstruction, "radical_lower_bound", not_called)
+    rng = random.Random(11)
+    for _ in range(40):
+        n = tuple(rng.randint(2, 60) for _ in range(rng.randint(1, 4)))
+        for rho, L_rho in ((2, 0), (3, 0), (2, 7)):
+            Lambda = [
+                l for l in primes_up_to(max(n))
+                if len(incidence_set(n, l)) % rho
+                and all(brute_valuation(n[i - 1], l) == 1 and _largest_prime_factor(n[i - 1]) == l
+                        for i in incidence_set(n, l))
+            ]
+            report = evaluate_tuple(ctx37, n, rho, L_rho=L_rho)
+            got = [v.to_json() for v in report.verdicts if v.statement == "radical_lower_bound"]
+            try:
+                want = [public(ctx37, n, Lambda, rho, L_rho).to_json()]
+            except HypothesisViolated as exc:
+                want = []
+                assert f"radical_lower_bound: {exc}" in report.skipped
+            assert got == want, (n, rho, L_rho)
+
+
 def test_incidence_matrix():
     m = build_incidence_matrix((22, 33, 26, 39), [11, 13])
     assert m == {11: [1, 1, 0, 0], 13: [0, 0, 1, 1]}
