@@ -14,6 +14,11 @@ Everything is built from scratch here, without the session fixtures, so
 the same digests can be recomputed in a fresh interpreter, including one
 running under python -O, where every assert statement is stripped.
 
+A third sweep, golden/threshold_reports.json, varies what the first two
+hold fixed: one digest per (curve, effort, B, L_rho, rho) over a thinned
+pair sweep, so the B-smoothness, L_rho and partial-factorization
+wordings are pinned too.
+
 The benchmark's obstruct-batch reference is reproduced here too, in process.
 """
 
@@ -31,19 +36,21 @@ import edskit
 from edskit.cli import _parse_effort, load_curve_file
 from edskit.curve import WeierstrassCurve
 from edskit.eds import eds_range
+from edskit.factor import Effort
 from edskit.obstruction import ObstructionContext, evaluate_tuple
 from edskit.relation import test_relation as product_relation
 from edskit.valuation import build_exceptional_set
 
 GOLDEN = Path(__file__).parent / "golden" / "obstruct_reports.json"
+THRESHOLD_GOLDEN = Path(__file__).parent / "golden" / "threshold_reports.json"
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _context(coeffs, N):
+def _context(coeffs, N, effort=Effort()):
     curve = WeierstrassCurve(*coeffs)
     point = (Fraction(0), Fraction(0))
     S = build_exceptional_set(curve, point, include_guard=False)
-    return ObstructionContext(curve, point, S, eds_range(curve, point, N))
+    return ObstructionContext(curve, point, S, eds_range(curve, point, N), effort=effort)
 
 
 def report_digest(ctx, n, rho):
@@ -71,6 +78,51 @@ def golden_digests():
     return out
 
 
+# Every twelfth pair from {1..60}: 153 tuples per configuration.
+THRESHOLD_PAIRS = list(combinations_with_replacement(range(1, 61), 2))[::12]
+# Wordings the threshold sweep must reach: a cofactor above B, an l at or
+# below L_rho, and an index that the zero effort leaves partly factored.
+# large_prime_gap's "smooth_cofactor" route is not among them: l > (sqrt(B)+1)^2
+# gives (sqrt(l)-1)^2 > B, so a B-smooth cofactor already meets the gap condition.
+THRESHOLD_WORDINGS = ("is not B-smooth", "below L_rho", "partial factorization")
+
+
+def threshold_sweep():
+    """({"<curve>/<effort>/B=<B>/L_rho=<L_rho>/rho=<rho>": digest}, wordings seen).
+
+    Each digest is the sha256 of the configuration's reports, one compact
+    sorted-key JSON line per tuple.  One context per (curve, effort) serves
+    all twelve (B, L_rho, rho), as the caches keyed on them must allow.
+    """
+    out, seen = {}, set()
+    for name, coeffs in (("37", (0, 0, 1, -1, 0)), ("43", (0, 1, 1, 0, 0))):
+        for label, effort in (("default", Effort()), ("zero", Effort(0, 0, 0))):
+            ctx = _context(coeffs, 60, effort)
+            for B in (2, 7, 30.5):
+                for L_rho in (0, 7):
+                    for rho in (2, 3):
+                        h = hashlib.sha256()
+                        for n in THRESHOLD_PAIRS:
+                            doc = json.dumps(
+                                evaluate_tuple(ctx, n, rho, B, L_rho).to_json(),
+                                sort_keys=True, separators=(",", ":"),
+                            )
+                            seen.update(w for w in THRESHOLD_WORDINGS if w in doc)
+                            h.update(doc.encode() + b"\n")
+                        out[f"{name}/{label}/B={B}/L_rho={L_rho}/rho={rho}"] = h.hexdigest()[:16]
+    return out, seen
+
+
+def test_threshold_reports_match_golden_digests():
+    expected = json.loads(THRESHOLD_GOLDEN.read_text())
+    assert len(expected) == 2 * 2 * 3 * 2 * 2
+    got, seen = threshold_sweep()
+    assert got.keys() == expected.keys()
+    changed = [key for key in expected if got[key] != expected[key]]
+    assert not changed, f"{len(changed)} configurations changed, first: {changed[:5]}"
+    assert seen == set(THRESHOLD_WORDINGS)
+
+
 def test_obstruct_reports_match_golden_digests():
     expected = json.loads(GOLDEN.read_text())
     assert len(expected) == 908 + 1830
@@ -86,8 +138,8 @@ def test_golden_digests_survive_optimize():
         import json, sys
         if not sys.flags.optimize:
             sys.exit("not running under -O")
-        from test_golden import golden_digests
-        print(json.dumps(golden_digests()))
+        from test_golden import golden_digests, threshold_sweep
+        print(json.dumps([golden_digests(), threshold_sweep()[0]]))
     """)
     src = str(Path(edskit.__file__).resolve().parent.parent)
     path = os.pathsep.join([src, str(Path(__file__).parent)])
@@ -96,7 +148,9 @@ def test_golden_digests_survive_optimize():
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == json.loads(GOLDEN.read_text())
+    reports, thresholds = json.loads(proc.stdout)
+    assert reports == json.loads(GOLDEN.read_text())
+    assert thresholds == json.loads(THRESHOLD_GOLDEN.read_text())
 
 
 def test_obstruct_batch_reference_digests():
