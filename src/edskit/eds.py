@@ -3,9 +3,9 @@
 For each n >= 1 the x-coordinate of [n]P is A_n / D_n^2 in lowest terms
 with D_n > 0.  Tables come from the division-polynomial values psi_n(P),
 computed over Z by Ward's recurrence; the Fraction group law is kept only
-to cross-check them.  The bad-prime correction g of each term needs no gcd
-of big integers when Psi_n is a strong divisibility sequence, which Ward's
-theorem decides once per table from Psi_2, Psi_3 and Psi_4.  The
+to cross-check them.  The bad-prime correction g of each term is 1 when
+Psi_n is a strong divisibility sequence, which Ward's theorem decides once
+per table from Psi_2, Psi_3 and Psi_4.  The
 perfect-squareness of the reduced denominator is asserted on every term,
 never assumed.
 """
@@ -241,8 +241,9 @@ def _projected_digits(terms: List[EdsTerm], N: int) -> float:
 # W_2 | W_4 and gcd(W_3, W_4) = 1 is a strong divisibility sequence,
 # gcd(W_m, W_n) = |W_gcd(m,n)|.  For Psi this gives gcd(Psi_n, Psi_{n+1}) = 1,
 # and a prime dividing Phi_n and Psi_n would divide Psi_{n+1} Psi_{n-1}; so
-# gcd(Phi_n, Psi_n) = 1 and the correction gcd(Phi_n, (d Psi_n)^2) is
-# gcd(Phi_n mod d^2, d^2), which is 1 when d = 1.
+# gcd(Phi_n, Psi_n) = 1.  Phi_n is the homogenised monic phi_n of degree n^2,
+# so Phi_n = a^(n^2) mod d^2, and gcd(a, d) = 1: the correction
+# gcd(Phi_n, (d Psi_n)^2) is 1.
 
 
 def _scaled_coordinates(P: RatPoint) -> Tuple[int, int, int]:
@@ -317,19 +318,17 @@ def _term_from_psi(psi: List[int], n: int, a: int, d: int, strong: bool) -> EdsT
     """(A_n, D_n) = (Phi_n / g, |d Psi_n| / sqrt(g)) with g = gcd(Phi_n, (d Psi_n)^2).
 
     ``strong`` says that Psi satisfies Ward's hypothesis (``_strong_divisibility``);
-    then gcd(Phi_n, Psi_n) = 1, so g = gcd(Phi_n mod d^2, d^2), and g = 1 when
-    d = 1.  Otherwise g comes from the gcd of Phi_n with d Psi_n.
+    then gcd(Phi_n, Psi_n) = 1 and Phi_n = a^(n^2) mod d^2, so g = 1.  Otherwise
+    g comes from the gcd of Phi_n with d Psi_n.
     """
     if psi[n] == 0:
         raise TorsionPoint(f"[{n}]P is the identity; P is torsion")
     scaled = d * psi[n]
     phi = a * psi[n] ** 2 - psi[n + 1] * psi[n - 1]
-    if strong:
-        d2 = d * d
-        g = math.gcd(phi % d2, d2) if d > 1 else 1
-    else:
-        # Every prime of g divides gcd(Phi_n, d Psi_n), which is cheaper and usually 1.
-        g = math.gcd(phi, scaled * scaled) if math.gcd(phi, scaled) > 1 else 1
+    g = 1
+    # Every prime of g divides gcd(Phi_n, d Psi_n), which is cheaper and usually 1.
+    if not strong and math.gcd(phi, scaled) > 1:
+        g = math.gcd(phi, scaled * scaled)
     root = math.isqrt(g)
     if root * root != g:
         raise NonSquareDenominator(f"gcd(Phi_{n}, (d Psi_{n})^2) is not a perfect square: {g}")
@@ -371,8 +370,8 @@ def eds_range(
     root absorbs the correction at bad primes, and g is checked to be a
     perfect square on every term.  When Psi meets Ward's strong-divisibility
     hypothesis (W_0 = 0, W_1 = 1, W_2 W_3 != 0, W_2 | W_4, gcd(W_3, W_4) = 1,
-    tested once per table), g = gcd(Phi_n mod d^2, d^2), which is 1 for an
-    integral P; otherwise g is found per term from gcd(Phi_n, d Psi_n).
+    tested once per table), g = 1; otherwise g is found per term from
+    gcd(Phi_n, d Psi_n).
     The table is cross-checked against
     double-and-add over Q at n = N//2 and n = N, and the divisibility
     property D_m | D_n for m | n is verified on all of it before it is

@@ -1,4 +1,4 @@
-"""Integer factorization with explicit partiality, and B-smoothness.
+"""Integer factorization with explicit partiality.
 
 Partial factorizations are a first-class outcome: a ``Factorization``
 carries the unfactored cofactor, so downstream theorem checkers can
@@ -61,7 +61,7 @@ _chunk_products: Dict[int, int] = {}
 
 @dataclass
 class Factorization:
-    """Multiset of prime powers plus an optional unfactored cofactor.
+    """Multiset of prime powers, sorted by prime, plus an optional unfactored cofactor.
 
     ``complete`` when cofactor == 1; otherwise the cofactor is composite (or
     of unestablished primality).
@@ -363,15 +363,3 @@ def _merge(factors: List[Tuple[int, int]], p: int, e: int) -> None:
             return
     factors.append((p, e))
 
-
-def is_B_smooth(x: int, B) -> bool:
-    """True iff every prime factor of x is <= B.
-
-    Trial division by the primes <= int(B) is always conclusive: what
-    survives is 1, a prime, or a number whose prime factors all exceed B,
-    so x is smooth exactly when the survivor is 1 or at most B.
-    """
-    if x < 1:
-        raise ValueError("x must be positive")
-    _, rest = _trial_divide(x, int(B))
-    return rest == 1 or rest <= B

@@ -23,7 +23,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .curve import RatPoint, WeierstrassCurve
 from .eds import EdsTable, _unlimited_int_digits
 from .errors import HypothesisViolated, SoundnessError
-from .factor import DEFAULT_EFFORT, Effort, Factorization, factorize, is_B_smooth
+from .factor import DEFAULT_EFFORT, Effort, Factorization, factorize
 from .intmath import is_prime, is_rho_power, primes_up_to, valuation
 from .valuation import ExceptionalSet, TermRadicalData, term_radical_data
 
@@ -177,12 +177,21 @@ def _radical_meets_bound(rad: int, ells: Sequence[int]) -> Optional[bool]:
     return False if scaled < lo else None
 
 
-def _largest_prime_factor_exact(ctx: ObstructionContext, x: int) -> int:
-    """P^+(x) with a completeness requirement; refuses rather than guesses."""
+def _top_primes(ctx: ObstructionContext, x: int) -> Tuple[int, int]:
+    """(P^+(x), P^+(x / P^+(x))) from x's memoized factorization, with P^+(1) = 1.
+
+    The second is P^+(x) again when P^+(x)^2 | x.  Refuses a partial
+    factorization rather than guesses.
+    """
     fac = ctx.factorization(x)
     if not fac.complete:
         raise HypothesisViolated(f"largest prime divisor of {x} unknown (partial factorization)")
-    return max((p for p, _ in fac.factors), default=1)
+    if not fac.factors:
+        return 1, 1
+    p, e = fac.factors[-1]  # factors are sorted
+    if e > 1:
+        return p, p
+    return p, fac.factors[-2][0] if len(fac.factors) > 1 else 1
 
 
 def _top_prime_defect(ctx: ObstructionContext, n: Sequence[int], i: int, l: int) -> Optional[str]:
@@ -194,7 +203,7 @@ def _top_prime_defect(ctx: ObstructionContext, n: Sequence[int], i: int, l: int)
     if v != 1:
         return f"v_l(n_{i})={v} != 1"
     try:
-        top = _largest_prime_factor_exact(ctx, n[i - 1])
+        top = _top_primes(ctx, n[i - 1])[0]
     except HypothesisViolated as exc:
         return str(exc)
     if top != l:
@@ -331,7 +340,8 @@ def _check_top_prime_hypotheses(
     ctx: ObstructionContext, n: Sequence[int], l: int, B, L_rho
 ) -> Tuple[List[str], bool]:
     """Reasons the smooth-cofactor hypotheses fail at l (empty = all hold), and the top flag:
-    whether l is the simple top prime of every n_i it divides."""
+    whether l is the simple top prime of every n_i it divides.  n_i / l is B-smooth exactly
+    when P^+(n_i / l) <= B, read once l is known to be n_i's simple top prime."""
     prime, above_L_rho, above_B = ctx.thresholds(l, B, L_rho)
     reasons = []
     top = True
@@ -344,7 +354,7 @@ def _check_top_prime_hypotheses(
     for i in incidence_set(n, l):
         defect = _top_prime_defect(ctx, n, i, l)
         top = top and defect is None
-        if defect is None and not is_B_smooth(n[i - 1] // l, B):
+        if defect is None and _top_primes(ctx, n[i - 1])[1] > B:
             defect = f"cofactor n_{i}/l={n[i - 1] // l} is not B-smooth"
         if defect is not None:
             reasons.append(defect)
@@ -473,7 +483,7 @@ def repeated_top_prime(
     """Indices n_i = l_i * a_i: each top prime must repeat a multiple of rho times."""
     tops: List[int] = []
     for i, ni in enumerate(n, start=1):
-        l_i = _largest_prime_factor_exact(ctx, ni)
+        l_i, top_cof = _top_primes(ctx, ni)
         if l_i == 1:
             raise HypothesisViolated(f"n_{i}=1 has no top prime")
         _, above_L_rho, above_B = ctx.thresholds(l_i, B, L_rho)
@@ -482,9 +492,9 @@ def repeated_top_prime(
             reasons.append(f"l_{i}={l_i} below L_rho")
         if not above_B:
             reasons.append(f"l_{i}={l_i} not above (sqrt(B)+1)^2")
-        if _top_prime_defect(ctx, n, i, l_i) is not None:
+        if top_cof == l_i:  # l_i^2 divides n_i
             reasons.append(f"v_l(n_{i}) != 1")
-        if not is_B_smooth(ni // l_i, B):
+        if top_cof > B:
             reasons.append(f"cofactor of n_{i} not B-smooth")
         if reasons:
             raise HypothesisViolated("; ".join(reasons))
@@ -527,13 +537,13 @@ def large_prime_gap(
         raise HypothesisViolated("m must be at least 2")
     if n is not None and gcd(m, n) != 1:
         raise HypothesisViolated(f"gcd({m},{n}) != 1")
-    l = _largest_prime_factor_exact(ctx, m)
-    if valuation(m, l) != 1:
-        raise HypothesisViolated(f"v_l(m)={valuation(m, l)} != 1")
+    l, top_cof = _top_primes(ctx, m)
+    v = valuation(m, l)
+    if v != 1:
+        raise HypothesisViolated(f"v_l(m)={v} != 1")
     if l <= L_rho:
         raise HypothesisViolated(f"l={l} does not exceed L_rho={L_rho}")
     cofactor = m // l
-    top_cof = _largest_prime_factor_exact(ctx, cofactor)
     detected = bool(ctx.radical_data(l).detecting(rho))
     hyp = {
         "coprime": True,
@@ -542,9 +552,7 @@ def large_prime_gap(
     }
     wit: Dict[str, object] = {"m": m, "l": l, "cofactor": cofactor, "P_plus_cofactor": top_cof}
     gap = cofactor == 1 or _below_sqrt_l_minus_1_sq(top_cof, l)
-    smooth_route = (
-        B is not None and is_B_smooth(cofactor, B) and _exceeds_sqrtB_plus_1_sq(l, B)
-    )
+    smooth_route = B is not None and top_cof <= B and ctx.thresholds(l, B, L_rho)[2]
     if not (gap or smooth_route):
         note = "necessary gap condition satisfied; no exclusion from this test"
         return ObstructionVerdict("large_prime_gap", HOLDS, hyp, wit, [note])
@@ -574,43 +582,24 @@ def radical_lower_bound(
     Each l in Lambda must be prime, above L_rho, with rho not dividing
     |I_l(n)|, and the simple top prime of every n_i it divides.
     """
-    incidences = []
     for l in Lambda:
         if not is_prime(l):
             raise HypothesisViolated(f"l={l} is not prime")
-        _require_above_L_rho(l, L_rho)
+        if l <= L_rho:
+            raise HypothesisViolated(f"l={l} below L_rho")
         I = incidence_set(n, l)
         if len(I) % rho == 0:
             raise HypothesisViolated(f"rho divides |I_l(n)| for l={l}")
         for i in I:
             if _top_prime_defect(ctx, n, i, l) is not None:
                 raise HypothesisViolated(f"top-prime condition fails at l={l}, i={i}")
-        incidences.append((l, I))
-    return _radical_lower_bound(ctx, n, incidences, rho, L_rho)
-
-
-def _require_above_L_rho(l: int, L_rho: int) -> None:
-    if l <= L_rho:
-        raise HypothesisViolated(f"l={l} below L_rho")
-
-
-def _radical_lower_bound(
-    ctx: ObstructionContext, n: Sequence[int], incidences: Sequence[Tuple[int, List[int]]],
-    rho: int, L_rho: int,
-) -> ObstructionVerdict:
-    """radical_lower_bound on pairs (l, I_l(n)) whose l are known to be prime, with rho
-    not dividing |I_l(n)| and l the simple top prime of each n_i, i in I_l(n):
-    evaluate_tuple's blocks have decided that.  Only l > L_rho is checked here."""
-    Lambda = [l for l, _ in incidences]
-    for l in Lambda:
-        _require_above_L_rho(l, L_rho)
     # Pairwise coprimality of the certain radical parts is unconditional.
     rads = {l: ctx.radical_data(l).power_radical(rho) for l in Lambda}
     for ix, a in enumerate(Lambda):
         for b in Lambda[ix + 1 :]:
             if gcd(rads[a], rads[b]) != 1:
                 raise SoundnessError(f"radical coprimality violated at ({a},{b})")
-    quotient = prod(n[i - 1] // l for l, I in incidences for i in I)
+    quotient = prod(n[i - 1] // l for l in Lambda for i in incidence_set(n, l))
     hyp = {"top_prime_hypotheses": True}
     fac = ctx.factorization(quotient)
     rad_q = prod(p for p, _ in fac.factors)  # a lower bound when fac is partial
@@ -733,19 +722,19 @@ def evaluate_tuple(
             skipped.append(f"{label}: {exc}")
 
     reasons = {}
-    rl_lambda = []  # (l, I_l(n)) for each simple top prime l with rho not dividing |I_l(n)|
+    rl_lambda = []  # each simple top prime l with rho not dividing |I_l(n)|
     for l in candidate_primes:
         block = _prime_block(ctx, n, l, rho, squarefree, B, L_rho)
         reasons[l] = block.reasons
         verdicts.extend(block.verdicts)
         skipped.extend(block.skipped)
         if block.top and len(block.I) % rho != 0:
-            rl_lambda.append((l, block.I))
+            rl_lambda.append(l)
     cluster = cluster_packing(ctx, n, reasons, rho) if n else None
     attempt("repeated_top_prime", repeated_top_prime, n, rho, B, L_rho)
     if len(n) == 2 and gcd(n[0], n[1]) == 1:
         for m, other in (n, (n[1], n[0])):
             if m >= 2:
                 attempt(f"large_prime_gap(m={m})", large_prime_gap, m, other, rho, L_rho, B)
-    attempt("radical_lower_bound", _radical_lower_bound, n, rl_lambda, rho, L_rho)
+    attempt("radical_lower_bound", radical_lower_bound, n, rl_lambda, rho, L_rho)
     return TupleReport(n=n, rho=rho, verdicts=verdicts, cluster=cluster, skipped=skipped)

@@ -141,6 +141,10 @@ def test_ward_shortcut_matches_per_term_gcd():
         strong = _strong_divisibility(psi)
         assert strong == (math.gcd(psi[3], psi[4]) == 1)
         paths.append((strong, d > 1))
+        # Phi_n = a^(n^2) mod d^2 (the homogenised monic phi_n): g = 1 on the strong path.
+        d2 = d * d
+        for n in range(1, N + 1):
+            assert (a * psi[n] ** 2 - psi[n + 1] * psi[n - 1] - pow(a, n * n, d2)) % d2 == 0
         table = eds_range(E, P, N, max_digits=10 ** 6)
         assert [(t.A, t.D) for t in table.terms] == [
             term_by_per_term_gcd(psi, n, a, d) for n in range(1, N + 1)
@@ -168,7 +172,7 @@ def test_bad_prime_curve_takes_the_fallback(curve37, point37, monkeypatch):
 
 
 def test_division_terms_use_no_big_gcd(curve37, point37, point37q, curve43, point43, monkeypatch):
-    # Ward's shortcut leaves only gcd(Psi_3, Psi_4) and gcd(Phi_n mod d^2, d^2):
+    # Ward's shortcut leaves only gcd(Psi_3, Psi_4):
     # a per-term gcd of Phi_n with d Psi_n would take arguments of thousands of bits.
     widest = []
     gcd = math.gcd

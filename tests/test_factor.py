@@ -16,10 +16,9 @@ from edskit.factor import (
     _ecm_plan,
     _trial_divide,
     factorize,
-    is_B_smooth,
 )
 from edskit.intmath import is_prime, primes_up_to, valuation
-from edskit.obstruction import _largest_prime_factor_exact
+from edskit.obstruction import _top_primes
 from edskit.valuation import TermRadicalData
 from oracles import brute_is_smooth, trial_divide_per_prime
 
@@ -178,12 +177,6 @@ def test_batched_trial_division_matches_per_prime_loop(case):
     assert _trial_divide(x, bound) == trial_divide_per_prime(x, bound)
 
 
-def test_largest_prime_factor_examples(ctx37):
-    assert _largest_prime_factor_exact(ctx37, 1) == 1
-    assert _largest_prime_factor_exact(ctx37, 12) == 3
-    assert _largest_prime_factor_exact(ctx37, 35) == 7
-
-
 def test_rad_S_rho_examples():
     assert power_radical(12, set(), 2) == (3, True)
     assert power_radical(12, {3}, 2) == (1, True)
@@ -224,40 +217,62 @@ def test_sqf_trivial_iff_square_times_s_units():
         assert (power_radical(x, S, 2)[0] == 1) == expected
 
 
-def test_is_B_smooth_examples():
-    assert is_B_smooth(12, 3)
-    assert not is_B_smooth(14, 3)
-    assert is_B_smooth(1, 2)
+def is_B_smooth(ctx, x, B):
+    """B-smoothness of x as the obstruction checkers decide it for a cofactor a = n / l:
+    P^+(n / P^+(n)) <= B, here for n = l * x with l the least prime above x.
+
+    P^+(1) = 1, so this is exact for B >= 1; the checkers are used with B >= 2.
+    """
+    l = x + 1
+    while not is_prime(l):
+        l += 1
+    return _top_primes(ctx, l * x)[1] <= B
+
+
+def test_is_B_smooth_examples(ctx37):
+    assert is_B_smooth(ctx37, 12, 3)
+    assert not is_B_smooth(ctx37, 14, 3)
+    assert is_B_smooth(ctx37, 1, 2)
+    assert is_B_smooth(ctx37, 6, 1e12)
+    assert is_B_smooth(ctx37, 3 ** 25, 10 ** 40)
+    assert not is_B_smooth(ctx37, 2 * 1000003, 10 ** 6)
     with pytest.raises(ValueError):
-        is_B_smooth(0, 2)
+        is_B_smooth(ctx37, 0, 2)
 
 
-def test_is_B_smooth_matches_brute_force():
+def test_is_B_smooth_matches_brute_force(ctx37):
     rng = random.Random(0)
     xs = list(range(1, 2001)) + [rng.randrange(1, 10 ** 5) for _ in range(500)]
     for x in xs:
         for B in (2, 3, 5, 10, 100):
-            assert is_B_smooth(x, B) == brute_is_smooth(x, B), (x, B)
+            assert is_B_smooth(ctx37, x, B) == brute_is_smooth(x, B), (x, B)
 
 
-@given(st.integers(min_value=1, max_value=10 ** 6), st.integers(min_value=0, max_value=2000))
-def test_is_B_smooth_matches_brute_force_property(x, B):
-    assert is_B_smooth(x, B) == brute_is_smooth(x, B)
+@given(
+    st.integers(min_value=1, max_value=10 ** 6),
+    st.one_of(st.integers(min_value=1, max_value=2000), st.floats(min_value=1, max_value=1e15)),
+)
+def test_is_B_smooth_matches_brute_force_property(ctx37, x, B):
+    assert is_B_smooth(ctx37, x, B) == brute_is_smooth(x, B)
 
 
-def test_is_B_smooth_huge_bound_keeps_the_sieve():
+def test_is_B_smooth_fractional_bound(ctx37):
+    # A real bound B acts through the primes <= B.
+    assert is_B_smooth(ctx37, 8, 2.5)
+    assert not is_B_smooth(ctx37, 9, 2.5)
+    assert is_B_smooth(ctx37, 1000003, 1000003.5)
+    assert not is_B_smooth(ctx37, 1000003, 1000002.5)
+
+
+def test_factorize_huge_trial_bound_keeps_the_sieve():
+    # Trial division sieves only up to sqrt(x), however large the trial bound.
     primes_up_to(10 ** 6)
     cached = dict(intmath._sieve_cache)
-    assert is_B_smooth(6, 1e12)
-    assert not is_B_smooth(2 * 1000003, 10 ** 6)
-    assert is_B_smooth(3 ** 25, 1e12)
+    huge = Effort(trial_bound=10 ** 12)
+    assert factorize(6, huge).factors == [(2, 1), (3, 1)]
+    assert factorize(2 * 1000003, huge).factors == [(2, 1), (1000003, 1)]
+    assert factorize(3 ** 25, huge).factors == [(3, 25)]
     assert intmath._sieve_cache.keys() == cached.keys()
-
-
-def test_is_B_smooth_fractional_bound():
-    # A real bound B acts through the primes <= B.
-    assert is_B_smooth(8, 2.5)
-    assert not is_B_smooth(9, 2.5)
 
 
 def test_valuations_consistent_with_factorize():

@@ -26,6 +26,7 @@ from edskit.obstruction import (
     _check_top_prime_hypotheses,
     _congruence,
     _radical_meets_bound,
+    _top_primes,
     build_incidence_matrix,
     cluster_packing,
     evaluate_tuple,
@@ -420,37 +421,13 @@ def test_radical_lower_bound_hypothesis_messages(ctx37, n, Lambda, L_rho, messag
     assert str(info.value) == message
 
 
-def _largest_prime_factor(x):
-    return max(p for p in range(2, x + 1) if x % p == 0 and all(p % q for q in range(2, p)))
-
-
-def test_evaluate_tuple_radical_bound_agrees_with_public_entry(ctx37, monkeypatch):
-    # evaluate_tuple hands the Lambda its blocks decided to the core unchecked; the
-    # public entry, given the same Lambda, checks every hypothesis and must agree.
-    public = radical_lower_bound
-
-    def not_called(*args, **kwargs):
-        raise AssertionError("evaluate_tuple re-checked Lambda")
-
-    monkeypatch.setattr(edskit.obstruction, "radical_lower_bound", not_called)
-    rng = random.Random(11)
-    for _ in range(40):
-        n = tuple(rng.randint(2, 60) for _ in range(rng.randint(1, 4)))
-        for rho, L_rho in ((2, 0), (3, 0), (2, 7)):
-            Lambda = [
-                l for l in primes_up_to(max(n))
-                if len(incidence_set(n, l)) % rho
-                and all(brute_valuation(n[i - 1], l) == 1 and _largest_prime_factor(n[i - 1]) == l
-                        for i in incidence_set(n, l))
-            ]
-            report = evaluate_tuple(ctx37, n, rho, L_rho=L_rho)
-            got = [v.to_json() for v in report.verdicts if v.statement == "radical_lower_bound"]
-            try:
-                want = [public(ctx37, n, Lambda, rho, L_rho).to_json()]
-            except HypothesisViolated as exc:
-                want = []
-                assert f"radical_lower_bound: {exc}" in report.skipped
-            assert got == want, (n, rho, L_rho)
+def test_largest_prime_factor_examples(ctx37):
+    assert _top_primes(ctx37, 1) == (1, 1)
+    assert _top_primes(ctx37, 7) == (7, 1)
+    assert _top_primes(ctx37, 12) == (3, 2)
+    assert _top_primes(ctx37, 35) == (7, 5)
+    assert _top_primes(ctx37, 18) == (3, 3)  # 3^2 | 18: the cofactor keeps the top prime
+    assert _top_primes(ctx37, 2 * 7 ** 3) == (7, 7)
 
 
 def test_incidence_matrix():
