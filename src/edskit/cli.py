@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .curve import WeierstrassCurve, minimality_report
-from .errors import BudgetExceeded, EdskitError, PrimeTooLarge, SoundnessError, TorsionPoint
+from .errors import EdskitError, PrimeTooLarge, SoundnessError
 from .eds import DEFAULT_MAX_DIGITS, eds_range
 from .factor import Effort
 from .intmath import is_prime, primes_up_to
@@ -57,7 +57,8 @@ def load_curve_file(path: str):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        coeffs = [int(doc[k]) for k in ("a1", "a2", "a3", "a4", "a6")]
+        # Through str(): int() alone would round 1.9 down and read true as 1.
+        coeffs = [int(str(doc[k])) for k in ("a1", "a2", "a3", "a4", "a6")]
         P = (_parse_rational(doc["x"]), _parse_rational(doc["y"]))
     except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad curve file {path}: {exc}")
@@ -79,18 +80,30 @@ def _parse_effort(spec: str) -> Effort:
         raise ConfigError(f"bad effort spec {spec!r}; expected TRIAL:RHO:SECONDS")
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _prime(s: str) -> int:
+    rho = int(s)
+    if not is_prime(rho):
+        raise argparse.ArgumentTypeError(f"{s} is not prime")
+    return rho
+
+
+def _curve_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of every subcommand: the curve, the output format and S."""
     p.add_argument("--curve", required=True, help="curve/point JSON file")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--effort", default="1000000:10000000:60")
-    p.add_argument("--sieve-bound", type=int, default=10 ** 4)
     p.add_argument("--extra-s", default="", help="comma list of primes to add to S")
     p.add_argument(
         "--guard",
         action="store_true",
         help="include the {2,3} small-prime guard in the exceptional set",
     )
-    p.add_argument("--strict", action="store_true", help="require explicit thresholds")
+
+
+def _detecting_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the subcommands that search D_l for detecting primes."""
+    p.add_argument("--rho", type=_prime, default=2)
+    p.add_argument("--effort", default="1000000:10000000:60")
+    p.add_argument("--sieve-bound", type=int, default=10 ** 4)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,19 +112,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a denominator table")
-    _common_flags(g)
+    _curve_flags(g)
     g.add_argument("--n-max", type=int, required=True)
     g.add_argument("--out", help="output table path (default: ./eds-table-<curve hash>.jsonl)")
     g.add_argument("--max-digits", type=int, default=DEFAULT_MAX_DIGITS)
 
     v = sub.add_parser("verify-law", help="verify the valuation law over a prime range")
-    _common_flags(v)
+    _curve_flags(v)
     v.add_argument("--p-max", type=int, required=True)
     v.add_argument("--n-max", type=int, default=60)
 
     o = sub.add_parser("obstruct", help="run obstruction checkers on index tuples")
-    _common_flags(o)
-    o.add_argument("--rho", type=int, default=2)
+    _curve_flags(o)
+    _detecting_flags(o)
+    o.add_argument("--strict", action="store_true", help="require an explicit --L-rho")
     o.add_argument("--B", type=float, default=2.0)
     o.add_argument("--L-rho", type=int, default=0, dest="L_rho")
     o.add_argument("--n-max", type=int, help="table range (default: largest tuple entry)")
@@ -119,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--tuple-file", help="file with one comma-separated tuple per line")
 
     d = sub.add_parser("probe-detecting", help="probe detecting primes at prime indices")
-    _common_flags(d)
-    d.add_argument("--rho", type=int, default=2)
+    _curve_flags(d)
+    _detecting_flags(d)
     d.add_argument("--l-max", type=int, required=True)
     d.add_argument("--l-min", type=int, default=2)
     return ap
@@ -281,10 +295,6 @@ def cmd_verify_law(args) -> int:
             results.append({"p": str(p), "status": "skipped", "reason": "in exceptional set"})
             lines.append(f"p={p}: skipped (exceptional set)")
             continue
-        if not E.has_good_reduction(p):
-            results.append({"p": str(p), "status": "skipped", "reason": "bad reduction"})
-            lines.append(f"p={p}: skipped (bad reduction)")
-            continue
         try:
             rep = check_valuation_law(E, P, S, p, args.n_max, table)
         except PrimeTooLarge:
@@ -314,29 +324,24 @@ def cmd_verify_law(args) -> int:
 
 
 def _read_tuples(args) -> List[List[int]]:
-    tuples = []
+    """The --tuple entries, then the non-blank lines of --tuple-file; a blank field is an error."""
     try:
-        for spec in args.tuple:
-            tuples.append([int(x) for x in spec.split(",") if x.strip()])
+        specs = list(args.tuple)
         if args.tuple_file:
             with open(args.tuple_file) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        tuples.append([int(x) for x in line.split(",")])
+                specs.extend(line for line in fh if line.strip())
+        tuples = [[int(x) for x in spec.split(",")] for spec in specs]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad tuple: {exc}")
     if not tuples:
         raise ConfigError("no tuples given (use --tuple or --tuple-file)")
     for t in tuples:
-        if not t or any(x < 1 for x in t):
+        if any(x < 1 for x in t):
             raise ConfigError(f"tuple entries must be positive: {t}")
     return tuples
 
 
 def cmd_obstruct(args) -> int:
-    if args.rho < 2 or not is_prime(args.rho):
-        raise ConfigError("--rho must be prime")
     if not math.isfinite(args.B) or args.B < 2:
         raise ConfigError("--B must be a finite number of at least 2")
     if args.strict and args.L_rho <= 0:
@@ -382,8 +387,6 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_probe_detecting(args) -> int:
-    if args.rho < 2 or not is_prime(args.rho):
-        raise ConfigError("--rho must be prime")
     effort = _parse_effort(args.effort)
     E, P, S, minim = _setup(args)
     ls = [l for l in primes_up_to(args.l_max) if l >= args.l_min]
@@ -441,7 +444,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SoundnessError as exc:
         print(f"SOUNDNESS CONTRADICTION: {exc}", file=sys.stderr)
         return EXIT_SOUNDNESS
-    except (TorsionPoint, BudgetExceeded, EdskitError) as exc:
+    except EdskitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CURVE
 

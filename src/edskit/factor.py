@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .intmath import is_prime, primes_up_to
+from .intmath import is_prime, primes_up_to, valuation
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,10 @@ _chunk_products: Dict[int, int] = {}
 class Factorization:
     """Multiset of prime powers, sorted by prime, plus an optional unfactored cofactor.
 
-    ``complete`` when cofactor == 1; otherwise the cofactor is composite (or
-    of unestablished primality).
+    Each listed exponent is exact: for every (p, e) in ``factors``,
+    v_p(n) == e, so p does not divide the cofactor.  ``complete`` when
+    cofactor == 1; otherwise the cofactor is composite (or of
+    unestablished primality).
     """
 
     n: int
@@ -335,31 +337,26 @@ def factorize(x: int, effort: Effort = DEFAULT_EFFORT) -> Factorization:
         return result
     if rest <= effort.trial_bound * effort.trial_bound:
         # Below the square of the trial bound any survivor is prime.
-        _merge(result.factors, rest, 1)
-        result.factors.sort()
+        factors.append((rest, 1))
         return result
 
+    # A prime found in one piece may also divide a piece left unsplit, so its
+    # exponent is counted in rest itself; what rest keeps is the cofactor.
     deadline = time.monotonic() + effort.wall_clock
+    found = set()
     stack = [rest]
     while stack:
         m = stack.pop()
         if is_prime(m):  # the one primality test of each cofactor
-            _merge(result.factors, m, 1)
+            found.add(m)
             continue
         d = _split(m, effort.rho_iterations, deadline)
-        if d is None:
-            result.cofactor *= m
-            continue
-        stack.append(d)
-        stack.append(m // d)
-    result.factors.sort()
+        if d is not None:
+            stack.append(d)
+            stack.append(m // d)
+    for p in sorted(found):  # each above every prime trial division stripped
+        e = valuation(rest, p)
+        rest //= p ** e
+        factors.append((p, e))
+    result.cofactor = rest
     return result
-
-
-def _merge(factors: List[Tuple[int, int]], p: int, e: int) -> None:
-    for i, (q, f) in enumerate(factors):
-        if q == p:
-            factors[i] = (q, f + e)
-            return
-    factors.append((p, e))
-

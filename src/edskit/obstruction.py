@@ -524,14 +524,14 @@ def large_prime_gap(
     n: Optional[int],
     rho: int,
     L_rho: int = 0,
-    B=None,
 ) -> ObstructionVerdict:
     """Coprime two-term exclusion from the prime gap below the top prime of m.
 
-    When P^+(m / l) < (sqrt(l)-1)^2 (or m/l is B-smooth with l above the
-    smooth threshold), no product D_m * D_n with gcd(m, n) = 1 can be a
-    rho-th power.  The exclusion then applies to ALL coprime n; a concrete
-    n is only used for the gcd precondition and oracle cross-validation.
+    When P^+(m / l) < (sqrt(l)-1)^2, no product D_m * D_n with
+    gcd(m, n) = 1 can be a rho-th power.  This covers a B-smooth m/l with
+    l > (sqrt(B)+1)^2, since then (sqrt(l)-1)^2 > B >= P^+(m / l).  The
+    exclusion then applies to ALL coprime n; a concrete n is only used for
+    the gcd precondition and oracle cross-validation.
     """
     if m < 2:
         raise HypothesisViolated("m must be at least 2")
@@ -551,12 +551,10 @@ def large_prime_gap(
         "detecting_prime_verified": detected,
     }
     wit: Dict[str, object] = {"m": m, "l": l, "cofactor": cofactor, "P_plus_cofactor": top_cof}
-    gap = cofactor == 1 or _below_sqrt_l_minus_1_sq(top_cof, l)
-    smooth_route = B is not None and top_cof <= B and ctx.thresholds(l, B, L_rho)[2]
-    if not (gap or smooth_route):
+    if not (cofactor == 1 or _below_sqrt_l_minus_1_sq(top_cof, l)):
         note = "necessary gap condition satisfied; no exclusion from this test"
         return ObstructionVerdict("large_prime_gap", HOLDS, hyp, wit, [note])
-    wit["route"] = "prime_gap" if gap else "smooth_cofactor"
+    wit["route"] = "prime_gap"
     if detected and n is not None and max(m, n) <= ctx.table.max_index:
         product = ctx.table.D(m) * ctx.table.D(n)
         oracle = is_rho_power(product, rho) if product >= 1 else False
@@ -735,6 +733,6 @@ def evaluate_tuple(
     if len(n) == 2 and gcd(n[0], n[1]) == 1:
         for m, other in (n, (n[1], n[0])):
             if m >= 2:
-                attempt(f"large_prime_gap(m={m})", large_prime_gap, m, other, rho, L_rho, B)
+                attempt(f"large_prime_gap(m={m})", large_prime_gap, m, other, rho, L_rho)
     attempt("radical_lower_bound", radical_lower_bound, n, rl_lambda, rho, L_rho)
     return TupleReport(n=n, rho=rho, verdicts=verdicts, cluster=cluster, skipped=skipped)

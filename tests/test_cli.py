@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import sys
@@ -96,8 +97,12 @@ def test_bad_curve_file_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("doc", [dict(FIXTURE_CURVE, x="0/0"), [FIXTURE_CURVE]],
-                         ids=["zero-denominator", "json-list"])
+@pytest.mark.parametrize("doc", [
+    dict(FIXTURE_CURVE, x="0/0"),
+    [FIXTURE_CURVE],
+    dict(FIXTURE_CURVE, a3=1.9),  # int() would run a3 = 1
+    dict(FIXTURE_CURVE, a3=True),
+], ids=["zero-denominator", "json-list", "float-coefficient", "bool-coefficient"])
 def test_malformed_curve_file_exits_2(doc, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -107,8 +112,9 @@ def test_malformed_curve_file_exits_2(doc, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, error", [
     (["obstruct", "--tuple", "5,a"], "error: bad tuple"),
+    (["obstruct", "--tuple", "5,,3"], "error: bad tuple"),
     (["verify-law", "--p-max", "10", "--extra-s", "x"], "error: bad --extra-s"),
-], ids=["tuple", "extra-s"])
+], ids=["tuple", "tuple-blank-field", "extra-s"])
 def test_malformed_number_exits_2(argv, error, curve_file, capsys):
     assert main(argv + ["--curve", curve_file]) == 2
     assert capsys.readouterr().err.startswith(error)
@@ -293,6 +299,85 @@ def test_bad_effort_spec_exits_2_before_any_work(argv, curve_file, capsys, monke
     monkeypatch.setattr(cli, "_setup", setup)
     assert main(argv + ["--curve", curve_file]) == 2
     assert capsys.readouterr().err.startswith("error: bad effort spec")
+
+
+# Every option of each subcommand, in declaration order.
+OPTIONS = {
+    "gen": ["--curve", "--format", "--extra-s", "--guard", "--n-max", "--out", "--max-digits"],
+    "verify-law": ["--curve", "--format", "--extra-s", "--guard", "--p-max", "--n-max"],
+    "obstruct": ["--curve", "--format", "--extra-s", "--guard", "--rho", "--effort",
+                 "--sieve-bound", "--strict", "--B", "--L-rho", "--n-max", "--tuple",
+                 "--tuple-file"],
+    "probe-detecting": ["--curve", "--format", "--extra-s", "--guard", "--rho", "--effort",
+                        "--sieve-bound", "--l-max", "--l-min"],
+}
+
+
+def _subcommand_options(command):
+    """{option string: dest} of one subcommand, --help left out."""
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        a.option_strings[0]: a.dest
+        for a in sub.choices[command]._actions
+        if a.option_strings and not isinstance(a, argparse._HelpAction)
+    }
+
+
+def test_each_subcommand_declares_its_pinned_options():
+    assert {c: list(_subcommand_options(c)) for c in OPTIONS} == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 35
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n-max", "8"],
+    ["verify-law", "--p-max", "30", "--n-max", "12"],
+    ["obstruct", "--tuple", "5,3", "--tuple-file", "TUPLES", "--n-max", "8"],
+    ["probe-detecting", "--l-max", "13"],
+], ids=lambda argv: argv[0])
+def test_every_option_is_read(argv, tmp_path, curve_file, capsys, monkeypatch):
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    build = cli.build_parser
+
+    def recording_parser():
+        ap = build()
+        parse = ap.parse_args
+
+        def parse_args(args):
+            ns = parse(args, namespace=Recorder())
+            reads.clear()  # argparse itself reads every dest while parsing
+            return ns
+
+        ap.parse_args = parse_args
+        return ap
+
+    tuples = tmp_path / "tuples.txt"
+    tuples.write_text("7,2\n")
+    argv = [str(tuples) if a == "TUPLES" else a for a in argv]
+    if argv[0] == "gen":
+        argv += ["--out", str(tmp_path / "t.jsonl")]
+    monkeypatch.setattr(cli, "build_parser", recording_parser)
+    assert main(argv + ["--curve", curve_file]) == 0
+    unread = set(_subcommand_options(argv[0]).values()) - reads
+    assert not unread
+
+
+@pytest.mark.parametrize("argv", [
+    [command, flag] + value
+    for command in ("gen", "verify-law")
+    for flag, value in (("--effort", ["1:1:1"]), ("--sieve-bound", ["10"]), ("--strict", []))
+] + [["probe-detecting", "--strict"]], ids=lambda argv: f"{argv[0]}{argv[1]}")
+def test_flag_the_subcommand_does_not_take_exits_2(argv, tmp_path, curve_file, capsys):
+    required = {"gen": ["--n-max", "8", "--out", str(tmp_path / "t.jsonl")],
+                "verify-law": ["--p-max", "10"], "probe-detecting": ["--l-max", "13"]}
+    assert main(argv + required[argv[0]] + ["--curve", curve_file]) == 2
+    assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

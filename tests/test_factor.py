@@ -92,6 +92,19 @@ def test_factorize_partial_within_tiny_budget():
     assert fac.product() == BIG_A * BIG_B
 
 
+def test_factorize_exponents_are_exact_when_a_piece_stays_unsplit():
+    # The split phase finds p in one piece while another piece, p times a
+    # 41-bit prime, stays unsplit within the short budget.
+    p, A, B = 13211347, P41, 2199023267911  # B = nextprime(2**41 + 12345)
+    n = p * p * A * B
+    fac = factorize(n, Effort(100, RHO_SHORT_RUN, 600))
+    assert fac.factors and fac.product() == n
+    for q, e in fac.factors:
+        assert valuation(n, q) == e
+        assert math.gcd(fac.cofactor, q) == 1
+    assert (p, 2) in fac.factors
+
+
 def test_ecm_splits_what_the_short_rho_run_cannot():
     n = P41 * Q41
     assert is_prime(P41) and is_prime(Q41)

@@ -82,8 +82,8 @@ def golden_digests():
 THRESHOLD_PAIRS = list(combinations_with_replacement(range(1, 61), 2))[::12]
 # Wordings the threshold sweep must reach: a cofactor above B, an l at or
 # below L_rho, and an index that the zero effort leaves partly factored.
-# large_prime_gap's "smooth_cofactor" route is not among them: l > (sqrt(B)+1)^2
-# gives (sqrt(l)-1)^2 > B, so a B-smooth cofactor already meets the gap condition.
+# large_prime_gap reads no B: l > (sqrt(B)+1)^2 gives (sqrt(l)-1)^2 > B, so a
+# B-smooth cofactor already meets its gap condition.
 THRESHOLD_WORDINGS = ("is not B-smooth", "below L_rho", "partial factorization")
 
 
