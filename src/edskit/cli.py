@@ -30,8 +30,6 @@ from .errors import EdskitError, PrimeTooLarge, SoundnessError
 from .eds import DEFAULT_MAX_DIGITS, eds_range
 from .factor import Effort
 from .intmath import is_prime, primes_up_to
-from .obstruction import ObstructionContext, evaluate_tuple
-from .relation import test_relation
 from .valuation import build_exceptional_set, check_valuation_law, term_radical_data
 
 EXIT_OK = 0
@@ -87,6 +85,18 @@ def _prime(s: str) -> int:
     return rho
 
 
+def _positive(s: str) -> int:
+    value = int(s)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{s} is not positive")
+    return value
+
+
+def _int_list(spec: str) -> List[int]:
+    """A comma list of integers, as --tuple and --extra-s take it; a blank field is an error."""
+    return [int(x) for x in spec.split(",")]
+
+
 def _curve_flags(p: argparse.ArgumentParser) -> None:
     """The flags of every subcommand: the curve, the output format and S."""
     p.add_argument("--curve", required=True, help="curve/point JSON file")
@@ -103,7 +113,7 @@ def _detecting_flags(p: argparse.ArgumentParser) -> None:
     """The flags of the subcommands that search D_l for detecting primes."""
     p.add_argument("--rho", type=_prime, default=2)
     p.add_argument("--effort", default="1000000:10000000:60")
-    p.add_argument("--sieve-bound", type=int, default=10 ** 4)
+    p.add_argument("--sieve-bound", type=_positive, default=10 ** 4)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     _curve_flags(g)
     g.add_argument("--n-max", type=int, required=True)
     g.add_argument("--out", help="output table path (default: ./eds-table-<curve hash>.jsonl)")
-    g.add_argument("--max-digits", type=int, default=DEFAULT_MAX_DIGITS)
+    g.add_argument("--max-digits", type=_positive, default=DEFAULT_MAX_DIGITS)
 
     v = sub.add_parser("verify-law", help="verify the valuation law over a prime range")
     _curve_flags(v)
@@ -143,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _setup(args):
     E, P = load_curve_file(args.curve)
     try:
-        extra = [int(x) for x in args.extra_s.split(",") if x.strip()]
+        extra = _int_list(args.extra_s) if args.extra_s else []
     except ValueError as exc:
         raise ConfigError(f"bad --extra-s: {exc}")
     for p in extra:
@@ -330,7 +340,7 @@ def _read_tuples(args) -> List[List[int]]:
         if args.tuple_file:
             with open(args.tuple_file) as fh:
                 specs.extend(line for line in fh if line.strip())
-        tuples = [[int(x) for x in spec.split(",")] for spec in specs]
+        tuples = [_int_list(spec) for spec in specs]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad tuple: {exc}")
     if not tuples:
@@ -342,6 +352,10 @@ def _read_tuples(args) -> List[List[int]]:
 
 
 def cmd_obstruct(args) -> int:
+    # Imported here: no other subcommand runs the obstruction layer or the oracle.
+    from .obstruction import ObstructionContext, evaluate_tuple
+    from .relation import test_relation
+
     if not math.isfinite(args.B) or args.B < 2:
         raise ConfigError("--B must be a finite number of at least 2")
     if args.strict and args.L_rho <= 0:

@@ -18,9 +18,9 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from . import __version__
 from .curve import RatPoint, WeierstrassCurve
@@ -36,8 +36,7 @@ from .intmath import int_nth_root
 DEFAULT_MAX_DIGITS = 10 ** 5
 
 
-@dataclass(frozen=True)
-class EdsTerm:
+class EdsTerm(NamedTuple):
     n: int
     A: int
     D: int
@@ -85,8 +84,8 @@ def curve_point_key(curve: WeierstrassCurve, P: RatPoint) -> str:
 def _unlimited_int_digits() -> Iterator[None]:
     """Lift the interpreter's int/str conversion limit (4300 digits) while active.
 
-    Table files and the content hash hold every term in decimal, so terms
-    past the limit must convert.  The previous limit is restored on exit.
+    Reading a table file and printing products or witnesses convert numbers
+    past the limit.  The previous limit is restored on exit.
     """
     if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
         yield
@@ -97,6 +96,48 @@ def _unlimited_int_digits() -> Iterator[None]:
         yield
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+# _decimal hands str() pieces of about this many digits, and splits larger
+# numbers at 10**h for h = _CHUNK_DIGITS * 2**j.  It stays below 640, the
+# smallest digit limit the interpreter accepts, so no setting stops a piece.
+_CHUNK_DIGITS = 512
+
+
+@lru_cache(maxsize=None)
+def _power_of_ten(h: int) -> int:
+    return 10 ** h
+
+
+def _decimal(x: int) -> str:
+    """``str(x)`` for any size of x, in pieces that stay below the interpreter's digit limit.
+
+    CPython's int-to-decimal conversion is quadratic in the digit count, and
+    dividing by a power of ten costs less than converting the same digits,
+    so |x| is split by ``divmod`` at 10**h, h = 512 * 2**j, into halves
+    converted on their own.  The digit estimate from the bit length is never
+    above the true count, so the top part is never empty and never cut; on
+    a piece that goes to str() it is at most 2 below.
+    """
+    if x < 0:
+        return "-" + _decimal(-x)
+    digits = x.bit_length() * 1233 >> 12  # 1233 / 4096 < log10(2)
+    if digits <= _CHUNK_DIGITS:
+        return str(x)
+    h = _CHUNK_DIGITS
+    while 2 * h < digits:
+        h *= 2
+    high, low = divmod(x, _power_of_ten(h))
+    return _decimal(high) + _padded_decimal(low, h)
+
+
+def _padded_decimal(x: int, h: int) -> str:
+    """The h digits of 0 <= x < 10**h, with leading zeros, for h = 512 * 2**j."""
+    if h == _CHUNK_DIGITS:
+        return str(x).zfill(h)
+    h //= 2
+    high, low = divmod(x, _power_of_ten(h))
+    return _padded_decimal(high, h) + _padded_decimal(low, h)
 
 
 def _hash_row(n: int, A: str, D: str) -> bytes:
@@ -145,9 +186,8 @@ class EdsTable:
         """Digest of the key and every (n, A_n, D_n) in decimal; computed once per table."""
         if self._content_hash is None:
             digest = hashlib.sha256(self.key.encode())
-            with _unlimited_int_digits():
-                for t in self.terms:
-                    digest.update(_hash_row(t.n, str(t.A), str(t.D)))
+            for t in self.terms:
+                digest.update(_hash_row(t.n, _decimal(t.A), _decimal(t.D)))
             self._content_hash = digest.hexdigest()[:16]
         return self._content_hash
 
@@ -172,10 +212,10 @@ class EdsTable:
         digest = hashlib.sha256(self.key.encode())
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w") as fh, _unlimited_int_digits():
+            with open(tmp, "w") as fh:
                 fh.write(self._header_line("0" * 16))
                 for t in self.terms:
-                    A, D = str(t.A), str(t.D)
+                    A, D = _decimal(t.A), _decimal(t.D)
                     digest.update(_hash_row(t.n, A, D))
                     fh.write(json.dumps({"n": t.n, "A": A, "D": D}) + "\n")
                 self._content_hash = digest.hexdigest()[:16]

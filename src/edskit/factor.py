@@ -11,15 +11,19 @@ import bisect
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-from .intmath import is_prime, primes_up_to, valuation
+from .intmath import cached_primes, is_prime, primes_up_to, valuation
 
 
-@dataclass(frozen=True)
-class Effort:
+class _EffortFields(NamedTuple):
+    trial_bound: int
+    rho_iterations: int
+    wall_clock: float
+
+
+class Effort(_EffortFields):
     """Budget for a factorization attempt.
 
     ``rho_iterations`` is a counted budget per composite cofactor, shared
@@ -28,17 +32,22 @@ class Effort:
     unit per modular multiplication, squaring or inverse, about 22 000
     in all, and starts only if that much is left.  ``wall_clock`` is only
     a safety stop, checked by rho and between ECM curves.
+
+    Build every Effort through this constructor: ``_replace`` and ``_make``
+    skip the field check.
     """
 
-    trial_bound: int = 10 ** 6
-    rho_iterations: int = 10 ** 7
-    wall_clock: float = 60.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls, trial_bound: int = 10 ** 6, rho_iterations: int = 10 ** 7, wall_clock: float = 60.0
+    ) -> "Effort":
+        self = super().__new__(cls, trial_bound, rho_iterations, wall_clock)
         # factorize takes any survivor below trial_bound**2 for a prime: no field may be negative.
-        for name, value in vars(self).items():
+        for name, value in zip(self._fields, self):
             if not value >= 0:  # NaN compares false
                 raise ValueError(f"effort {name} must be non-negative, not {value}")
+        return self
 
 
 DEFAULT_EFFORT = Effort()
@@ -59,8 +68,7 @@ _BABY = tuple(j for j in range(1, _WHEEL, 2) if math.gcd(j, _WHEEL) == 1)
 _chunk_products: Dict[int, int] = {}
 
 
-@dataclass
-class Factorization:
+class Factorization(NamedTuple):
     """Multiset of prime powers, sorted by prime, plus an optional unfactored cofactor.
 
     Each listed exponent is exact: for every (p, e) in ``factors``,
@@ -70,7 +78,7 @@ class Factorization:
     """
 
     n: int
-    factors: List[Tuple[int, int]] = field(default_factory=list)
+    factors: List[Tuple[int, int]]
     cofactor: int = 1
 
     @property
@@ -84,15 +92,15 @@ class Factorization:
         return out
 
 
-def _chunk_product(start: int, chunk: List[int]) -> int:
-    """Product of the full chunk of primes at index start, built on first use.
+def _chunk_product(start: int, primes: List[int]) -> int:
+    """Product of the TRIAL_CHUNK primes from index start, built on first use.
 
-    Every prime list here is a prefix of the primes, so a full chunk is
-    determined by its start index.
+    Every prime list here is the cached list of the primes in order, so a
+    full chunk is determined by its start index.
     """
     prod = _chunk_products.get(start)
     if prod is None:
-        prod = _chunk_products[start] = math.prod(chunk)
+        prod = _chunk_products[start] = math.prod(primes[start : start + TRIAL_CHUNK])
     return prod
 
 
@@ -100,25 +108,28 @@ def _trial_divide(x: int, bound: int) -> Tuple[List[Tuple[int, int]], int]:
     """Strip the primes <= bound from x; returns (factors, survivor).
 
     Stops at the first prime p with p*p above what is left, so the survivor
-    is 1, a prime, or free of primes <= bound.  A full chunk of TRIAL_CHUNK
-    primes is tested with one gcd against its product and scanned prime by
-    prime only when that gcd exceeds 1; the shorter last chunk is scanned
-    directly, since its product would serve no other x.
+    is 1, a prime, or free of primes <= bound.  The primes come from the
+    cached list, read in place up to min(bound, isqrt(x) + 1).  A full chunk of
+    TRIAL_CHUNK primes is tested with one gcd against its product and
+    scanned prime by prime only when that gcd exceeds 1; the shorter last
+    chunk is scanned directly, since its product would serve no other x.
     """
     factors: List[Tuple[int, int]] = []
     rest = x
-    primes = primes_up_to(min(bound, math.isqrt(x) + 1))
-    for start in range(0, len(primes), TRIAL_CHUNK):
+    cap = min(bound, math.isqrt(x) + 1)
+    primes = cached_primes(cap)
+    stop = bisect.bisect_right(primes, cap)
+    for start in range(0, stop, TRIAL_CHUNK):
         if primes[start] * primes[start] > rest:
             break
-        chunk = primes[start : start + TRIAL_CHUNK]
-        if len(chunk) < TRIAL_CHUNK:
+        end = min(start + TRIAL_CHUNK, stop)
+        if end - start < TRIAL_CHUNK:
             g = rest
         else:
-            g = math.gcd(rest, _chunk_product(start, chunk))
+            g = math.gcd(rest, _chunk_product(start, primes))
             if g == 1:
                 continue
-        for p in chunk:
+        for p in primes[start:end]:
             if p * p > rest:
                 break
             if g % p == 0:
@@ -332,13 +343,12 @@ def factorize(x: int, effort: Effort = DEFAULT_EFFORT) -> Factorization:
     if x < 1:
         raise ValueError("x must be positive")
     factors, rest = _trial_divide(x, effort.trial_bound)
-    result = Factorization(n=x, factors=factors)
     if rest == 1:
-        return result
+        return Factorization(x, factors)
     if rest <= effort.trial_bound * effort.trial_bound:
         # Below the square of the trial bound any survivor is prime.
         factors.append((rest, 1))
-        return result
+        return Factorization(x, factors)
 
     # A prime found in one piece may also divide a piece left unsplit, so its
     # exponent is counted in rest itself; what rest keeps is the cofactor.
@@ -358,5 +368,4 @@ def factorize(x: int, effort: Effort = DEFAULT_EFFORT) -> Factorization:
         e = valuation(rest, p)
         rest //= p ** e
         factors.append((p, e))
-    result.cofactor = rest
-    return result
+    return Factorization(x, factors, rest)

@@ -8,6 +8,7 @@ denominator, so no separate rational type is needed.
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from itertools import compress
 from typing import Iterable, List, Tuple
@@ -16,8 +17,8 @@ from typing import Iterable, List, Tuple
 def int_nth_root(x: int, r: int) -> Tuple[int, bool]:
     """Return (floor(x**(1/r)), exact) for x >= 0, r >= 1.
 
-    Integer Newton iteration seeded from the bit length; terminates by
-    monotone bracketing, so no floating point is involved anywhere.
+    Square roots come from ``math.isqrt``, higher roots from
+    ``_newton_root``; no floating point is involved anywhere.
     """
     if x < 0:
         raise ValueError("x must be non-negative")
@@ -25,6 +26,15 @@ def int_nth_root(x: int, r: int) -> Tuple[int, bool]:
         raise ValueError("r must be positive")
     if r == 1 or x < 2:
         return x, True
+    root = math.isqrt(x) if r == 2 else _newton_root(x, r)
+    return root, root ** r == x
+
+
+def _newton_root(x: int, r: int) -> int:
+    """floor(x**(1/r)) for x >= 2, r >= 2 by integer Newton iteration.
+
+    Seeded from the bit length; terminates by monotone bracketing.
+    """
     # Seed: 2**ceil(bits/r) >= x**(1/r), so Newton descends monotonically.
     guess = 1 << ((x.bit_length() + r - 1) // r)
     while True:
@@ -34,7 +44,7 @@ def int_nth_root(x: int, r: int) -> Tuple[int, bool]:
         guess = nxt
     while guess ** r > x:  # guard against seed undershoot edge cases
         guess -= 1
-    return guess, guess ** r == x
+    return guess
 
 
 def is_rho_power(x: int, rho: int) -> bool:
@@ -97,25 +107,30 @@ def is_prime(n: int) -> bool:
     return not any(witness(a) for a in bases)
 
 
-_sieve_cache: dict = {}
+# (bound, every prime <= bound): the largest sieve run so far.
+_sieve: Tuple[int, List[int]] = (1, [])
+
+
+def cached_primes(limit: int) -> List[int]:
+    """Every prime up to some bound >= limit, in order: the cached list itself, never a copy.
+
+    The sieve of Eratosthenes runs again, to exactly limit, only when limit
+    passes the cached bound.  Callers must not change the list.
+    """
+    global _sieve
+    bound, primes = _sieve
+    if limit > bound:
+        sieve = bytearray([1]) * (limit + 1)
+        sieve[0:2] = b"\x00\x00"
+        for i in range(2, math.isqrt(limit) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+        primes = list(compress(range(limit + 1), sieve))
+        _sieve = (limit, primes)
+    return primes
 
 
 def primes_up_to(limit: int) -> List[int]:
-    """All primes <= limit via a cached sieve of Eratosthenes."""
-    if limit < 2:
-        return []
-    for bound, primes in _sieve_cache.items():
-        if bound >= limit:
-            if bound == limit:
-                return primes
-            return primes[: bisect.bisect_right(primes, limit)]
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(limit ** 0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    primes = list(compress(range(limit + 1), sieve))
-    _sieve_cache.clear()
-    _sieve_cache[limit] = primes
-    return primes
-
+    """All primes <= limit, as a new list cut from the cached sieve."""
+    primes = cached_primes(limit)
+    return primes[: bisect.bisect_right(primes, limit)]

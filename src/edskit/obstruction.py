@@ -15,7 +15,6 @@ always routes through the exact integer root test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, prod, sqrt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -32,14 +31,34 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
 class ObstructionVerdict:
-    statement: str
-    verdict: str
-    hypotheses: Dict[str, bool] = field(default_factory=dict)
-    witnesses: Dict[str, object] = field(default_factory=dict)
-    notes: List[str] = field(default_factory=list)
-    _json: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    """One checker's verdict, equal to another with the same five fields."""
+
+    def __init__(
+        self,
+        statement: str,
+        verdict: str,
+        hypotheses: Dict[str, bool],
+        witnesses: Dict[str, object],
+        notes: Optional[List[str]] = None,
+    ):
+        self.statement = statement
+        self.verdict = verdict
+        self.hypotheses = hypotheses
+        self.witnesses = witnesses
+        self.notes = [] if notes is None else notes
+        self._json: Optional[dict] = None
+
+    def _key(self) -> tuple:
+        return (self.statement, self.verdict, self.hypotheses, self.witnesses, self.notes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ObstructionVerdict):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return "ObstructionVerdict%r" % (self._key(),)
 
     @property
     def certified_exclusion(self) -> bool:
@@ -67,21 +86,29 @@ def _jsonable(v):
     return v
 
 
-@dataclass(eq=False, repr=False)
 class ObstructionContext:
     """Immutable inputs shared by all checkers, with caches of work shared across tuples:
     radical data, index factorizations, each l's threshold tests and the blocks of _prime_block."""
 
-    curve: WeierstrassCurve
-    point: RatPoint
-    S: ExceptionalSet
-    table: EdsTable
-    sieve_bound: int = 10 ** 4
-    effort: Effort = DEFAULT_EFFORT
-    _radical_cache: Dict[int, TermRadicalData] = field(default_factory=dict, init=False)
-    _factor_cache: Dict[int, Factorization] = field(default_factory=dict, init=False)
-    _threshold_cache: Dict[tuple, Tuple[bool, bool, bool]] = field(default_factory=dict, init=False)
-    _blocks: Dict[tuple, "_PrimeBlock"] = field(default_factory=dict, init=False)
+    def __init__(
+        self,
+        curve: WeierstrassCurve,
+        point: RatPoint,
+        S: ExceptionalSet,
+        table: EdsTable,
+        sieve_bound: int = 10 ** 4,
+        effort: Effort = DEFAULT_EFFORT,
+    ):
+        self.curve = curve
+        self.point = point
+        self.S = S
+        self.table = table
+        self.sieve_bound = sieve_bound
+        self.effort = effort
+        self._radical_cache: Dict[int, TermRadicalData] = {}
+        self._factor_cache: Dict[int, Factorization] = {}
+        self._threshold_cache: Dict[tuple, Tuple[bool, bool, bool]] = {}
+        self._blocks: Dict[tuple, _PrimeBlock] = {}
 
     def radical_data(self, l: int) -> TermRadicalData:
         if l not in self._radical_cache:
@@ -390,8 +417,7 @@ def smooth_cofactor_balance(
     )
 
 
-@dataclass
-class ClusterPackingReport:
+class ClusterPackingReport(NamedTuple):
     """The five conclusions of the cluster-packing theorem, checked independently."""
 
     lambda_used: List[int]
@@ -404,7 +430,7 @@ class ClusterPackingReport:
     conclusions: Dict[int, str]
     exclusion: bool
     certified: bool
-    notes: List[str] = field(default_factory=list)
+    notes: List[str]
 
     def to_json(self) -> dict:
         return {
@@ -666,8 +692,7 @@ def _prime_block(
     return block
 
 
-@dataclass
-class TupleReport:
+class TupleReport(NamedTuple):
     """Every applicable checker's verdict for one index tuple."""
 
     n: Tuple[int, ...]

@@ -7,9 +7,8 @@ here is unconditional: no factorization is ever needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .eds import EdsTable, _unlimited_int_digits
 from .errors import BudgetExceeded
@@ -18,8 +17,7 @@ from .intmath import int_nth_root
 DEFAULT_SEARCH_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
-class ProductRelation:
+class ProductRelation(NamedTuple):
     n: Tuple[int, ...]
     rho: int
     product: int

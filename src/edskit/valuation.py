@@ -11,10 +11,9 @@ the model is non-minimal, never a refutation of the law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import prod
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .curve import RatPoint, WeierstrassCurve
 from .errors import PrimeTooLarge, SoundnessError, TableMiss
@@ -28,11 +27,11 @@ SMALL_PRIME_GUARD = "small_prime_guard"
 USER_ADDED = "user_added"
 
 
-@dataclass
 class ExceptionalSet:
     """Finite sorted prime set with per-prime provenance tags."""
 
-    provenance: Dict[int, str] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.provenance: Dict[int, str] = {}
 
     @property
     def primes(self) -> List[int]:
@@ -86,16 +85,14 @@ def build_exceptional_set(
     return S
 
 
-@dataclass
-class LawViolation:
+class LawViolation(NamedTuple):
     n: int
     clause: int  # 1: divisibility iff, 2: valuation formula
     expected: int
     actual: int
 
 
-@dataclass
-class LawReport:
+class LawReport(NamedTuple):
     p: int
     r_p: int
     n_max: int
@@ -158,8 +155,7 @@ def valuation_via_law(
     return v + (valuation(q, p) if q > 1 else 0)
 
 
-@dataclass
-class TermRadicalData:
+class TermRadicalData(NamedTuple):
     """Primes outside S dividing D_l, with valuations and completeness."""
 
     l: int
@@ -190,7 +186,8 @@ def term_radical_data(
     cofactor.  When l is prime, every prime found is verified to have
     reduction order exactly l.
     """
-    fac = factorize(table.D(l), replace(effort, trial_bound=max(effort.trial_bound, sieve_bound)))
+    effort = Effort(max(effort.trial_bound, sieve_bound), effort.rho_iterations, effort.wall_clock)
+    fac = factorize(table.D(l), effort)
     entries = [(p, v) for p, v in fac.factors if p not in S]
     for p, _ in entries:
         _verify_structured_divisor(curve, P, p, l, table)

@@ -3,7 +3,10 @@
 import argparse
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 from itertools import combinations_with_replacement
 
 import pytest
@@ -114,7 +117,8 @@ def test_malformed_curve_file_exits_2(doc, tmp_path, capsys):
     (["obstruct", "--tuple", "5,a"], "error: bad tuple"),
     (["obstruct", "--tuple", "5,,3"], "error: bad tuple"),
     (["verify-law", "--p-max", "10", "--extra-s", "x"], "error: bad --extra-s"),
-], ids=["tuple", "tuple-blank-field", "extra-s"])
+    (["verify-law", "--p-max", "20", "--extra-s", "5,,7"], "error: bad --extra-s"),
+], ids=["tuple", "tuple-blank-field", "extra-s", "extra-s-blank-field"])
 def test_malformed_number_exits_2(argv, error, curve_file, capsys):
     assert main(argv + ["--curve", curve_file]) == 2
     assert capsys.readouterr().err.startswith(error)
@@ -282,6 +286,37 @@ def test_bad_size_or_bound_exits_2_before_any_work(argv, curve_file, capsys, mon
     monkeypatch.setattr(cli, "_setup", setup)
     assert main(argv + ["--curve", curve_file]) == 2
     assert capsys.readouterr().err.startswith("error: --")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "--n-max", "8", "--max-digits", "0"], "--max-digits"),
+    (["gen", "--n-max", "40", "--max-digits", "-3"], "--max-digits"),
+    (["probe-detecting", "--l-max", "13", "--sieve-bound", "-5"], "--sieve-bound"),
+    (["obstruct", "--tuple", "5,3", "--sieve-bound", "0"], "--sieve-bound"),
+], ids=["max-digits-0", "max-digits-negative", "probe-sieve-bound-negative",
+        "obstruct-sieve-bound-0"])
+def test_nonpositive_size_flag_exits_2_before_any_work(argv, flag, curve_file, capsys,
+                                                       monkeypatch):
+    def setup(args):
+        raise AssertionError("work started before the size flag was checked")
+
+    monkeypatch.setattr(cli, "_setup", setup)
+    assert main(argv + ["--curve", curve_file]) == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
+def test_import_loads_only_the_shared_layers():
+    # gen, verify-law and probe-detecting never load the obstruction layer or the
+    # oracle, and no module pulls in dataclasses and, through it, inspect.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; before = set(sys.modules); import edskit.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "edskit.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "edskit.obstruction", "edskit.relation"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from edskit.curve import WeierstrassCurve
 from edskit.eds import (
     EdsTable,
     EdsTerm,
+    _decimal,
     _extend_psi,
     _psi_seeds,
     _scaled_coordinates,
@@ -360,3 +362,36 @@ def test_dump_is_atomic(tmp_path, curve37, point37, table37, monkeypatch):
     assert path.read_text() == before
     assert os.listdir(tmp_path) == ["table.jsonl"]
 
+
+
+def _decimal_cases():
+    rng = random.Random(16)
+    cases = [0, 1, -1]
+    for k in (1, 511, 512, 513, 1023, 1024, 1025, 2048, 4300):
+        cases += [10 ** k, 10 ** k - 1, 10 ** k + 1, -(10 ** k), -(10 ** k - 1)]
+    for _ in range(40):
+        x = rng.randrange(10 ** rng.randrange(1, 20000))
+        cases += [x, -x]
+    return cases
+
+
+def test_decimal_matches_str():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for x in _decimal_cases():
+            assert _decimal(x) == str(x), x.bit_length()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_under_the_smallest_digit_limit():
+    # str() refuses 641 digits at the smallest limit; _decimal only ever converts shorter pieces.
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        digits = _decimal(-(7 ** 20000))
+        sys.set_int_max_str_digits(0)
+        assert digits == str(-(7 ** 20000))
+    finally:
+        sys.set_int_max_str_digits(limit)

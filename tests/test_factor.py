@@ -280,12 +280,12 @@ def test_is_B_smooth_fractional_bound(ctx37):
 def test_factorize_huge_trial_bound_keeps_the_sieve():
     # Trial division sieves only up to sqrt(x), however large the trial bound.
     primes_up_to(10 ** 6)
-    cached = dict(intmath._sieve_cache)
+    bound, primes = intmath._sieve
     huge = Effort(trial_bound=10 ** 12)
     assert factorize(6, huge).factors == [(2, 1), (3, 1)]
     assert factorize(2 * 1000003, huge).factors == [(2, 1), (1000003, 1)]
     assert factorize(3 ** 25, huge).factors == [(3, 25)]
-    assert intmath._sieve_cache.keys() == cached.keys()
+    assert intmath._sieve == (bound, primes) and intmath._sieve[1] is primes
 
 
 def test_valuations_consistent_with_factorize():

@@ -1,5 +1,6 @@
 """Integer primitives: exact roots, valuations, primality."""
 
+import random
 from math import isqrt
 
 import pytest
@@ -39,6 +40,17 @@ def test_int_nth_root_matches_brute_force(x, r):
 def test_int_nth_root_on_exact_powers(y, r):
     root, exact = int_nth_root(y ** r, r)
     assert (root, exact) == (y, True)
+
+
+def test_square_root_matches_newton():
+    # r = 2 goes through math.isqrt; the Newton iteration of r >= 3 is the reference.
+    rng = random.Random(2)
+    xs = [rng.getrandbits(rng.randrange(2, 40000)) for _ in range(60)]
+    for y in [2, 3, 10 ** 40 + 7] + [rng.getrandbits(5000) for _ in range(20)]:
+        xs += [y * y - 1, y * y, y * y + 1]
+    for x in xs:
+        root = intmath._newton_root(x, 2) if x >= 2 else x
+        assert int_nth_root(x, 2) == (root, root * root == x), x
 
 
 def test_is_rho_power_examples():
@@ -100,7 +112,7 @@ def test_primes_up_to():
 
 
 def test_primes_up_to_grow_and_shrink(monkeypatch):
-    monkeypatch.setattr(intmath, "_sieve_cache", {})
+    monkeypatch.setattr(intmath, "_sieve", (1, []))
     for limit in (2, 10, 10 ** 4, 50, 10 ** 5, 7):
         expected = [n for n in range(2, limit + 1)
                     if all(n % d for d in range(2, isqrt(n) + 1))]
