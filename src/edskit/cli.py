@@ -30,7 +30,7 @@ from .errors import EdskitError, PrimeTooLarge, SoundnessError
 from .eds import DEFAULT_MAX_DIGITS, eds_range
 from .factor import Effort
 from .intmath import is_prime, primes_up_to
-from .valuation import build_exceptional_set, check_valuation_law, term_radical_data
+from .valuation import SIEVE_BOUND, build_exceptional_set, check_valuation_law, term_radical_data
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -92,6 +92,14 @@ def _positive(s: str) -> int:
     return value
 
 
+def _prime_bound(s: str) -> int:
+    """An upper bound of a prime range: below 2 the range would be empty."""
+    value = int(s)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"{s} is below 2, the least prime")
+    return value
+
+
 def _int_list(spec: str) -> List[int]:
     """A comma list of integers, as --tuple and --extra-s take it; a blank field is an error."""
     return [int(x) for x in spec.split(",")]
@@ -113,7 +121,11 @@ def _detecting_flags(p: argparse.ArgumentParser) -> None:
     """The flags of the subcommands that search D_l for detecting primes."""
     p.add_argument("--rho", type=_prime, default=2)
     p.add_argument("--effort", default="1000000:10000000:60")
-    p.add_argument("--sieve-bound", type=_positive, default=10 ** 4)
+
+
+def _detecting_thresholds(args) -> dict:
+    """The header thresholds of the subcommands that search D_l for detecting primes."""
+    return {"rho": args.rho, "sieve_bound": SIEVE_BOUND}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,14 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a denominator table")
     _curve_flags(g)
-    g.add_argument("--n-max", type=int, required=True)
+    g.add_argument("--n-max", type=_positive, required=True)
     g.add_argument("--out", help="output table path (default: ./eds-table-<curve hash>.jsonl)")
     g.add_argument("--max-digits", type=_positive, default=DEFAULT_MAX_DIGITS)
 
     v = sub.add_parser("verify-law", help="verify the valuation law over a prime range")
     _curve_flags(v)
-    v.add_argument("--p-max", type=int, required=True)
-    v.add_argument("--n-max", type=int, default=60)
+    v.add_argument("--p-max", type=_prime_bound, required=True)
+    v.add_argument("--n-max", type=_positive, default=60)
 
     o = sub.add_parser("obstruct", help="run obstruction checkers on index tuples")
     _curve_flags(o)
@@ -138,15 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--strict", action="store_true", help="require an explicit --L-rho")
     o.add_argument("--B", type=float, default=2.0)
     o.add_argument("--L-rho", type=int, default=0, dest="L_rho")
-    o.add_argument("--n-max", type=int, help="table range (default: largest tuple entry)")
+    o.add_argument("--n-max", type=_positive, help="table range (default: largest tuple entry)")
     o.add_argument("--tuple", action="append", default=[], help="comma list, e.g. 5,3")
     o.add_argument("--tuple-file", help="file with one comma-separated tuple per line")
 
     d = sub.add_parser("probe-detecting", help="probe detecting primes at prime indices")
     _curve_flags(d)
     _detecting_flags(d)
-    d.add_argument("--l-max", type=int, required=True)
-    d.add_argument("--l-min", type=int, default=2)
+    d.add_argument("--l-max", type=_prime_bound, required=True)
+    d.add_argument("--l-min", type=_positive, default=2)
     return ap
 
 
@@ -267,8 +279,6 @@ def _emit(doc: dict, fmt: str, text_lines: List[str]) -> None:
 
 
 def cmd_gen(args) -> int:
-    if args.n_max < 1:
-        raise ConfigError("--n-max must be positive")
     E, P, S, minim = _setup(args)
     table = eds_range(E, P, args.n_max, max_digits=args.max_digits)
     out = args.out
@@ -292,8 +302,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify_law(args) -> int:
-    if args.n_max < 1:
-        raise ConfigError("--n-max must be positive")
     E, P, S, minim = _setup(args)
     table = eds_range(E, P, args.n_max)
     doc = _header(args, S, minim, p_max=args.p_max, n_max=args.n_max)
@@ -368,10 +376,10 @@ def cmd_obstruct(args) -> int:
     effort = _parse_effort(args.effort)
     E, P, S, minim = _setup(args)
     table = eds_range(E, P, n_max)
-    ctx = ObstructionContext(E, P, S, table, sieve_bound=args.sieve_bound, effort=effort)
+    ctx = ObstructionContext(E, P, S, table, effort=effort)
     doc = _header(
-        args, S, minim, rho=args.rho, B=args.B, L_rho=args.L_rho,
-        n_max=n_max, sieve_bound=args.sieve_bound, effort=args.effort,
+        args, S, minim, B=args.B, L_rho=args.L_rho, n_max=n_max, effort=args.effort,
+        **_detecting_thresholds(args),
     )
     reports = []
     lines = []
@@ -404,16 +412,14 @@ def cmd_probe_detecting(args) -> int:
     effort = _parse_effort(args.effort)
     E, P, S, minim = _setup(args)
     ls = [l for l in primes_up_to(args.l_max) if l >= args.l_min]
-    doc = _header(
-        args, S, minim, rho=args.rho, l_max=args.l_max, sieve_bound=args.sieve_bound
-    )
+    doc = _header(args, S, minim, l_max=args.l_max, **_detecting_thresholds(args))
     lines = []
     results = []
     if ls:
         table = eds_range(E, P, max(ls))
         largest_without = None
         for l in ls:
-            data = term_radical_data(E, P, S, l, table, args.sieve_bound, effort)
+            data = term_radical_data(E, P, S, l, table, effort)
             found, complete = data.detecting(args.rho), data.complete
             if not found:
                 largest_without = l

@@ -266,7 +266,7 @@ class FpCurve:
         return order
 
 
-def minimality_report(curve: WeierstrassCurve, effort: Effort = Effort()) -> "MinimalityReport":
+def minimality_report(curve: WeierstrassCurve) -> "MinimalityReport":
     """Sufficient-criterion minimality check.
 
     For each p >= 5 dividing the discriminant the model is certified
@@ -274,7 +274,7 @@ def minimality_report(curve: WeierstrassCurve, effort: Effort = Effort()) -> "Mi
     criterion is not sufficient, so those primes only produce warnings
     and block certification.
     """
-    fac = factorize(abs(curve.discriminant), effort)
+    fac = factorize(abs(curve.discriminant))
     notes: List[str] = []
     certified = True
     if not fac.complete:

@@ -85,12 +85,6 @@ class Factorization(NamedTuple):
     def complete(self) -> bool:
         return self.cofactor == 1
 
-    def product(self) -> int:
-        out = self.cofactor
-        for p, e in self.factors:
-            out *= p ** e
-        return out
-
 
 def _chunk_product(start: int, primes: List[int]) -> int:
     """Product of the TRIAL_CHUNK primes from index start, built on first use.
@@ -141,7 +135,7 @@ def _trial_divide(x: int, bound: int) -> Tuple[List[Tuple[int, int]], int]:
     return factors, rest
 
 
-def _brent_rho(n: int, iteration_cap: int, deadline: float, seed: int = 1) -> Tuple[int | None, int]:
+def _brent_rho(n: int, iteration_cap: int, deadline: float) -> Tuple[int | None, int]:
     """Brent's cycle variant of Pollard rho.
 
     Returns (a nontrivial factor or None, iterations spent).  Every step
@@ -151,7 +145,7 @@ def _brent_rho(n: int, iteration_cap: int, deadline: float, seed: int = 1) -> Tu
     """
     if n % 2 == 0:
         return 2, 0
-    rng = random.Random(seed ^ n)
+    rng = random.Random(1 ^ n)
     spent = 0
     while spent + 1 < iteration_cap and time.monotonic() < deadline:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128

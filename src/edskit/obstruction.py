@@ -32,7 +32,7 @@ INCONCLUSIVE = "inconclusive"
 
 
 class ObstructionVerdict:
-    """One checker's verdict, equal to another with the same five fields."""
+    """One checker's verdict."""
 
     def __init__(
         self,
@@ -48,17 +48,6 @@ class ObstructionVerdict:
         self.witnesses = witnesses
         self.notes = [] if notes is None else notes
         self._json: Optional[dict] = None
-
-    def _key(self) -> tuple:
-        return (self.statement, self.verdict, self.hypotheses, self.witnesses, self.notes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ObstructionVerdict):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return "ObstructionVerdict%r" % (self._key(),)
 
     @property
     def certified_exclusion(self) -> bool:
@@ -96,14 +85,12 @@ class ObstructionContext:
         point: RatPoint,
         S: ExceptionalSet,
         table: EdsTable,
-        sieve_bound: int = 10 ** 4,
         effort: Effort = DEFAULT_EFFORT,
     ):
         self.curve = curve
         self.point = point
         self.S = S
         self.table = table
-        self.sieve_bound = sieve_bound
         self.effort = effort
         self._radical_cache: Dict[int, TermRadicalData] = {}
         self._factor_cache: Dict[int, Factorization] = {}
@@ -113,7 +100,7 @@ class ObstructionContext:
     def radical_data(self, l: int) -> TermRadicalData:
         if l not in self._radical_cache:
             self._radical_cache[l] = term_radical_data(
-                self.curve, self.point, self.S, l, self.table, self.sieve_bound, self.effort
+                self.curve, self.point, self.S, l, self.table, self.effort
             )
         return self._radical_cache[l]
 

@@ -26,6 +26,9 @@ DIVIDES_D1 = "divides_D1"
 SMALL_PRIME_GUARD = "small_prime_guard"
 USER_ADDED = "user_added"
 
+# Trial division of each D_l reaches at least this far, whatever the effort's trial bound.
+SIEVE_BOUND = 10 ** 4
+
 
 class ExceptionalSet:
     """Finite sorted prime set with per-prime provenance tags."""
@@ -55,7 +58,6 @@ def build_exceptional_set(
     P: RatPoint,
     extra: Iterable[int] = (),
     include_guard: bool = True,
-    effort: Effort = DEFAULT_EFFORT,
 ) -> ExceptionalSet:
     """Union of bad-reduction primes, Supp(D_1), the {2,3} guard, and extras.
 
@@ -64,7 +66,7 @@ def build_exceptional_set(
     without affecting any downstream statement.
     """
     S = ExceptionalSet()
-    disc = factorize(abs(curve.discriminant), effort)
+    disc = factorize(abs(curve.discriminant))
     if not disc.complete:
         raise PrimeTooLarge("could not factor the discriminant; bad primes unknown")
     for p, _ in disc.factors:
@@ -72,7 +74,7 @@ def build_exceptional_set(
     x = Fraction(P[0])
     d1_squared = x.denominator
     if d1_squared > 1:
-        fac = factorize(d1_squared, effort)
+        fac = factorize(d1_squared)
         if not fac.complete:
             raise PrimeTooLarge("could not factor D_1; its support is unknown")
         for p, _ in fac.factors:
@@ -134,27 +136,6 @@ def check_valuation_law(
     return LawReport(p=p, r_p=r_p, n_max=n_max, violations=violations)
 
 
-def valuation_via_law(
-    curve: WeierstrassCurve,
-    P: RatPoint,
-    S: ExceptionalSet,
-    p: int,
-    n: int,
-    table: EdsTable,
-) -> int:
-    """v_p(D_n) via the law; only D_{r_p} is read, never D_n itself."""
-    if p in S:
-        raise ValueError(f"p={p} is in the exceptional set")
-    r_p = curve.reduction_order(P, p)
-    if n % r_p != 0:
-        return 0
-    if r_p > table.max_index:
-        raise TableMiss(f"table does not cover r_p={r_p}")
-    v = valuation(table.D(r_p), p)
-    q = n // r_p
-    return v + (valuation(q, p) if q > 1 else 0)
-
-
 class TermRadicalData(NamedTuple):
     """Primes outside S dividing D_l, with valuations and completeness."""
 
@@ -177,16 +158,15 @@ def term_radical_data(
     S: ExceptionalSet,
     l: int,
     table: EdsTable,
-    sieve_bound: int = 10 ** 4,
     effort: Effort = DEFAULT_EFFORT,
 ) -> TermRadicalData:
     """All primes p outside S with p | D_l, with v_p(D_l), as far as the budget reaches.
 
-    Trial division of D_l reaches at least sieve_bound, rho and ECM take the
+    Trial division of D_l reaches at least SIEVE_BOUND, rho and ECM take the
     cofactor.  When l is prime, every prime found is verified to have
     reduction order exactly l.
     """
-    effort = Effort(max(effort.trial_bound, sieve_bound), effort.rho_iterations, effort.wall_clock)
+    effort = Effort(max(effort.trial_bound, SIEVE_BOUND), effort.rho_iterations, effort.wall_clock)
     fac = factorize(table.D(l), effort)
     entries = [(p, v) for p, v in fac.factors if p not in S]
     for p, _ in entries:

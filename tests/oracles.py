@@ -9,15 +9,26 @@ sieve-then-factor radical search hands what its sieve leaves to edskit's
 factorize, which test_factor checks.  The per-term-gcd oracle takes its
 Psi_n from edskit's recurrence, which test_eds checks against
 double-and-add, and recomputes only the bad-prime correction.
+
+Two slow paths live here as oracles only.  valuation_via_law reads
+v_p(D_n) off D_{r_p} as the law states it, with edskit's reduction order;
+test_valuation checks it against direct division.  search_relations runs
+edskit's exact power test over every small multiset of indices, which is
+the ground truth the obstruction checkers must never contradict.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import combinations_with_replacement
+from math import comb, gcd, isqrt
 
 import sympy as sp
 
+from edskit.errors import BudgetExceeded, TableMiss
 from edskit.factor import factorize
-from edskit.intmath import primes_up_to
+from edskit.intmath import primes_up_to, valuation
+from edskit.relation import test_relation as product_relation
+
+DEFAULT_SEARCH_CAP = 2_000_000
 
 
 def oracle_add(coeffs, P, Q):
@@ -210,3 +221,35 @@ def enumerate_fp_points(coeffs, p):
             if (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % p == 0:
                 pts.append((x, y))
     return pts
+
+
+def valuation_via_law(curve, P, S, p, n, table):
+    """v_p(D_n) via the law; only D_{r_p} is read, never D_n itself."""
+    if p in S:
+        raise ValueError(f"p={p} is in the exceptional set")
+    r_p = curve.reduction_order(P, p)
+    if n % r_p != 0:
+        return 0
+    if r_p > table.max_index:
+        raise TableMiss(f"table does not cover r_p={r_p}")
+    v = valuation(table.D(r_p), p)
+    q = n // r_p
+    return v + (valuation(q, p) if q > 1 else 0)
+
+
+def search_relations(table, k, N, rho, space_cap=DEFAULT_SEARCH_CAP):
+    """All size-k multisets from {1..N} whose term product is an exact rho-th power.
+
+    Multisets, not tuples: the product is order-invariant, so results use
+    the canonical sorted representative, in lexicographic order.
+    """
+    if N > table.max_index:
+        raise BudgetExceeded(f"index bound {N} exceeds table range {table.max_index}")
+    if comb(N + k - 1, k) > space_cap:
+        raise BudgetExceeded(f"multiset space C({N + k - 1},{k}) exceeds cap {space_cap}")
+    found = []
+    for combo in combinations_with_replacement(range(1, N + 1), k):
+        rel = product_relation(table, combo, rho)
+        if rel.is_power:
+            found.append(rel)
+    return found

@@ -18,10 +18,9 @@ from edskit.obstruction import (
     cluster_packing,
     evaluate_tuple,
 )
-from edskit.relation import search_relations
 from edskit.relation import test_relation as product_relation
 from edskit.valuation import check_valuation_law
-from oracles import enumerate_fp_points, oracle_d_values
+from oracles import enumerate_fp_points, oracle_d_values, search_relations
 
 
 def test_01_fixture_sequence_matches_independent_oracle(curve37, point37):

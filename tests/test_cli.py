@@ -264,7 +264,7 @@ def test_probe_detecting(curve_file, capsys):
 
 
 def test_probe_detecting_empty_range(curve_file, capsys):
-    rc = main(["probe-detecting", "--curve", curve_file, "--l-max", "1"])
+    rc = main(["probe-detecting", "--curve", curve_file, "--l-max", "13", "--l-min", "14"])
     assert rc == 0
     doc = capsys.readouterr().out
     assert "largest" not in doc
@@ -273,12 +273,8 @@ def test_probe_detecting_empty_range(curve_file, capsys):
 @pytest.mark.parametrize("argv", [
     ["obstruct", "--B", "nan", "--tuple", "5,3"],
     ["obstruct", "--B", "inf", "--tuple", "5,3"],
-    ["gen", "--n-max", "0"],
-    ["verify-law", "--n-max", "0", "--p-max", "10"],
-    ["obstruct", "--n-max", "-3", "--tuple", "5,3"],
     ["obstruct", "--n-max", "10", "--tuple", "14,9"],
-], ids=["B-nan", "B-inf", "gen-n-max-0", "verify-law-n-max-0", "obstruct-n-max-negative",
-        "obstruct-n-max-below-tuple"])
+], ids=["B-nan", "B-inf", "obstruct-n-max-below-tuple"])
 def test_bad_size_or_bound_exits_2_before_any_work(argv, curve_file, capsys, monkeypatch):
     def setup(args):
         raise AssertionError("work started before the configuration was checked")
@@ -291,10 +287,16 @@ def test_bad_size_or_bound_exits_2_before_any_work(argv, curve_file, capsys, mon
 @pytest.mark.parametrize("argv, flag", [
     (["gen", "--n-max", "8", "--max-digits", "0"], "--max-digits"),
     (["gen", "--n-max", "40", "--max-digits", "-3"], "--max-digits"),
-    (["probe-detecting", "--l-max", "13", "--sieve-bound", "-5"], "--sieve-bound"),
-    (["obstruct", "--tuple", "5,3", "--sieve-bound", "0"], "--sieve-bound"),
-], ids=["max-digits-0", "max-digits-negative", "probe-sieve-bound-negative",
-        "obstruct-sieve-bound-0"])
+    (["gen", "--n-max", "0"], "--n-max"),
+    (["verify-law", "--n-max", "0", "--p-max", "10"], "--n-max"),
+    (["obstruct", "--n-max", "-3", "--tuple", "5,3"], "--n-max"),
+    (["probe-detecting", "--l-max", "13", "--l-min", "0"], "--l-min"),
+    # A prime range needs an upper bound of at least 2, or it checks nothing.
+    (["verify-law", "--p-max", "-5"], "--p-max"),
+    (["verify-law", "--p-max", "1"], "--p-max"),
+    (["probe-detecting", "--l-max", "1"], "--l-max"),
+], ids=["max-digits-0", "max-digits-negative", "gen-n-max-0", "verify-law-n-max-0",
+        "obstruct-n-max-negative", "probe-l-min-0", "p-max-negative", "p-max-1", "l-max-1"])
 def test_nonpositive_size_flag_exits_2_before_any_work(argv, flag, curve_file, capsys,
                                                        monkeypatch):
     def setup(args):
@@ -341,10 +343,9 @@ OPTIONS = {
     "gen": ["--curve", "--format", "--extra-s", "--guard", "--n-max", "--out", "--max-digits"],
     "verify-law": ["--curve", "--format", "--extra-s", "--guard", "--p-max", "--n-max"],
     "obstruct": ["--curve", "--format", "--extra-s", "--guard", "--rho", "--effort",
-                 "--sieve-bound", "--strict", "--B", "--L-rho", "--n-max", "--tuple",
-                 "--tuple-file"],
+                 "--strict", "--B", "--L-rho", "--n-max", "--tuple", "--tuple-file"],
     "probe-detecting": ["--curve", "--format", "--extra-s", "--guard", "--rho", "--effort",
-                        "--sieve-bound", "--l-max", "--l-min"],
+                        "--l-max", "--l-min"],
 }
 
 
@@ -361,7 +362,7 @@ def _subcommand_options(command):
 
 def test_each_subcommand_declares_its_pinned_options():
     assert {c: list(_subcommand_options(c)) for c in OPTIONS} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 35
+    assert sum(map(len, OPTIONS.values())) == 33
 
 
 @pytest.mark.parametrize("argv", [
@@ -407,10 +408,14 @@ def test_every_option_is_read(argv, tmp_path, curve_file, capsys, monkeypatch):
     [command, flag] + value
     for command in ("gen", "verify-law")
     for flag, value in (("--effort", ["1:1:1"]), ("--sieve-bound", ["10"]), ("--strict", []))
-] + [["probe-detecting", "--strict"]], ids=lambda argv: f"{argv[0]}{argv[1]}")
+] + [["probe-detecting", "--strict"]] + [
+    # The D_l trial-division floor is the constant valuation.SIEVE_BOUND, no flag.
+    [command, "--sieve-bound", "10"] for command in ("obstruct", "probe-detecting")
+], ids=lambda argv: f"{argv[0]}{argv[1]}")
 def test_flag_the_subcommand_does_not_take_exits_2(argv, tmp_path, curve_file, capsys):
     required = {"gen": ["--n-max", "8", "--out", str(tmp_path / "t.jsonl")],
-                "verify-law": ["--p-max", "10"], "probe-detecting": ["--l-max", "13"]}
+                "verify-law": ["--p-max", "10"], "obstruct": ["--tuple", "5,3"],
+                "probe-detecting": ["--l-max", "13"]}
     assert main(argv + required[argv[0]] + ["--curve", curve_file]) == 2
     assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
 

@@ -39,7 +39,7 @@ from edskit.eds import eds_range
 from edskit.factor import Effort
 from edskit.obstruction import ObstructionContext, evaluate_tuple
 from edskit.relation import test_relation as product_relation
-from edskit.valuation import build_exceptional_set
+from edskit.valuation import SIEVE_BOUND, build_exceptional_set
 
 GOLDEN = Path(__file__).parent / "golden" / "obstruct_reports.json"
 THRESHOLD_GOLDEN = Path(__file__).parent / "golden" / "threshold_reports.json"
@@ -167,9 +167,8 @@ def test_obstruct_batch_reference_digests():
         S = build_exceptional_set(curve, point, include_guard=False)
         assert S.to_json() == header["exceptional_set"]
         table = eds_range(curve, point, th["n_max"])
-        ctx = ObstructionContext(
-            curve, point, S, table, sieve_bound=th["sieve_bound"], effort=_parse_effort(th["effort"])
-        )
+        assert th["sieve_bound"] == SIEVE_BOUND
+        ctx = ObstructionContext(curve, point, S, table, effort=_parse_effort(th["effort"]))
         assert len(run["reports"]) == 980
         changed = []
         for key, digest in run["reports"].items():

@@ -7,9 +7,8 @@ import pytest
 
 from edskit.eds import _unlimited_int_digits, eds_range
 from edskit.errors import BudgetExceeded, TableMiss
-from edskit.relation import search_relations
 from edskit.relation import test_relation as product_relation
-from oracles import brute_nth_root
+from oracles import brute_nth_root, search_relations
 
 
 def test_relation_examples(table37):

@@ -14,14 +14,14 @@ from edskit.errors import SoundnessError, TableMiss
 from edskit.factor import Effort
 from edskit.intmath import primes_up_to, valuation
 from edskit.valuation import (
+    SIEVE_BOUND,
     TermRadicalData,
     _verify_structured_divisor,
     build_exceptional_set,
     check_valuation_law,
     term_radical_data,
-    valuation_via_law,
 )
-from oracles import radical_data_by_sieve
+from oracles import radical_data_by_sieve, valuation_via_law
 
 P_ABOVE_2_40 = 1149313944433  # divides D_53 on the Delta=37 fixture
 
@@ -152,8 +152,8 @@ def test_term_radical_data_matches_sieve_oracle(all_fixtures):
     cases += [(fx, Effort(trial_bound=10, rho_iterations=1)) for fx in all_fixtures[::2]]
     for (curve, point, table, S), effort in cases:
         for l in range(1, 61):
-            data = term_radical_data(curve, point, S, l, table, 10 ** 4, effort)
-            oracle = radical_data_by_sieve(table.D(l), S, 10 ** 4, effort)
+            data = term_radical_data(curve, point, S, l, table, effort)
+            oracle = radical_data_by_sieve(table.D(l), S, SIEVE_BOUND, effort)
             assert (data.entries, data.complete) == oracle, (l, effort)
     curve, point, table, S = all_fixtures[0]
     assert table.D(1) == 1
