@@ -125,7 +125,7 @@ def _detecting_flags(p: argparse.ArgumentParser) -> None:
 
 def _detecting_thresholds(args) -> dict:
     """The header thresholds of the subcommands that search D_l for detecting primes."""
-    return {"rho": args.rho, "sieve_bound": SIEVE_BOUND}
+    return {"rho": args.rho, "sieve_bound": SIEVE_BOUND, "effort": args.effort}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,8 +378,7 @@ def cmd_obstruct(args) -> int:
     table = eds_range(E, P, n_max)
     ctx = ObstructionContext(E, P, S, table, effort=effort)
     doc = _header(
-        args, S, minim, B=args.B, L_rho=args.L_rho, n_max=n_max, effort=args.effort,
-        **_detecting_thresholds(args),
+        args, S, minim, B=args.B, L_rho=args.L_rho, n_max=n_max, **_detecting_thresholds(args)
     )
     reports = []
     lines = []
@@ -412,7 +411,9 @@ def cmd_probe_detecting(args) -> int:
     effort = _parse_effort(args.effort)
     E, P, S, minim = _setup(args)
     ls = [l for l in primes_up_to(args.l_max) if l >= args.l_min]
-    doc = _header(args, S, minim, l_max=args.l_max, **_detecting_thresholds(args))
+    doc = _header(
+        args, S, minim, l_max=args.l_max, l_min=args.l_min, **_detecting_thresholds(args)
+    )
     lines = []
     results = []
     if ls:
@@ -421,7 +422,7 @@ def cmd_probe_detecting(args) -> int:
         for l in ls:
             data = term_radical_data(E, P, S, l, table, effort)
             found, complete = data.detecting(args.rho), data.complete
-            if not found:
+            if not data.detected(args.rho):
                 largest_without = l
             results.append(
                 {

@@ -25,7 +25,28 @@ FpPoint = Optional[Tuple[int, int]]
 INFINITY: RatPoint = None
 
 
-class WeierstrassCurve:
+class _Group:
+    """Scalar multiplication on top of a subclass's ``add`` and ``negate``."""
+
+    def mul(self, n: int, P):
+        """[n]P by left-to-right double-and-add; n may be any integer.
+
+        Every addition adds P itself, whose coordinates stay small over Q,
+        rather than a second large multiple.
+        """
+        if n < 0:
+            return self.mul(-n, self.negate(P))
+        if n == 0:
+            return None
+        R = P
+        for bit in bin(n)[3:]:
+            R = self.add(R, R)
+            if bit == "1":
+                R = self.add(R, P)
+        return R
+
+
+class WeierstrassCurve(_Group):
     """Integral long Weierstrass model with cached standard invariants."""
 
     def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int):
@@ -85,23 +106,6 @@ class WeierstrassCurve:
         y3 = -(lam + a1) * x3 - nu - a3
         return (Fraction(x3), Fraction(y3))
 
-    def mul(self, n: int, P: RatPoint) -> RatPoint:
-        """[n]P by left-to-right double-and-add; n may be any integer.
-
-        Every addition adds P itself, whose coordinates stay small, rather
-        than a second large multiple.
-        """
-        if n < 0:
-            return self.mul(-n, self.negate(P))
-        if n == 0:
-            return None
-        R = P
-        for bit in bin(n)[3:]:
-            R = self.add(R, R)
-            if bit == "1":
-                R = self.add(R, P)
-        return R
-
     # -- reduction mod p -----------------------------------------------
 
     def has_good_reduction(self, p: int) -> bool:
@@ -147,7 +151,7 @@ class WeierstrassCurve:
         return E.point_order(Pt, E._annihilator_in_hasse_interval(Pt))
 
 
-class FpCurve:
+class FpCurve(_Group):
     """The reduction of an integral model at a good prime."""
 
     def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int, p: int):
@@ -190,19 +194,6 @@ class FpCurve:
         x3 = (lam * lam + self.a1 * lam - self.a2 - x1 - x2) % p
         y3 = (-(lam + self.a1) * x3 - (y1 - lam * x1) - self.a3) % p
         return (x3, y3)
-
-    def mul(self, n: int, P: FpPoint) -> FpPoint:
-        if n < 0:
-            return self.mul(-n, self.negate(P))
-        R: FpPoint = None
-        Q = P
-        while n:
-            if n & 1:
-                R = self.add(R, Q)
-            n >>= 1
-            if n:
-                Q = self.add(Q, Q)
-        return R
 
     # -- point counting ------------------------------------------------
 

@@ -84,8 +84,8 @@ def curve_point_key(curve: WeierstrassCurve, P: RatPoint) -> str:
 def _unlimited_int_digits() -> Iterator[None]:
     """Lift the interpreter's int/str conversion limit (4300 digits) while active.
 
-    Reading a table file and printing products or witnesses convert numbers
-    past the limit.  The previous limit is restored on exit.
+    Reading a table file converts numbers past the limit; everything else
+    prints through _decimal.  The previous limit is restored on exit.
     """
     if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
         yield

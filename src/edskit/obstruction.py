@@ -20,7 +20,7 @@ from math import gcd, isqrt, prod, sqrt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .curve import RatPoint, WeierstrassCurve
-from .eds import EdsTable, _unlimited_int_digits
+from .eds import EdsTable, _decimal
 from .errors import HypothesisViolated, SoundnessError
 from .factor import DEFAULT_EFFORT, Effort, Factorization, factorize
 from .intmath import is_prime, is_rho_power, primes_up_to, valuation
@@ -68,8 +68,8 @@ class ObstructionVerdict:
 
 
 def _jsonable(v):
-    if isinstance(v, int):  # bools too: True renders as "True"
-        return str(v)  # decimal strings, no precision loss
+    if isinstance(v, int):  # bools too: _decimal(True) is str(True), "True"
+        return _decimal(v)  # decimal strings, no precision loss, past the digit limit
     if isinstance(v, (list, tuple, set)):
         return [_jsonable(x) for x in (sorted(v) if isinstance(v, set) else v)]
     return v
@@ -294,9 +294,9 @@ class _Congruence(NamedTuple):
         )
 
 
-def _congruence(ctx: ObstructionContext, n: Sequence[int], l: int, p: int, rho: int) -> _Congruence:
+def _congruence(n: Sequence[int], l: int, p: int, v_D: int, rho: int) -> _Congruence:
+    """The record at (l, p), with v_D = v_p(D_l) read off l's radical data."""
     I = incidence_set(n, l)
-    v_D = valuation(ctx.table.D(l), p)
     quot_sum = sum(valuation(n[i - 1] // l, p) for i in I)
     residue = (len(I) * v_D + quot_sum) % rho
     return _Congruence(l, p, rho, I, v_D, valuation(l, p), quot_sum, residue)
@@ -396,7 +396,7 @@ def smooth_cofactor_balance(
     hyp = {"top_prime_hypotheses": True}
     if len(I) % rho == 0:
         return ObstructionVerdict("smooth_cofactor_balance", HOLDS, hyp, wit)
-    detected = hyp["detecting_prime_verified"] = bool(ctx.radical_data(l).detecting(rho))
+    detected = hyp["detecting_prime_verified"] = ctx.radical_data(l).detected(rho)
     return _exclusion(
         "smooth_cofactor_balance", hyp, wit, detected,
         "rho does not divide |I_l(n)|: product cannot be a rho-th power",
@@ -467,7 +467,7 @@ def cluster_packing(
     # (5) small-tuple emptiness
     conclusions[5] = HOLDS if (k >= rho or not lambda_star) else FAILS
     exclusion = FAILS in conclusions.values()
-    certified = exclusion and all(ctx.radical_data(l).detecting(rho) for l in lambda_star)
+    certified = exclusion and all(ctx.radical_data(l).detected(rho) for l in lambda_star)
     notes = []
     if exclusion and not certified:
         notes.append("exclusion rests on the detecting-prime threshold, not a verified witness")
@@ -522,7 +522,7 @@ def repeated_top_prime(
     hyp = {"top_prime_hypotheses": True}
     if not offending:
         return ObstructionVerdict("repeated_top_prime", HOLDS, hyp, wit)
-    verified = all(ctx.radical_data(l).detecting(rho) for l in offending)
+    verified = all(ctx.radical_data(l).detected(rho) for l in offending)
     hyp["detecting_primes_verified"] = verified
     return _exclusion(
         "repeated_top_prime", hyp, wit, verified,
@@ -534,7 +534,7 @@ def repeated_top_prime(
 def large_prime_gap(
     ctx: ObstructionContext,
     m: int,
-    n: Optional[int],
+    n: int,
     rho: int,
     L_rho: int = 0,
 ) -> ObstructionVerdict:
@@ -548,7 +548,7 @@ def large_prime_gap(
     """
     if m < 2:
         raise HypothesisViolated("m must be at least 2")
-    if n is not None and gcd(m, n) != 1:
+    if gcd(m, n) != 1:
         raise HypothesisViolated(f"gcd({m},{n}) != 1")
     l, top_cof = _top_primes(ctx, m)
     v = valuation(m, l)
@@ -557,7 +557,7 @@ def large_prime_gap(
     if l <= L_rho:
         raise HypothesisViolated(f"l={l} does not exceed L_rho={L_rho}")
     cofactor = m // l
-    detected = bool(ctx.radical_data(l).detecting(rho))
+    detected = ctx.radical_data(l).detected(rho)
     hyp = {
         "coprime": True,
         "simple_top_prime": True,
@@ -568,7 +568,7 @@ def large_prime_gap(
         note = "necessary gap condition satisfied; no exclusion from this test"
         return ObstructionVerdict("large_prime_gap", HOLDS, hyp, wit, [note])
     wit["route"] = "prime_gap"
-    if detected and n is not None and max(m, n) <= ctx.table.max_index:
+    if detected and max(m, n) <= ctx.table.max_index:
         product = ctx.table.D(m) * ctx.table.D(n)
         oracle = is_rho_power(product, rho) if product >= 1 else False
         wit["oracle_product_is_power"] = oracle
@@ -627,7 +627,7 @@ def radical_lower_bound(
         return ObstructionVerdict(
             "radical_lower_bound", INCONCLUSIVE, hyp, wit, ["radical too close to the bound"]
         )
-    detected = all(ctx.radical_data(l).detecting(rho) for l in Lambda)
+    detected = all(ctx.radical_data(l).detected(rho) for l in Lambda)
     hyp["detecting_primes_verified"] = detected
     return _exclusion(
         "radical_lower_bound", hyp, wit, detected,
@@ -663,7 +663,7 @@ def _prime_block(
     verdicts: List[ObstructionVerdict] = []
     # The entries are the primes outside S dividing D_l: the views' preconditions hold.
     for p, v in ctx.radical_data(l).entries:
-        c = _congruence(ctx, n, l, p, rho)
+        c = _congruence(n, l, p, v, rho)
         verdicts.extend([c.absorption(), c.pairing()])
         if p != l and v % rho != 0:
             verdicts.append(c.multiplicity())
@@ -696,15 +696,14 @@ class TupleReport(NamedTuple):
         return out
 
     def to_json(self) -> dict:
-        with _unlimited_int_digits():  # witnesses such as a power radical may be huge
-            return {
-                "n": list(self.n),
-                "rho": self.rho,
-                "verdicts": [v.to_json() for v in self.verdicts],
-                "cluster_packing": self.cluster.to_json() if self.cluster else None,
-                "skipped": self.skipped,
-                "certified_exclusions": self.certified_exclusions,
-            }
+        return {
+            "n": list(self.n),
+            "rho": self.rho,
+            "verdicts": [v.to_json() for v in self.verdicts],
+            "cluster_packing": self.cluster.to_json() if self.cluster else None,
+            "skipped": self.skipped,
+            "certified_exclusions": self.certified_exclusions,
+        }
 
 
 def evaluate_tuple(
@@ -722,7 +721,7 @@ def evaluate_tuple(
     n = tuple(n)
     verdicts: List[ObstructionVerdict] = []
     skipped: List[str] = []
-    candidate_primes = [l for l in primes_up_to(max(n, default=0)) if l <= ctx.table.max_index]
+    candidate_primes = primes_up_to(min(max(n, default=0), ctx.table.max_index))
     squarefree = all(_verifiably_squarefree(ctx, ni) for ni in n)
 
     def attempt(label: str, checker, *args) -> None:

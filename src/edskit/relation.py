@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .eds import EdsTable, _unlimited_int_digits
+from .eds import EdsTable, _decimal
 from .intmath import int_nth_root
 
 
@@ -21,12 +21,10 @@ class ProductRelation(NamedTuple):
     root: Optional[int]
 
     def to_json(self) -> dict:
-        with _unlimited_int_digits():  # products pass 4300 digits at modest indices
-            product = str(self.product)
         return {
             "n": list(self.n),
             "rho": self.rho,
-            "product": product,
+            "product": _decimal(self.product),  # passes 4300 digits at modest indices
             "is_power": self.is_power,
         }
 

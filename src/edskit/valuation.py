@@ -151,6 +151,15 @@ class TermRadicalData(NamedTuple):
         """(p, v) with rho not dividing v; empty and incomplete means "not found", never "none"."""
         return [(p, v) for p, v in self.entries if v % rho != 0]
 
+    def detected(self, rho: int) -> bool:
+        """Whether a detecting prime was exhibited at l.
+
+        The obstruction checkers' detecting-prime hypotheses and
+        probe-detecting's largest index without one read this.  False
+        means "none found"; it means "none exists" only when complete.
+        """
+        return any(v % rho != 0 for _, v in self.entries)
+
 
 def term_radical_data(
     curve: WeierstrassCurve,

@@ -10,11 +10,14 @@ factorize, which test_factor checks.  The per-term-gcd oracle takes its
 Psi_n from edskit's recurrence, which test_eds checks against
 double-and-add, and recomputes only the bad-prime correction.
 
-Two slow paths live here as oracles only.  valuation_via_law reads
+Three slow paths live here as oracles only.  valuation_via_law reads
 v_p(D_n) off D_{r_p} as the law states it, with edskit's reduction order;
 test_valuation checks it against direct division.  search_relations runs
 edskit's exact power test over every small multiset of indices, which is
 the ground truth the obstruction checkers must never contradict.
+congruence builds the obstruction congruence record at any (l, p) by
+dividing v_p(D_l) out of the table, where edskit reads it off the
+factorization of D_l.
 """
 
 from fractions import Fraction
@@ -26,6 +29,7 @@ import sympy as sp
 from edskit.errors import BudgetExceeded, TableMiss
 from edskit.factor import factorize
 from edskit.intmath import primes_up_to, valuation
+from edskit.obstruction import _congruence
 from edskit.relation import test_relation as product_relation
 
 DEFAULT_SEARCH_CAP = 2_000_000
@@ -151,6 +155,11 @@ def oracle_pairing(n, l, q):
 def oracle_lq_count(n, l, q):
     """N_{l,q} = #{i : l*q | n_i}, the count in the squarefree incidence form."""
     return sum(1 for ni in n if ni % (l * q) == 0)
+
+
+def congruence(ctx, n, l, p, rho):
+    """The congruence record of (n, l, p, rho), with v_p(D_l) divided out of ctx's table."""
+    return _congruence(n, l, p, brute_valuation(ctx.table.D(l), p), rho)
 
 
 def brute_is_smooth(x, B):

@@ -14,13 +14,12 @@ from edskit.obstruction import (
     FAILS,
     HOLDS,
     _check_top_prime_hypotheses,
-    _congruence,
     cluster_packing,
     evaluate_tuple,
 )
 from edskit.relation import test_relation as product_relation
 from edskit.valuation import check_valuation_law
-from oracles import enumerate_fp_points, oracle_d_values, search_relations
+from oracles import congruence, enumerate_fp_points, oracle_d_values, search_relations
 
 
 def test_01_fixture_sequence_matches_independent_oracle(curve37, point37):
@@ -125,7 +124,7 @@ def test_08_positive_relations_pass_absorption(ctx37):
             assert data.complete
             for p, _v in data.detecting(rho):
                 for rel in relations:
-                    verdict = _congruence(ctx37, rel.n, l, p, rho).absorption()
+                    verdict = congruence(ctx37, rel.n, l, p, rho).absorption()
                     assert verdict.verdict == HOLDS, (rel.n, l, p, rho)
 
 

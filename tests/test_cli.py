@@ -270,6 +270,35 @@ def test_probe_detecting_empty_range(curve_file, capsys):
     assert "largest" not in doc
 
 
+def test_probe_detecting_header_names_every_threshold(curve_file, capsys):
+    # --effort decides which detecting primes are found and search_complete.
+    rc = main(["probe-detecting", "--curve", curve_file, "--l-max", "13", "--l-min", "5",
+               "--effort", "10:10:1", "--format", "json"])
+    assert rc == 0
+    thresholds = json.loads(capsys.readouterr().out)["thresholds"]
+    assert thresholds == {"effort": "10:10:1", "l_max": 13, "l_min": 5, "rho": 2,
+                          "sieve_bound": 10000}
+
+
+def test_obstruct_json_under_the_smallest_int_digit_limit(curve_file):
+    # The oracle product D_160^3 of this fixture has 853 digits, past the
+    # smallest limit the interpreter accepts, and no report lifts the limit.
+    src = Path(cli.__file__).resolve().parents[1]
+    argv = [sys.executable, "-m", "edskit.cli", "obstruct", "--curve", curve_file,
+            "--tuple", "160,160,160", "--effort", "10000:2000:600", "--format", "json"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(src)
+    docs = []
+    for limit in ({"PYTHONINTMAXSTRDIGITS": "640"}, {}):  # then the default limit
+        proc = subprocess.run(argv, capture_output=True, text=True, env={**env, **limit},
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        docs.append([line for line in proc.stdout.splitlines() if "generated_at" not in line])
+    assert docs[0] == docs[1]
+    product = next(line for line in docs[0] if '"product"' in line)
+    assert len(product.split('"')[3]) == 853
+
+
 @pytest.mark.parametrize("argv", [
     ["obstruct", "--B", "nan", "--tuple", "5,3"],
     ["obstruct", "--B", "inf", "--tuple", "5,3"],

@@ -90,6 +90,23 @@ def test_scalar_mul_through_the_identity():
         assert E5.mul(n, P) == residues[n % 5]
 
 
+def test_fp_scalar_mul_through_the_identity(E):
+    # The F_p twin of the test above: [n]Q against n-fold addition of Q (of -Q
+    # for negative n), for n in [-2r, 2r], so the multiples pass through O.
+    P = (F(0), F(0))
+    for p in (2, 3, 5, 7, 101, 1009):
+        Ep = E.fp_curve(p)
+        Q = E.reduce_point(P, p)
+        r = E.reduction_order(P, p)
+        for sign, step in ((1, Q), (-1, Ep.negate(Q))):
+            R = None
+            for k in range(2 * r + 1):
+                n = sign * k
+                assert Ep.mul(n, Q) == R, (p, n)
+                assert (R is None) == (n % r == 0), (p, n)
+                R = Ep.add(R, step)
+
+
 def test_associativity_spot_checks(E):
     P = (F(0), F(0))
     rng = random.Random(1)

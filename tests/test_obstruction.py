@@ -24,7 +24,6 @@ from edskit.obstruction import (
     ObstructionVerdict,
     TupleReport,
     _check_top_prime_hypotheses,
-    _congruence,
     _radical_meets_bound,
     _top_primes,
     build_incidence_matrix,
@@ -40,7 +39,9 @@ from edskit.obstruction import (
 )
 from edskit.relation import test_relation as product_relation
 from edskit.valuation import TermRadicalData, build_exceptional_set
-from oracles import brute_is_squarefree, brute_valuation, oracle_lq_count, oracle_pairing
+from oracles import (
+    brute_is_squarefree, brute_valuation, congruence, oracle_lq_count, oracle_pairing,
+)
 
 
 def test_incidence_set_examples():
@@ -97,13 +98,13 @@ def views(report, statement):
 
 
 def test_absorption_examples(ctx37):
-    v = _congruence(ctx37, (5, 5), 5, 2, 2).absorption()
+    v = congruence(ctx37, (5, 5), 5, 2, 2).absorption()
     assert v.verdict == HOLDS  # 2*1 + 0 = 2 even; D_5^2 = 4 is a square
-    v = _congruence(ctx37, (5, 3), 5, 2, 2).absorption()
+    v = congruence(ctx37, (5, 3), 5, 2, 2).absorption()
     assert v.verdict == FAILS  # 1*1 + 0 = 1 odd; D_5 D_3 = 2 not a square
     assert v.certified_exclusion
     assert not is_rho_power(2, 2)
-    v = _congruence(ctx37, (10, 3), 5, 2, 2).absorption()
+    v = congruence(ctx37, (10, 3), 5, 2, 2).absorption()
     assert v.verdict == HOLDS  # 1*1 + v_2(10/5) = 2 even
 
 
@@ -123,9 +124,9 @@ def test_absorption_preconditions(ctx37, curve37, point37, table37):
 
 
 def test_incidence_pairing_examples(ctx37):
-    assert _congruence(ctx37, (5, 5), 5, 2, 2).pairing().verdict == HOLDS
-    assert _congruence(ctx37, (10, 3), 5, 2, 2).pairing().verdict == HOLDS
-    v = _congruence(ctx37, (5, 3), 5, 2, 2).pairing()
+    assert congruence(ctx37, (5, 5), 5, 2, 2).pairing().verdict == HOLDS
+    assert congruence(ctx37, (10, 3), 5, 2, 2).pairing().verdict == HOLDS
+    v = congruence(ctx37, (5, 3), 5, 2, 2).pairing()
     assert v.verdict == FAILS
     assert v.witnesses["lhs"] == 0 and v.witnesses["rhs"] == 1
 
@@ -154,7 +155,7 @@ def test_absorption_pairing_equivalence(ctx37):
                 expected = HOLDS if lhs == rhs else FAILS
                 case = (n, l, p, rho)
 
-                c = _congruence(ctx37, n, l, p, rho)
+                c = congruence(ctx37, n, l, p, rho)
                 a = c.absorption()
                 assert a.verdict == expected, case
                 assert a.witnesses == {
@@ -189,8 +190,8 @@ def test_absorption_pairing_equivalence(ctx37):
 
 
 def test_squarefree_incidence_examples(ctx37):
-    assert _congruence(ctx37, (10, 10), 5, 2, 2).squarefree().verdict == HOLDS
-    assert _congruence(ctx37, (5, 5), 5, 2, 2).squarefree().verdict == HOLDS
+    assert congruence(ctx37, (10, 10), 5, 2, 2).squarefree().verdict == HOLDS
+    assert congruence(ctx37, (5, 5), 5, 2, 2).squarefree().verdict == HOLDS
     # evaluate_tuple builds the view only on squarefree tuples, and only for q != l:
     # 53 divides D_53.
     assert views(evaluate_tuple(ctx37, (4, 10), 2), "squarefree_incidence") == []
@@ -219,9 +220,9 @@ def test_prime_support_examples(ctx37):
 
 
 def test_multiplicity_examples(ctx37, curve43, point43, s43, table43):
-    assert _congruence(ctx37, (10, 3), 5, 2, 2).multiplicity().verdict == HOLDS
-    assert _congruence(ctx37, (10, 10), 5, 2, 2).multiplicity().verdict == HOLDS
-    v = _congruence(ctx37, (5, 3), 5, 2, 2).multiplicity()
+    assert congruence(ctx37, (10, 3), 5, 2, 2).multiplicity().verdict == HOLDS
+    assert congruence(ctx37, (10, 10), 5, 2, 2).multiplicity().verdict == HOLDS
+    v = congruence(ctx37, (5, 3), 5, 2, 2).multiplicity()
     assert v.verdict == FAILS
     # evaluate_tuple builds the view only for q != l in the power radical of D_l.
     built = views(evaluate_tuple(ctx37, (10, 3), 2), "multiplicity_obstruction")
@@ -528,7 +529,7 @@ def test_no_checker_holds_on_failed_hypotheses(ctx37):
 
 
 def test_verdict_json_uses_decimal_strings(ctx37):
-    doc = _congruence(ctx37, (5, 3), 5, 2, 2).absorption().to_json()
+    doc = congruence(ctx37, (5, 3), 5, 2, 2).absorption().to_json()
     assert doc["witnesses"]["p"] == "2"
     assert doc["verdict"] == FAILS
 

@@ -21,7 +21,7 @@ from edskit.valuation import (
     check_valuation_law,
     term_radical_data,
 )
-from oracles import radical_data_by_sieve, valuation_via_law
+from oracles import brute_valuation, radical_data_by_sieve, valuation_via_law
 
 P_ABOVE_2_40 = 1149313944433  # divides D_53 on the Delta=37 fixture
 
@@ -158,6 +158,23 @@ def test_term_radical_data_matches_sieve_oracle(all_fixtures):
     curve, point, table, S = all_fixtures[0]
     assert table.D(1) == 1
     assert term_radical_data(curve, point, S, 1, table) == TermRadicalData(1, [], True)
+
+
+def test_radical_data_valuations_match_the_table(all_fixtures):
+    # evaluate_tuple reads v_p(D_l) off these entries instead of dividing the
+    # table, and detected() must agree with the detecting list.  The default
+    # budget runs for minutes on 37q's D_l of up to 3200 bits, so 37q takes
+    # the small budget of the sieve-oracle test above.
+    zero = Effort(0, 0, 0)
+    budgets = [(Effort(), zero), (Effort(10 ** 4, 200), zero), (Effort(), zero)]
+    for (curve, point, table, S), efforts in zip(all_fixtures, budgets):
+        for effort in efforts:
+            for l in range(1, 61):
+                data = term_radical_data(curve, point, S, l, table, effort)
+                for p, v in data.entries:
+                    assert v == brute_valuation(table.D(l), p) > 0, (l, p, effort)
+                for rho in (2, 3):
+                    assert data.detected(rho) == bool(data.detecting(rho)), (l, rho)
 
 
 def test_law_and_radical_data_never_count_points(all_fixtures, monkeypatch):
