@@ -158,7 +158,7 @@ class TermRadicalData(NamedTuple):
         probe-detecting's largest index without one read this.  False
         means "none found"; it means "none exists" only when complete.
         """
-        return any(v % rho != 0 for _, v in self.entries)
+        return bool(self.detecting(rho))
 
 
 def term_radical_data(
