@@ -12,7 +12,7 @@ operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BadReduction, PrimeTooLarge, SoundnessError, TrivialReduction
@@ -23,6 +23,9 @@ RatPoint = Optional[Tuple[Fraction, Fraction]]
 FpPoint = Optional[Tuple[int, int]]
 
 INFINITY: RatPoint = None
+
+# Budget for factoring an annihilator, which is at most p + 1 + 2*sqrt(p).
+ORDER_EFFORT = Effort(trial_bound=10 ** 6, rho_iterations=10 ** 8)
 
 
 class _Group:
@@ -141,14 +144,16 @@ class WeierstrassCurve(_Group):
     def reduction_order(self, P: RatPoint, p: int) -> int:
         """Exact order of the reduction of P in E(F_p).
 
-        BSGS on P itself finds a multiple of its order in the Hasse
-        interval, so #E(F_p) is never computed.
+        BSGS on P itself finds the least multiple of its order at or above
+        a start near the Hasse interval's lower end, so #E(F_p) is never
+        computed, and the order follows with at most one full-size scalar
+        multiplication.
         """
         Pt = self.reduce_point(P, p)
         if Pt is None:
             raise TrivialReduction(f"P reduces to the identity mod {p}")
         E = self.fp_curve(p)
-        return E.point_order(Pt, E._annihilator_in_hasse_interval(Pt))
+        return E.point_order(Pt, *E._annihilator_in_hasse_interval(Pt))
 
 
 class FpCurve(_Group):
@@ -157,6 +162,8 @@ class FpCurve(_Group):
     def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int, p: int):
         self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
         self.p = p
+        # What add reads, fetched in one attribute load.
+        self._law = (a1, a2, a3, a4, p)
 
     def rhs(self, x: int) -> int:
         return (x * x * x + self.a2 * x * x + self.a4 * x + self.a6) % self.p
@@ -179,20 +186,21 @@ class FpCurve(_Group):
             return Q
         if Q is None:
             return P
-        p = self.p
+        a1, a2, a3, a4, p = self._law
         x1, y1 = P
         x2, y2 = Q
-        if x1 == x2 and (y1 + y2 + self.a1 * x1 + self.a3) % p == 0:
-            return None
         if x1 == x2:
-            num = (3 * x1 * x1 + 2 * self.a2 * x1 + self.a4 - self.a1 * y1) % p
-            den = (2 * y1 + self.a1 * x1 + self.a3) % p
+            den = 2 * y1 + a1 * x1 + a3
+            # Q = -P (and P = -P at a 2-torsion point): y1 + y2 + a1*x1 + a3 = 0.
+            if (den - y1 + y2) % p == 0:
+                return None
+            num = 3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1
         else:
-            num = (y2 - y1) % p
-            den = (x2 - x1) % p
+            num = y2 - y1
+            den = x2 - x1
         lam = num * pow(den, -1, p) % p
-        x3 = (lam * lam + self.a1 * lam - self.a2 - x1 - x2) % p
-        y3 = (-(lam + self.a1) * x3 - (y1 - lam * x1) - self.a3) % p
+        x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % p
+        y3 = (lam * (x1 - x3) - y1 - a1 * x3 - a3) % p
         return (x3, y3)
 
     # -- point counting ------------------------------------------------
@@ -219,42 +227,78 @@ class FpCurve(_Group):
             count += 1 if pow(d, half, p) == 1 else -1
         return count
 
-    def _annihilator_in_hasse_interval(self, Q: FpPoint) -> int:
-        """Some N >= 1 in [p+1-2*sqrt(p), p+1+2*sqrt(p)] with [N]Q = O, by BSGS."""
+    def _annihilator_in_hasse_interval(self, Q: FpPoint) -> Tuple[int, int]:
+        """(start, N): N is the least n >= start with [n]Q = O, found by BSGS.
+
+        start is at most max(1, p+1-2*sqrt(p)), so #E(F_p), a multiple of
+        the order in [start, p+1+2*sqrt(p)], bounds N, and the scan reaches
+        past that bound.  The baby steps keep the least j for each point and
+        the giant steps ascend by m, so the first match start + i*m + j is
+        the least such n.
+        """
         p = self.p
         width = 4 * isqrt(p) + 4
-        # For p <= 5 the interval reaches 0, and [0]Q = O says nothing.
-        lo = max(1, p + 1 - width // 2)
+        lo = p + 1 - width // 2
         m = isqrt(width) + 1
+        add = self.add
         baby: Dict[FpPoint, int] = {}
         T: FpPoint = None
         for j in range(m):
             baby.setdefault(T, j)
-            T = self.add(T, Q)
-        giant_step = self.mul(m, Q)
-        G = self.mul(lo, Q)
-        for i in range((width // m) + 2):
-            # Looking for lo + i*m + j with [lo+i*m+j]Q = O, i.e. -G = [j]Q.
+            T = add(T, Q)
+        # T = [m]Q is the giant step.  start is the largest multiple of m
+        # up to lo, so the first giant point is [start/m]T.
+        k = lo // m
+        if k >= 1:
+            start, G = k * m, self.mul(k, T)
+        else:
+            # p <= 11: lo is below m (below 1 for p <= 5), so scan from 1;
+            # the first match is then the order itself.
+            start, G = 1, Q
+        for i in range(width // m + 2):
+            # Looking for start + i*m + j with [start+i*m+j]Q = O, i.e. -G = [j]Q.
             j = baby.get(self.negate(G))
             if j is not None:
-                return lo + i * m + j
-            G = self.add(G, giant_step)
+                return start, start + i * m + j
+            G = add(G, T)
         raise SoundnessError(f"no multiple of the order of {Q} mod {p} in the Hasse interval")
 
-    def point_order(self, Q: FpPoint, annihilator: int) -> int:
-        """Exact order of Q given a multiple of it; factors the annihilator."""
+    def point_order(self, Q: FpPoint, start: int, least: int) -> int:
+        """Exact order r of Q, given the least n >= start with [n]Q = O.
+
+        Let k = least / r.  If k >= 2, least - r is a multiple of r below
+        least, so minimality puts it below start: r > least - start.  Hence
+        k < least / (least - start), that is k <= (least-1) // (least-start)
+        when least > start; when least == start, k is only bounded by least.
+        Let s be the part of least made of the primes up to that bound.
+        Every prime of k is one of them, so k | s and least/s | r.  If
+        s == 1, then r = least, which the BSGS match proved to kill Q.
+        Otherwise T = [least/s]Q has order s/k: strip each prime q from s
+        while [s'/q]T = O, check [o]T = O, and r = (least/s) * o.  Only the
+        one multiplication giving T is full size; the rest are by divisors
+        of s.
+        """
         if Q is None:
             raise TrivialReduction("the identity has no interesting order")
-        fac = factorize(annihilator, Effort(trial_bound=10 ** 6, rho_iterations=10 ** 8))
-        if not fac.complete:  # annihilator <= p+1+2*sqrt(p); should never trigger
-            raise PrimeTooLarge(f"could not fully factor annihilator {annihilator}")
-        order = annihilator
-        for q, _ in fac.factors:
-            while order % q == 0 and self.mul(order // q, Q) is None:
+        bound = least if least == start else (least - 1) // (least - start)
+        if bound < 2:
+            return least
+        fac = factorize(least, ORDER_EFFORT)
+        if not fac.complete:  # least <= p+1+2*sqrt(p); should never trigger
+            raise PrimeTooLarge(f"could not fully factor annihilator {least}")
+        small = [q for q, _ in fac.factors if q <= bound]
+        s = prod(q ** e for q, e in fac.factors if q <= bound)
+        if s == 1:
+            return least
+        cofactor = least // s
+        T = self.mul(cofactor, Q)
+        order = s
+        for q in small:
+            while order % q == 0 and self.mul(order // q, T) is None:
                 order //= q
-        if self.mul(order, Q) is not None:
-            raise SoundnessError(f"[{order}]{Q} is not the identity mod {self.p}")
-        return order
+        if self.mul(order, T) is not None:
+            raise SoundnessError(f"[{cofactor * order}]{Q} is not the identity mod {self.p}")
+        return cofactor * order
 
 
 def minimality_report(curve: WeierstrassCurve) -> "MinimalityReport":

@@ -115,17 +115,22 @@ def cached_primes(limit: int) -> List[int]:
     """Every prime up to some bound >= limit, in order: the cached list itself, never a copy.
 
     The sieve of Eratosthenes runs again, to exactly limit, only when limit
-    passes the cached bound.  Callers must not change the list.
+    passes the cached bound.  It sieves the odd numbers only: entry i
+    stands for 2*i + 1.  Callers must not change the list.
     """
     global _sieve
     bound, primes = _sieve
     if limit > bound:
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0:2] = b"\x00\x00"
-        for i in range(2, math.isqrt(limit) + 1):
+        sieve = bytearray([1]) * ((limit + 1) // 2)
+        sieve[0] = 0
+        for i in range(1, (math.isqrt(limit) + 1) // 2):
             if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        primes = list(compress(range(limit + 1), sieve))
+                # Odd multiples of q = 2i + 1 from q*q on, q entries apart.
+                q = 2 * i + 1
+                start = q * q // 2
+                sieve[start::q] = bytes((len(sieve) - 1 - start) // q + 1)
+        primes = [2]
+        primes += compress(range(1, limit + 1, 2), sieve)
         _sieve = (limit, primes)
     return primes
 

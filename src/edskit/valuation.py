@@ -117,22 +117,25 @@ def check_valuation_law(
     if p in S:
         raise ValueError(f"p={p} is in the exceptional set; the law is not claimed there")
     r_p = curve.reduction_order(P, p)
+    if n_max > table.max_index:
+        raise TableMiss(f"index {n_max} outside table range 1..{table.max_index}")
+    terms = table.terms
+    v_base = valuation(terms[r_p - 1].D, p) if r_p <= n_max else 0
+    # The n with p | D_n; only they and the multiples of r_p need a closer look.
+    hits = {n for n, term in enumerate(terms[:n_max], 1) if term.D % p == 0}
     violations: List[LawViolation] = []
-    v_base = valuation(table.D(r_p), p) if r_p <= table.max_index else None
-    for n in range(1, n_max + 1):
-        Dn = table.D(n)
-        v_direct = valuation(Dn, p) if Dn % p == 0 else 0
-        divides = n % r_p == 0
-        if (v_direct > 0) != divides:
-            violations.append(LawViolation(n=n, clause=1, expected=int(divides), actual=v_direct))
+    for n in sorted(hits.union(range(r_p, n_max + 1, r_p))):
+        if n not in hits:
+            violations.append(LawViolation(n=n, clause=1, expected=1, actual=0))
             continue
-        if divides:
-            if v_base is None:
-                raise TableMiss(f"table does not cover r_p={r_p}")
-            q = n // r_p
-            v_law = v_base + (valuation(q, p) if q > 1 else 0)
-            if v_law != v_direct:
-                violations.append(LawViolation(n=n, clause=2, expected=v_law, actual=v_direct))
+        v_direct = valuation(terms[n - 1].D, p)
+        if n % r_p:
+            violations.append(LawViolation(n=n, clause=1, expected=0, actual=v_direct))
+            continue
+        q = n // r_p
+        v_law = v_base + (valuation(q, p) if q > 1 else 0)
+        if v_law != v_direct:
+            violations.append(LawViolation(n=n, clause=2, expected=v_law, actual=v_direct))
     return LawReport(p=p, r_p=r_p, n_max=n_max, violations=violations)
 
 

@@ -10,14 +10,17 @@ factorize, which test_factor checks.  The per-term-gcd oracle takes its
 Psi_n from edskit's recurrence, which test_eds checks against
 double-and-add, and recomputes only the bad-prime correction.
 
-Three slow paths live here as oracles only.  valuation_via_law reads
+Four slow paths live here as oracles only.  valuation_via_law reads
 v_p(D_n) off D_{r_p} as the law states it, with edskit's reduction order;
 test_valuation checks it against direct division.  search_relations runs
 edskit's exact power test over every small multiset of indices, which is
 the ground truth the obstruction checkers must never contradict.
 congruence builds the obstruction congruence record at any (l, p) by
 dividing v_p(D_l) out of the table, where edskit reads it off the
-factorization of D_l.
+factorization of D_l.  order_over_hasse_interval is the reduction order
+as edskit computed it before it certified the least multiple: BSGS for
+some multiple of r_p in the Hasse interval, then every prime of that
+multiple stripped with a full-size scalar multiplication.
 """
 
 from fractions import Fraction
@@ -26,7 +29,7 @@ from math import comb, gcd, isqrt
 
 import sympy as sp
 
-from edskit.errors import BudgetExceeded, TableMiss
+from edskit.errors import BudgetExceeded, TableMiss, TrivialReduction
 from edskit.factor import factorize
 from edskit.intmath import primes_up_to, valuation
 from edskit.obstruction import _congruence
@@ -230,6 +233,46 @@ def enumerate_fp_points(coeffs, p):
             if (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % p == 0:
                 pts.append((x, y))
     return pts
+
+
+def order_over_hasse_interval(curve, P, p):
+    """r_p from any multiple N of it in [p+1-2*sqrt(p), p+1+2*sqrt(p)], by stripping each prime of N.
+
+    BSGS starts its giant steps at lo = p+1-2*isqrt(p)-2 itself, so the
+    match is some multiple in the interval, not necessarily the least.
+    The group law and scalar multiplication are edskit's F_p ones, which
+    test_curve checks against enumeration.
+    """
+    Q = curve.reduce_point(P, p)
+    if Q is None:
+        raise TrivialReduction(f"P reduces to the identity mod {p}")
+    E = curve.fp_curve(p)
+    width = 4 * isqrt(p) + 4
+    lo = max(1, p + 1 - width // 2)
+    m = isqrt(width) + 1
+    baby = {}
+    T = None
+    for j in range(m):
+        baby.setdefault(T, j)
+        T = E.add(T, Q)
+    step = E.mul(m, Q)
+    G = E.mul(lo, Q)
+    for i in range(width // m + 2):
+        j = baby.get(E.negate(G))
+        if j is not None:
+            annihilator = lo + i * m + j
+            break
+        G = E.add(G, step)
+    else:
+        raise AssertionError(f"no multiple of the order mod {p} in the Hasse interval")
+    fac = factorize(annihilator)
+    assert fac.complete, annihilator
+    order = annihilator
+    for q, _ in fac.factors:
+        while order % q == 0 and E.mul(order // q, Q) is None:
+            order //= q
+    assert E.mul(order, Q) is None
+    return order
 
 
 def valuation_via_law(curve, P, S, p, n, table):

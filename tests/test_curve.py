@@ -9,8 +9,9 @@ import pytest
 from edskit.curve import WeierstrassCurve, minimality_report
 from edskit.errors import BadReduction, TrivialReduction
 from edskit.factor import factorize
-from edskit.intmath import primes_up_to
-from oracles import enumerate_fp_points, oracle_add, oracle_mul
+from edskit.intmath import is_prime, primes_up_to
+from oracles import enumerate_fp_points, order_over_hasse_interval, oracle_add, oracle_mul
+from test_eds import _random_pairs
 
 F = Fraction
 COEFFS_37 = (0, 0, 1, -1, 0)
@@ -210,6 +211,60 @@ def test_bsgs_above_naive_limit(all_fixtures):
             # Some multiple of r lies in the Hasse interval.
             hi = p + 1 + 2 * isqrt(p) + 1
             assert hi // r * r >= p + 1 - 2 * isqrt(p) - 1, (p, r)
+
+
+def count_orders_matching_oracle(curve, P, primes):
+    """Assert reduction_order equals the slow path at every good p in primes; return how many."""
+    compared = 0
+    for p in primes:
+        if not curve.has_good_reduction(p) or curve.reduce_point(P, p) is None:
+            continue
+        assert curve.reduction_order(P, p) == order_over_hasse_interval(curve, P, p), p
+        compared += 1
+    return compared
+
+
+def test_reduction_order_matches_oracle_below_20000(all_fixtures):
+    for curve, P, _table, _S in all_fixtures:
+        assert count_orders_matching_oracle(curve, P, primes_up_to(20000)) > 2200
+
+
+def test_reduction_order_matches_oracle_on_large_primes(all_fixtures):
+    # 200 seeded primes from 10^5 to 10^12, spread evenly over the seven decades.
+    rng = random.Random(19)
+    primes = []
+    for i in range(200):
+        digits = 5 + i % 7
+        n = rng.randrange(10 ** digits, 10 ** (digits + 1))
+        while not is_prime(n):
+            n += 1
+        primes.append(n)
+    for curve, P, _table, _S in all_fixtures:
+        assert count_orders_matching_oracle(curve, P, primes) == 200
+
+
+def test_reduction_order_matches_oracle_on_random_pairs():
+    for curve, P in _random_pairs(seed=12, count=24):
+        assert count_orders_matching_oracle(curve, P, primes_up_to(1000)) > 100
+
+
+def test_bsgs_certifies_the_least_multiple(all_fixtures):
+    # The order's proof needs the least n >= start with [n]Q = O, and
+    # start <= max(1, p+1-2*sqrt(p)) keeps #E(F_p) within the scan.
+    for curve, P, _table, _S in all_fixtures:
+        for p in primes_up_to(499):
+            if not curve.has_good_reduction(p):
+                continue
+            Q = curve.reduce_point(P, p)
+            if Q is None:
+                continue
+            Ep = curve.fp_curve(p)
+            start, least = Ep._annihilator_in_hasse_interval(Q)
+            assert start == 1 or start <= p + 1 and (p + 1 - start) ** 2 >= 4 * p, (p, start)
+            n, R = 1, Q
+            while n < start or R is not None:
+                n, R = n + 1, Ep.add(R, Q)
+            assert least == n, (p, start, least)
 
 
 def test_minimality_report_fixture(E):

@@ -1,6 +1,7 @@
 """Integer primitives: exact roots, valuations, primality."""
 
 import random
+from bisect import bisect_right
 from math import isqrt
 
 import pytest
@@ -117,3 +118,13 @@ def test_primes_up_to_grow_and_shrink(monkeypatch):
         expected = [n for n in range(2, limit + 1)
                     if all(n % d for d in range(2, isqrt(n) + 1))]
         assert primes_up_to(limit) == expected
+
+
+def test_odd_only_sieve_matches_trial_division(monkeypatch):
+    # Each limit runs the sieve afresh, so cached_primes returns exactly its primes.
+    by_trial = [n for n in range(2, 3001) if all(n % d for d in range(2, isqrt(n) + 1))]
+    for limit in range(2, 3001):
+        monkeypatch.setattr(intmath, "_sieve", (1, []))
+        assert intmath.cached_primes(limit) == by_trial[:bisect_right(by_trial, limit)], limit
+    monkeypatch.setattr(intmath, "_sieve", (1, []))
+    assert len(intmath.cached_primes(10 ** 6)) == 78498

@@ -70,6 +70,40 @@ def test_check_valuation_law_rejects_exceptional_prime(curve37, point37, table37
         check_valuation_law(curve37, point37, S, 2, 10, table37)
 
 
+def test_check_valuation_law_table_miss(curve37, point37, s37):
+    from edskit.eds import eds_range
+
+    # r_5 = 8 fits in the table, but the scan must cover n <= 12.
+    small = eds_range(curve37, point37, 10)
+    assert check_valuation_law(curve37, point37, s37, 5, 10, small).holds
+    with pytest.raises(TableMiss):
+        check_valuation_law(curve37, point37, s37, 5, 12, small)
+
+
+def test_check_valuation_law_reports_planted_violations(curve37, point37, s37, table37):
+    from edskit.eds import EdsTable
+
+    # r_5 = 8.  Plant a 5 into D_3 and one more into D_8, and take the 5
+    # out of D_24: the report must match the law read off term by term.
+    terms = list(table37.terms)
+    terms[2] = terms[2]._replace(D=terms[2].D * 5)
+    terms[7] = terms[7]._replace(D=terms[7].D * 5)
+    terms[23] = terms[23]._replace(D=terms[23].D // 5)
+    planted = EdsTable(curve37, point37, terms)
+    expected = []
+    v_base = brute_valuation(terms[7].D, 5)
+    for n in range(1, 61):
+        v = brute_valuation(terms[n - 1].D, 5)
+        divides = n % 8 == 0
+        if (v > 0) != divides:
+            expected.append((n, 1, int(divides), v))
+        elif divides and v_base + brute_valuation(n // 8, 5) != v:
+            expected.append((n, 2, v_base + brute_valuation(n // 8, 5), v))
+    rep = check_valuation_law(curve37, point37, s37, 5, 60, planted)
+    assert rep.violations == expected
+    assert {(n, clause) for n, clause, _, _ in expected} >= {(3, 1), (16, 2), (24, 1)}
+
+
 def test_valuation_via_law_examples(curve37, point37, s37, table37):
     assert valuation_via_law(curve37, point37, s37, 5, 8, table37) == 1
     assert valuation_via_law(curve37, point37, s37, 5, 40, table37) == 2
