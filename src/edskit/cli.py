@@ -366,6 +366,8 @@ def cmd_obstruct(args) -> int:
 
     if not math.isfinite(args.B) or args.B < 2:
         raise ConfigError("--B must be a finite number of at least 2")
+    if args.L_rho < 0:
+        raise ConfigError("--L-rho must be at least 0")
     if args.strict and args.L_rho <= 0:
         raise ConfigError("--strict requires an explicit positive --L-rho")
     tuples = _read_tuples(args)
@@ -376,14 +378,14 @@ def cmd_obstruct(args) -> int:
     effort = _parse_effort(args.effort)
     E, P, S, minim = _setup(args)
     table = eds_range(E, P, n_max)
-    ctx = ObstructionContext(E, P, S, table, effort=effort)
+    ctx = ObstructionContext(E, P, S, table, args.rho, args.B, args.L_rho, effort)
     doc = _header(
         args, S, minim, B=args.B, L_rho=args.L_rho, n_max=n_max, **_detecting_thresholds(args)
     )
     reports = []
     lines = []
     for t in tuples:
-        rep = evaluate_tuple(ctx, t, args.rho, B=args.B, L_rho=args.L_rho)
+        rep = evaluate_tuple(ctx, t)
         oracle = test_relation(table, t, args.rho)
         excluded = rep.certified_exclusions
         if excluded and oracle.is_power:

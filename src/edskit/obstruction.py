@@ -16,7 +16,7 @@ always routes through the exact integer root test.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, prod, sqrt
+from math import floor, gcd, isqrt, prod, sqrt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .curve import RatPoint, WeierstrassCurve
@@ -76,8 +76,9 @@ def _jsonable(v):
 
 
 class ObstructionContext:
-    """Immutable inputs shared by all checkers, with caches of work shared across tuples:
-    radical data, index factorizations, each l's threshold tests and the blocks of _prime_block."""
+    """One obstruction run: the inputs every checker reads, the prime rho, the smoothness
+    bound B >= 2 and the detecting threshold L_rho, with caches of work shared across
+    tuples: radical data, index factorizations and the blocks of _prime_block."""
 
     def __init__(
         self,
@@ -85,16 +86,27 @@ class ObstructionContext:
         point: RatPoint,
         S: ExceptionalSet,
         table: EdsTable,
+        rho: int,
+        B=2,
+        L_rho: int = 0,
         effort: Effort = DEFAULT_EFFORT,
     ):
         self.curve = curve
         self.point = point
         self.S = S
         self.table = table
+        self.rho = rho
+        self.B = B
+        self.L_rho = L_rho
         self.effort = effort
+        # The least integer l > (sqrt(B) + 1)^2 = B + 1 + 2 sqrt(B): it is at least
+        # floor(B) + floor(2 sqrt(B)) + 2, and floor(2 sqrt(B)) = isqrt(floor(4B)).
+        l = floor(B) + isqrt(floor(4 * B)) + 2
+        while not _exceeds_sqrtB_plus_1_sq(l, B):
+            l += 1
+        self.B_bound = l
         self._radical_cache: Dict[int, TermRadicalData] = {}
         self._factor_cache: Dict[int, Factorization] = {}
-        self._threshold_cache: Dict[tuple, Tuple[bool, bool, bool]] = {}
         self._blocks: Dict[tuple, _PrimeBlock] = {}
 
     def radical_data(self, l: int) -> TermRadicalData:
@@ -109,13 +121,6 @@ class ObstructionContext:
         if x not in self._factor_cache:
             self._factor_cache[x] = factorize(x, self.effort)
         return self._factor_cache[x]
-
-    def thresholds(self, l: int, B, L_rho: int) -> Tuple[bool, bool, bool]:
-        """(l is prime, l > L_rho, l > (sqrt(B) + 1)^2), decided once per (l, B, L_rho)."""
-        key = (l, B, L_rho)
-        if key not in self._threshold_cache:
-            self._threshold_cache[key] = (is_prime(l), l > L_rho, _exceeds_sqrtB_plus_1_sq(l, B))
-        return self._threshold_cache[key]
 
 
 # -- index-tuple combinatorics -----------------------------------------
@@ -309,10 +314,10 @@ def prime_support_check(
     ctx: ObstructionContext,
     n: Sequence[int],
     l: int,
-    rho: int,
     top: bool,
 ) -> ObstructionVerdict:
     """Radical divisibility, Hasse scale, and, when top, the top-prime interval at index l."""
+    rho = ctx.rho
     I = incidence_set(n, l)
     hyp = {"rho_not_dividing_I": len(I) % rho != 0}
     wit: Dict[str, object] = {"l": l, "I_l": I}
@@ -351,24 +356,23 @@ def prime_support_check(
 
 
 def _check_top_prime_hypotheses(
-    ctx: ObstructionContext, n: Sequence[int], l: int, B, L_rho
+    ctx: ObstructionContext, n: Sequence[int], l: int
 ) -> Tuple[List[str], bool]:
     """Reasons the smooth-cofactor hypotheses fail at l (empty = all hold), and the top flag:
     whether l is the simple top prime of every n_i it divides.  n_i / l is B-smooth exactly
     when P^+(n_i / l) <= B, read once l is known to be n_i's simple top prime."""
-    prime, above_L_rho, above_B = ctx.thresholds(l, B, L_rho)
     reasons = []
     top = True
-    if not prime:
+    if not is_prime(l):
         reasons.append(f"l={l} is not prime")
-    if not above_L_rho:
-        reasons.append(f"l={l} does not exceed the detecting threshold L_rho={L_rho}")
-    if not above_B:
-        reasons.append(f"l={l} does not exceed (sqrt(B)+1)^2 for B={B}")
+    if l <= ctx.L_rho:
+        reasons.append(f"l={l} does not exceed the detecting threshold L_rho={ctx.L_rho}")
+    if l < ctx.B_bound:
+        reasons.append(f"l={l} does not exceed (sqrt(B)+1)^2 for B={ctx.B}")
     for i in incidence_set(n, l):
         defect = _top_prime_defect(ctx, n, i, l)
         top = top and defect is None
-        if defect is None and _top_primes(ctx, n[i - 1])[1] > B:
+        if defect is None and _top_primes(ctx, n[i - 1])[1] > ctx.B:
             defect = f"cofactor n_{i}/l={n[i - 1] // l} is not B-smooth"
         if defect is not None:
             reasons.append(defect)
@@ -379,7 +383,6 @@ def smooth_cofactor_balance(
     ctx: ObstructionContext,
     n: Sequence[int],
     l: int,
-    rho: int,
     reasons: Sequence[str],
 ) -> ObstructionVerdict:
     """rho must divide |I_l(n)| when l is a large top prime with smooth cofactors.
@@ -391,6 +394,7 @@ def smooth_cofactor_balance(
     """
     if reasons:
         raise HypothesisViolated("; ".join(reasons))
+    rho = ctx.rho
     I = incidence_set(n, l)
     wit = {"l": l, "I_l": I, "size_mod_rho": len(I) % rho}
     hyp = {"top_prime_hypotheses": True}
@@ -412,8 +416,6 @@ class ClusterPackingReport(NamedTuple):
     dropped: Dict[int, str]
     matrix: Dict[int, List[int]]
     rank: int
-    k: int
-    rho: int
     conclusions: Dict[int, str]
     exclusion: bool
     certified: bool
@@ -436,7 +438,6 @@ def cluster_packing(
     ctx: ObstructionContext,
     n: Sequence[int],
     reasons: Dict[int, List[str]],
-    rho: int,
 ) -> ClusterPackingReport:
     """Build M_Lambda(n) over F_rho and check all five packing conclusions.
 
@@ -444,7 +445,7 @@ def cluster_packing(
     Primes failing the per-l hypotheses are dropped with a note rather
     than aborting the whole report.
     """
-    k = len(n)
+    k, rho = len(n), ctx.rho
     dropped = {l: "; ".join(r) for l, r in reasons.items() if r}
     surviving = [l for l, r in reasons.items() if not r]
     matrix = build_incidence_matrix(n, surviving)
@@ -477,8 +478,6 @@ def cluster_packing(
         dropped=dropped,
         matrix=matrix,
         rank=rank,
-        k=k,
-        rho=rho,
         conclusions=conclusions,
         exclusion=exclusion,
         certified=certified,
@@ -486,28 +485,22 @@ def cluster_packing(
     )
 
 
-def repeated_top_prime(
-    ctx: ObstructionContext,
-    n: Sequence[int],
-    rho: int,
-    B,
-    L_rho: int = 0,
-) -> ObstructionVerdict:
+def repeated_top_prime(ctx: ObstructionContext, n: Sequence[int]) -> ObstructionVerdict:
     """Indices n_i = l_i * a_i: each top prime must repeat a multiple of rho times."""
+    rho = ctx.rho
     tops: List[int] = []
     for i, ni in enumerate(n, start=1):
         l_i, top_cof = _top_primes(ctx, ni)
         if l_i == 1:
             raise HypothesisViolated(f"n_{i}=1 has no top prime")
-        _, above_L_rho, above_B = ctx.thresholds(l_i, B, L_rho)
         reasons = []
-        if not above_L_rho:
+        if l_i <= ctx.L_rho:
             reasons.append(f"l_{i}={l_i} below L_rho")
-        if not above_B:
+        if l_i < ctx.B_bound:
             reasons.append(f"l_{i}={l_i} not above (sqrt(B)+1)^2")
         if top_cof == l_i:  # l_i^2 divides n_i
             reasons.append(f"v_l(n_{i}) != 1")
-        if top_cof > B:
+        if top_cof > ctx.B:
             reasons.append(f"cofactor of n_{i} not B-smooth")
         if reasons:
             raise HypothesisViolated("; ".join(reasons))
@@ -531,13 +524,7 @@ def repeated_top_prime(
     )
 
 
-def large_prime_gap(
-    ctx: ObstructionContext,
-    m: int,
-    n: int,
-    rho: int,
-    L_rho: int = 0,
-) -> ObstructionVerdict:
+def large_prime_gap(ctx: ObstructionContext, m: int, n: int) -> ObstructionVerdict:
     """Coprime two-term exclusion from the prime gap below the top prime of m.
 
     When P^+(m / l) < (sqrt(l)-1)^2, no product D_m * D_n with
@@ -554,10 +541,10 @@ def large_prime_gap(
     v = valuation(m, l)
     if v != 1:
         raise HypothesisViolated(f"v_l(m)={v} != 1")
-    if l <= L_rho:
-        raise HypothesisViolated(f"l={l} does not exceed L_rho={L_rho}")
+    if l <= ctx.L_rho:
+        raise HypothesisViolated(f"l={l} does not exceed L_rho={ctx.L_rho}")
     cofactor = m // l
-    detected = ctx.radical_data(l).detected(rho)
+    detected = ctx.radical_data(l).detected(ctx.rho)
     hyp = {
         "coprime": True,
         "simple_top_prime": True,
@@ -570,7 +557,7 @@ def large_prime_gap(
     wit["route"] = "prime_gap"
     if detected and max(m, n) <= ctx.table.max_index:
         product = ctx.table.D(m) * ctx.table.D(n)
-        oracle = is_rho_power(product, rho) if product >= 1 else False
+        oracle = is_rho_power(product, ctx.rho)
         wit["oracle_product_is_power"] = oracle
         if oracle:
             raise SoundnessError(f"exclusion of D_{m}*D_{n} contradicted by the exact power oracle")
@@ -582,21 +569,18 @@ def large_prime_gap(
 
 
 def radical_lower_bound(
-    ctx: ObstructionContext,
-    n: Sequence[int],
-    Lambda: Sequence[int],
-    rho: int,
-    L_rho: int = 0,
+    ctx: ObstructionContext, n: Sequence[int], Lambda: Sequence[int]
 ) -> ObstructionVerdict:
     """rad of the quotient product against prod over Lambda of (sqrt(l)-1)^2.
 
     Each l in Lambda must be prime, above L_rho, with rho not dividing
     |I_l(n)|, and the simple top prime of every n_i it divides.
     """
+    rho = ctx.rho
     for l in Lambda:
         if not is_prime(l):
             raise HypothesisViolated(f"l={l} is not prime")
-        if l <= L_rho:
+        if l <= ctx.L_rho:
             raise HypothesisViolated(f"l={l} below L_rho")
         I = incidence_set(n, l)
         if len(I) % rho == 0:
@@ -650,29 +634,28 @@ class _PrimeBlock(NamedTuple):
 
 
 def _prime_block(
-    ctx: ObstructionContext, n: Sequence[int], l: int, rho: int, squarefree: bool, B, L_rho: int
+    ctx: ObstructionContext, n: Sequence[int], l: int, squarefree: bool
 ) -> _PrimeBlock:
     """The congruence views at each radical-data entry of l, then the support and balance checks,
     built once per key: every check reads the tuple only at the positions in I_l(n)."""
     I = incidence_set(n, l)
-    # B by its text, which the reasons print: 2 == 2.0, but they read "B=2" and "B=2.0".
-    key = (l, rho, squarefree, str(B), L_rho, tuple((i, n[i - 1]) for i in I))
+    key = (l, squarefree, tuple((i, n[i - 1]) for i in I))
     if key in ctx._blocks:
         return ctx._blocks[key]
-    reasons, top = _check_top_prime_hypotheses(ctx, n, l, B, L_rho)
+    reasons, top = _check_top_prime_hypotheses(ctx, n, l)
     verdicts: List[ObstructionVerdict] = []
     # The entries are the primes outside S dividing D_l: the views' preconditions hold.
     for p, v in ctx.radical_data(l).entries:
-        c = _congruence(n, l, p, v, rho)
+        c = _congruence(n, l, p, v, ctx.rho)
         verdicts.extend([c.absorption(), c.pairing()])
-        if p != l and v % rho != 0:
+        if p != l and v % ctx.rho != 0:
             verdicts.append(c.multiplicity())
             if squarefree:
                 verdicts.append(c.squarefree())
-    verdicts.append(prime_support_check(ctx, n, l, rho, top))
+    verdicts.append(prime_support_check(ctx, n, l, top))
     skipped = []
     try:
-        verdicts.append(smooth_cofactor_balance(ctx, n, l, rho, reasons))
+        verdicts.append(smooth_cofactor_balance(ctx, n, l, reasons))
     except HypothesisViolated as exc:
         skipped.append(f"smooth_cofactor_balance(l={l}): {exc}")
     block = ctx._blocks[key] = _PrimeBlock(I, top, reasons, verdicts, skipped)
@@ -706,13 +689,7 @@ class TupleReport(NamedTuple):
         }
 
 
-def evaluate_tuple(
-    ctx: ObstructionContext,
-    n: Sequence[int],
-    rho: int,
-    B=2,
-    L_rho: int = 0,
-) -> TupleReport:
+def evaluate_tuple(ctx: ObstructionContext, n: Sequence[int]) -> TupleReport:
     """Run every checker that applies to the tuple and collect verdicts.
 
     Checkers whose preconditions or hypotheses do not hold are recorded
@@ -733,17 +710,17 @@ def evaluate_tuple(
     reasons = {}
     rl_lambda = []  # each simple top prime l with rho not dividing |I_l(n)|
     for l in candidate_primes:
-        block = _prime_block(ctx, n, l, rho, squarefree, B, L_rho)
+        block = _prime_block(ctx, n, l, squarefree)
         reasons[l] = block.reasons
         verdicts.extend(block.verdicts)
         skipped.extend(block.skipped)
-        if block.top and len(block.I) % rho != 0:
+        if block.top and len(block.I) % ctx.rho != 0:
             rl_lambda.append(l)
-    cluster = cluster_packing(ctx, n, reasons, rho) if n else None
-    attempt("repeated_top_prime", repeated_top_prime, n, rho, B, L_rho)
+    cluster = cluster_packing(ctx, n, reasons) if n else None
+    attempt("repeated_top_prime", repeated_top_prime, n)
     if len(n) == 2 and gcd(n[0], n[1]) == 1:
         for m, other in (n, (n[1], n[0])):
             if m >= 2:
-                attempt(f"large_prime_gap(m={m})", large_prime_gap, m, other, rho, L_rho)
-    attempt("radical_lower_bound", radical_lower_bound, n, rl_lambda, rho, L_rho)
-    return TupleReport(n=n, rho=rho, verdicts=verdicts, cluster=cluster, skipped=skipped)
+                attempt(f"large_prime_gap(m={m})", large_prime_gap, m, other)
+    attempt("radical_lower_bound", radical_lower_bound, n, rl_lambda)
+    return TupleReport(n=n, rho=ctx.rho, verdicts=verdicts, cluster=cluster, skipped=skipped)

@@ -116,9 +116,9 @@ def check_valuation_law(
     """Assert both clauses of the law against directly computed v_p(D_n)."""
     if p in S:
         raise ValueError(f"p={p} is in the exceptional set; the law is not claimed there")
-    r_p = curve.reduction_order(P, p)
     if n_max > table.max_index:
         raise TableMiss(f"index {n_max} outside table range 1..{table.max_index}")
+    r_p = curve.reduction_order(P, p)
     terms = table.terms
     v_base = valuation(terms[r_p - 1].D, p) if r_p <= n_max else 0
     # The n with p | D_n; only they and the multiples of r_p need a closer look.

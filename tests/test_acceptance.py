@@ -13,6 +13,7 @@ from edskit.intmath import is_rho_power, primes_up_to, valuation
 from edskit.obstruction import (
     FAILS,
     HOLDS,
+    ObstructionContext,
     _check_top_prime_hypotheses,
     cluster_packing,
     evaluate_tuple,
@@ -97,9 +98,10 @@ def test_07_soundness_sweep(ctx37):
     start = time.monotonic()
     tuples = checked_exclusions = 0
     for rho in (2, 3):
+        ctx = ObstructionContext(ctx37.curve, ctx37.point, ctx37.S, ctx37.table, rho)
         for k in (1, 2, 3):
             for combo in combinations_with_replacement(range(1, 13), k):
-                report = evaluate_tuple(ctx37, combo, rho)
+                report = evaluate_tuple(ctx, combo)
                 oracle = product_relation(ctx37.table, combo, rho)
                 tuples += 1
                 if report.certified_exclusions:
@@ -131,15 +133,16 @@ def test_08_positive_relations_pass_absorption(ctx37):
 def test_09_cluster_packing_fixtures(ctx37):
     """The 4-tuple two-block fixture satisfies all five conclusions; the
     weight-1 fixture yields a certified exclusion confirmed by the oracle."""
+    ctx = ObstructionContext(ctx37.curve, ctx37.point, ctx37.S, ctx37.table, rho=2, B=3)
 
     def packing(n):
-        reasons = {l: _check_top_prime_hypotheses(ctx37, n, l, 3, 0)[0] for l in (11, 13)}
-        return cluster_packing(ctx37, n, reasons, 2)
+        reasons = {l: _check_top_prime_hypotheses(ctx, n, l)[0] for l in (11, 13)}
+        return cluster_packing(ctx, n, reasons)
 
     rep = packing((22, 33, 26, 39))
     assert rep.dropped == {}
     assert rep.lambda_star == [11, 13]
-    assert rep.rank == len(rep.lambda_star) == rep.k // rep.rho == 2
+    assert rep.rank == len(rep.lambda_star) == 4 // 2  # the packing bound k // rho
     assert all(v == HOLDS for v in rep.conclusions.values())
 
     rep = packing((22, 26, 6))

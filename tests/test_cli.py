@@ -249,6 +249,33 @@ def test_obstruct_json_deterministic(curve_file, capsys):
     assert docs[0]["exceptional_set"]["primes"] == [["37", "bad_reduction"]]
 
 
+def test_obstruct_builds_its_context_from_rho_B_and_L_rho(curve_file, capsys):
+    from edskit.eds import eds_range
+    from edskit.obstruction import ObstructionContext, evaluate_tuple
+    from edskit.valuation import build_exceptional_set
+
+    # l = 5 <= L_rho at (5, 3); at (143, 2), 143 = 13 * 11 has a cofactor above B.  The
+    # rho-iteration budget, not the clock, ends each factorization of D_l up to l = 139.
+    pairs = [(5, 3), (143, 2), (17, 19)]
+    argv = ["obstruct", "--curve", curve_file, "--rho", "3", "--B", "7", "--L-rho", "7",
+            "--effort", "1000:1000:600", "--format", "json"]
+    assert main(argv + [arg for n in pairs for arg in ("--tuple", f"{n[0]},{n[1]}")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    th = doc["thresholds"]
+    assert (th["rho"], th["B"], th["L_rho"]) == (3, 7.0, 7)
+    E, P = cli.load_curve_file(curve_file)
+    S = build_exceptional_set(E, P, include_guard=False)
+    table = eds_range(E, P, th["n_max"])
+    ctx = ObstructionContext(E, P, S, table, 3, 7.0, 7, cli._parse_effort(th["effort"]))
+    reports = doc["tuples"]
+    assert [r["n"] for r in reports] == [list(n) for n in pairs]
+    for n, report in zip(pairs, reports):
+        report.pop("oracle")
+        assert report == json.loads(json.dumps(evaluate_tuple(ctx, n).to_json())), n
+    text = json.dumps(reports)
+    assert "below L_rho" in text and "is not B-smooth" in text and "B=7.0" in text
+
+
 def test_probe_detecting(curve_file, capsys):
     rc = main(["probe-detecting", "--curve", curve_file, "--rho", "2",
                "--l-max", "13"])
@@ -302,8 +329,10 @@ def test_obstruct_json_under_the_smallest_int_digit_limit(curve_file):
 @pytest.mark.parametrize("argv", [
     ["obstruct", "--B", "nan", "--tuple", "5,3"],
     ["obstruct", "--B", "inf", "--tuple", "5,3"],
+    ["obstruct", "--B", "1.5", "--tuple", "5,3"],
+    ["obstruct", "--L-rho", "-4", "--tuple", "2,2"],
     ["obstruct", "--n-max", "10", "--tuple", "14,9"],
-], ids=["B-nan", "B-inf", "obstruct-n-max-below-tuple"])
+], ids=["B-nan", "B-inf", "B-below-2", "L-rho-negative", "obstruct-n-max-below-tuple"])
 def test_bad_size_or_bound_exits_2_before_any_work(argv, curve_file, capsys, monkeypatch):
     def setup(args):
         raise AssertionError("work started before the configuration was checked")

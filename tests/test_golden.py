@@ -46,16 +46,16 @@ THRESHOLD_GOLDEN = Path(__file__).parent / "golden" / "threshold_reports.json"
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _context(coeffs, N, effort=Effort()):
+def _context(coeffs, N, rho, B=2, L_rho=0, effort=Effort()):
     curve = WeierstrassCurve(*coeffs)
     point = (Fraction(0), Fraction(0))
     S = build_exceptional_set(curve, point, include_guard=False)
-    return ObstructionContext(curve, point, S, eds_range(curve, point, N), effort=effort)
+    return ObstructionContext(curve, point, S, eds_range(curve, point, N), rho, B, L_rho, effort)
 
 
-def report_digest(ctx, n, rho):
-    rep = evaluate_tuple(ctx, n, rho)
-    oracle = product_relation(ctx.table, n, rho)
+def report_digest(ctx, n):
+    rep = evaluate_tuple(ctx, n)
+    oracle = product_relation(ctx.table, n, ctx.rho)
     doc = json.dumps(
         {"report": rep.to_json(), "oracle": oracle.to_json()},
         sort_keys=True,
@@ -67,14 +67,14 @@ def report_digest(ctx, n, rho):
 def golden_digests():
     """{"<curve>/<rho>/<n_1,...,n_k>": digest} over both sweeps."""
     out = {}
-    ctx37 = _context((0, 0, 1, -1, 0), 60)
     for rho in (2, 3):
+        ctx37 = _context((0, 0, 1, -1, 0), 60, rho)
         for k in (1, 2, 3):
             for n in combinations_with_replacement(range(1, 13), k):
-                out[f"37/{rho}/{','.join(map(str, n))}"] = report_digest(ctx37, n, rho)
-    ctx43 = _context((0, 1, 1, 0, 0), 60)
+                out[f"37/{rho}/{','.join(map(str, n))}"] = report_digest(ctx37, n)
+    ctx43 = _context((0, 1, 1, 0, 0), 60, 3)
     for n in combinations_with_replacement(range(1, 61), 2):
-        out[f"43/3/{','.join(map(str, n))}"] = report_digest(ctx43, n, 3)
+        out[f"43/3/{','.join(map(str, n))}"] = report_digest(ctx43, n)
     return out
 
 
@@ -91,20 +91,19 @@ def threshold_sweep():
     """({"<curve>/<effort>/B=<B>/L_rho=<L_rho>/rho=<rho>": digest}, wordings seen).
 
     Each digest is the sha256 of the configuration's reports, one compact
-    sorted-key JSON line per tuple.  One context per (curve, effort) serves
-    all twelve (B, L_rho, rho), as the caches keyed on them must allow.
+    sorted-key JSON line per tuple, from one context per configuration.
     """
     out, seen = {}, set()
     for name, coeffs in (("37", (0, 0, 1, -1, 0)), ("43", (0, 1, 1, 0, 0))):
         for label, effort in (("default", Effort()), ("zero", Effort(0, 0, 0))):
-            ctx = _context(coeffs, 60, effort)
             for B in (2, 7, 30.5):
                 for L_rho in (0, 7):
                     for rho in (2, 3):
+                        ctx = _context(coeffs, 60, rho, B, L_rho, effort)
                         h = hashlib.sha256()
                         for n in THRESHOLD_PAIRS:
                             doc = json.dumps(
-                                evaluate_tuple(ctx, n, rho, B, L_rho).to_json(),
+                                evaluate_tuple(ctx, n).to_json(),
                                 sort_keys=True, separators=(",", ":"),
                             )
                             seen.update(w for w in THRESHOLD_WORDINGS if w in doc)
@@ -168,12 +167,14 @@ def test_obstruct_batch_reference_digests():
         assert S.to_json() == header["exceptional_set"]
         table = eds_range(curve, point, th["n_max"])
         assert th["sieve_bound"] == SIEVE_BOUND
-        ctx = ObstructionContext(curve, point, S, table, effort=_parse_effort(th["effort"]))
+        ctx = ObstructionContext(
+            curve, point, S, table, th["rho"], th["B"], th["L_rho"], _parse_effort(th["effort"])
+        )
         assert len(run["reports"]) == 980
         changed = []
         for key, digest in run["reports"].items():
             n = [int(x) for x in key.split(",")]
-            doc = evaluate_tuple(ctx, n, th["rho"], B=th["B"], L_rho=th["L_rho"]).to_json()
+            doc = evaluate_tuple(ctx, n).to_json()
             doc["oracle"] = product_relation(table, n, th["rho"]).to_json()
             blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
             if hashlib.sha256(blob.encode()).hexdigest()[:16] != digest:

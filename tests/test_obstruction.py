@@ -9,6 +9,7 @@ import math
 import random
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -76,14 +77,19 @@ def test_rank_equals_row_count_for_disjoint_supports():
             assert gf_rank(rows, rho) == len(rows)
 
 
-def hypotheses(ctx, n, Lambda, B, L_rho=0):
+def configured(ctx, B=2, L_rho=0):
+    """A context like ctx, on its curve data and rho, with another B and L_rho."""
+    return ObstructionContext(ctx.curve, ctx.point, ctx.S, ctx.table, ctx.rho, B, L_rho, ctx.effort)
+
+
+def hypotheses(ctx, n, Lambda):
     """{l: reasons the smooth-cofactor hypotheses fail at l}, as evaluate_tuple builds it."""
-    return {l: _check_top_prime_hypotheses(ctx, n, l, B, L_rho)[0] for l in Lambda}
+    return {l: _check_top_prime_hypotheses(ctx, n, l)[0] for l in Lambda}
 
 
-def support(ctx, n, l, rho):
+def support(ctx, n, l):
     """prime_support_check with the top flag evaluate_tuple passes it."""
-    return prime_support_check(ctx, n, l, rho, _check_top_prime_hypotheses(ctx, n, l, 2, 0)[1])
+    return prime_support_check(ctx, n, l, _check_top_prime_hypotheses(ctx, n, l)[1])
 
 
 def views(report, statement):
@@ -111,10 +117,10 @@ def test_absorption_examples(ctx37):
 def test_absorption_preconditions(ctx37, curve37, point37, table37):
     # evaluate_tuple builds the views only for primes p outside S with p | D_l.
     guarded = ObstructionContext(
-        curve37, point37, build_exceptional_set(curve37, point37), table37
+        curve37, point37, build_exceptional_set(curve37, point37), table37, rho=2
     )
     for ctx, at_5 in ((ctx37, [(5, 2)]), (guarded, [])):  # D_5 = 2; the guard puts 2 in S
-        rep = evaluate_tuple(ctx, (5, 3, 35), 2)
+        rep = evaluate_tuple(ctx, (5, 3, 35))
         expected = [(l, p) for l in primes_up_to(35) for p, _ in ctx.radical_data(l).entries]
         assert all(p not in ctx.S and ctx.table.D(l) % p == 0 for l, p in expected)
         for statement in ("absorption_congruence", "incidence_pairing"):
@@ -194,28 +200,28 @@ def test_squarefree_incidence_examples(ctx37):
     assert congruence(ctx37, (5, 5), 5, 2, 2).squarefree().verdict == HOLDS
     # evaluate_tuple builds the view only on squarefree tuples, and only for q != l:
     # 53 divides D_53.
-    assert views(evaluate_tuple(ctx37, (4, 10), 2), "squarefree_incidence") == []
-    assert (5, 2) in views(evaluate_tuple(ctx37, (10, 10), 2), "squarefree_incidence")
-    rep = evaluate_tuple(ctx37, (53,), 2)
+    assert views(evaluate_tuple(ctx37, (4, 10)), "squarefree_incidence") == []
+    assert (5, 2) in views(evaluate_tuple(ctx37, (10, 10)), "squarefree_incidence")
+    rep = evaluate_tuple(ctx37, (53,))
     assert (53, 53) in views(rep, "absorption_congruence")
     assert (53, 937) in views(rep, "squarefree_incidence")
     assert (53, 53) not in views(rep, "squarefree_incidence")
 
 
 def test_prime_support_examples(ctx37):
-    v = support(ctx37, (10, 3), 5, 2)
+    v = support(ctx37, (10, 3), 5)
     assert v.verdict == HOLDS
     assert v.witnesses["radical"] == 2
-    v = support(ctx37, (5, 3), 5, 2)
+    v = support(ctx37, (5, 3), 5)
     assert v.verdict == FAILS  # rad = 2 does not divide the quotient product 1
     assert v.certified_exclusion
-    v = support(ctx37, (10, 10), 5, 2)
+    v = support(ctx37, (10, 10), 5)
     assert v.verdict == INCONCLUSIVE  # |I_5| = 2 is even: vacuous
     assert not v.hypotheses["rho_not_dividing_I"]
     # 253 = 11 * 23: 11 is not its top prime, so the interval test (which 23 > 11 fails) is off.
-    assert not _check_top_prime_hypotheses(ctx37, (253,), 11, 2, 0)[1]
-    assert support(ctx37, (253,), 11, 2).verdict == HOLDS
-    v = prime_support_check(ctx37, (253,), 11, 2, True)
+    assert not _check_top_prime_hypotheses(ctx37, (253,), 11)[1]
+    assert support(ctx37, (253,), 11).verdict == HOLDS
+    v = prime_support_check(ctx37, (253,), 11, True)
     assert v.verdict == FAILS and not v.witnesses["top_prime_interval_ok"]
 
 
@@ -225,13 +231,12 @@ def test_multiplicity_examples(ctx37, curve43, point43, s43, table43):
     v = congruence(ctx37, (5, 3), 5, 2, 2).multiplicity()
     assert v.verdict == FAILS
     # evaluate_tuple builds the view only for q != l in the power radical of D_l.
-    built = views(evaluate_tuple(ctx37, (10, 3), 2), "multiplicity_obstruction")
+    built = views(evaluate_tuple(ctx37, (10, 3)), "multiplicity_obstruction")
     assert (5, 2) in built and (5, 7) not in built  # 7 not in the radical
-    assert (53, 53) not in views(evaluate_tuple(ctx37, (53,), 2), "multiplicity_obstruction")
+    assert (53, 53) not in views(evaluate_tuple(ctx37, (53,)), "multiplicity_obstruction")
     # On 43, v_13(D_19) = 3: 13 lies in the power radical of D_19 for rho = 2 only.
-    ctx43 = ObstructionContext(curve43, point43, s43, table43)
     for rho, built in ((2, True), (3, False)):
-        rep = evaluate_tuple(ctx43, (19,), rho)
+        rep = evaluate_tuple(ObstructionContext(curve43, point43, s43, table43, rho), (19,))
         assert (19, 13) in views(rep, "absorption_congruence")
         assert ((19, 13) in views(rep, "multiplicity_obstruction")) == built
 
@@ -240,18 +245,18 @@ def test_multiplicity_examples(ctx37, curve43, point43, s43, table43):
 
 
 def test_smooth_cofactor_balance(ctx37):
-    def balance(n, l, rho, B):
-        return smooth_cofactor_balance(ctx37, n, l, rho, hypotheses(ctx37, n, [l], B)[l])
+    def balance(ctx, n, l):
+        return smooth_cofactor_balance(ctx, n, l, hypotheses(ctx, n, [l])[l])
 
     # |I_7| = 2: balanced, no obstruction.
-    assert balance((7, 14), 7, 2, 2).verdict == HOLDS
+    assert balance(ctx37, (7, 14), 7).verdict == HOLDS
     # |I_7| = 1 with a verified detecting prime (3 | D_7): certified exclusion.
-    v = balance((7,), 7, 2, 2)
+    v = balance(ctx37, (7,), 7)
     assert v.verdict == FAILS
     assert v.certified_exclusion
     # l = 5 sits below (sqrt(4)+1)^2 = 9: threshold hypothesis fails.
     with pytest.raises(HypothesisViolated):
-        balance((5,), 5, 2, 4)
+        balance(configured(ctx37, B=4), (5,), 5)
 
 
 def test_smooth_cofactor_threshold_exact():
@@ -265,23 +270,41 @@ def test_smooth_cofactor_threshold_exact():
     assert _exceeds_sqrtB_plus_1_sq(10, 4)
 
 
+def test_context_B_bound_is_least_l_above_sqrtB_plus_1_sq(ctx37):
+    from edskit.obstruction import _exceeds_sqrtB_plus_1_sq
+
+    # (sqrt(B)+1)^2 is an integer for B = 4, 9 and 100, which pins the strict inequality.
+    rng = random.Random(20)
+    bounds = [2, 2.0, 3, 4, 9, 100, 30.5, Fraction(49, 4), 10**6 + 0.25, 10**12]
+    for _ in range(200):
+        d = rng.randrange(1, 1000)
+        bounds.append(Fraction(rng.randrange(2 * d, 10**6 * d), d))
+    for B in bounds:
+        l = configured(ctx37, B=B).B_bound
+        assert _exceeds_sqrtB_plus_1_sq(l, B), B
+        assert not _exceeds_sqrtB_plus_1_sq(l - 1, B), B
+    assert [configured(ctx37, B=B).B_bound for B in (2, 4, 9, 100)] == [6, 10, 17, 122]
+
+
 def test_cluster_packing_disjoint_blocks(ctx37):
     # Two rho-balanced blocks at l=11 and l=13 with 3-smooth cofactors.
     n = (22, 33, 26, 39)
-    rep = cluster_packing(ctx37, n, hypotheses(ctx37, n, [11, 13], 3), 2)
+    ctx = configured(ctx37, B=3)
+    rep = cluster_packing(ctx, n, hypotheses(ctx, n, [11, 13]))
     assert rep.dropped == {}
     assert rep.lambda_star == [11, 13]
     assert rep.matrix[11] == [1, 1, 0, 0]
     assert rep.matrix[13] == [0, 0, 1, 1]
     assert rep.rank == 2
-    assert len(rep.lambda_star) == rep.k // rep.rho
+    assert len(rep.lambda_star) == len(n) // 2
     assert all(v == HOLDS for v in rep.conclusions.values())
     assert not rep.exclusion
 
 
 def test_cluster_packing_weight_one_rows(ctx37, table37):
     n = (22, 26, 6)
-    rep = cluster_packing(ctx37, n, hypotheses(ctx37, n, [11, 13], 3), 2)
+    ctx = configured(ctx37, B=3)
+    rep = cluster_packing(ctx, n, hypotheses(ctx, n, [11, 13]))
     assert rep.conclusions[1] == FAILS
     assert rep.exclusion and rep.certified
     # Ground truth: the product really is not a square.
@@ -289,7 +312,7 @@ def test_cluster_packing_weight_one_rows(ctx37, table37):
 
 
 def test_cluster_packing_empty_lambda_star(ctx37):
-    rep = cluster_packing(ctx37, (2,), hypotheses(ctx37, (2,), [11], 2), 2)
+    rep = cluster_packing(ctx37, (2,), hypotheses(ctx37, (2,), [11]))
     assert rep.lambda_star == []
     assert rep.conclusions[5] == HOLDS
     assert not rep.exclusion
@@ -298,58 +321,60 @@ def test_cluster_packing_empty_lambda_star(ctx37):
 def test_cluster_packing_drops_bad_hypotheses(ctx37):
     # v_11(121) = 2 violates the top-prime hypothesis at l = 11.
     n = (121, 26, 39)
-    rep = cluster_packing(ctx37, n, hypotheses(ctx37, n, [11, 13], 3), 2)
+    ctx = configured(ctx37, B=3)
+    rep = cluster_packing(ctx, n, hypotheses(ctx, n, [11, 13]))
     assert 11 in rep.dropped
     assert rep.lambda_used == [13]
 
 
 def test_repeated_top_prime(ctx37):
     # Multiplicities 2 and 1 for tops 11, 13: the odd one excludes.
-    v = repeated_top_prime(ctx37, (22, 33, 13), 2, 3)
+    ctx = configured(ctx37, B=3)
+    v = repeated_top_prime(ctx, (22, 33, 13))
     assert v.verdict == FAILS and v.certified_exclusion
     # Balanced multiplicity: no exclusion from this test.
-    assert repeated_top_prime(ctx37, (22, 33), 2, 3).verdict == HOLDS
+    assert repeated_top_prime(ctx, (22, 33)).verdict == HOLDS
     # Pairwise distinct tops with k = 3: always an exclusion for rho = 2.
-    v = repeated_top_prime(ctx37, (11, 13, 17), 2, 2)
+    v = repeated_top_prime(ctx37, (11, 13, 17))
     assert v.verdict == FAILS and v.witnesses["pairwise_distinct"]
 
 
 def test_repeated_top_prime_hypothesis_violations(ctx37):
     with pytest.raises(HypothesisViolated):
-        repeated_top_prime(ctx37, (121, 13), 2, 3)  # v_11 = 2
+        repeated_top_prime(configured(ctx37, B=3), (121, 13))  # v_11 = 2
     with pytest.raises(HypothesisViolated):
-        repeated_top_prime(ctx37, (1, 13), 2, 2)  # n_i = 1 has no top prime
+        repeated_top_prime(ctx37, (1, 13))  # n_i = 1 has no top prime
 
 
 def test_large_prime_gap(ctx37):
     # m = 14: top prime 7, cofactor 2 < (sqrt(7)-1)^2 = 2.708...
-    v = large_prime_gap(ctx37, 14, 9, 2)
+    v = large_prime_gap(ctx37, 14, 9)
     assert v.verdict == FAILS and v.certified_exclusion
     assert v.witnesses["route"] == "prime_gap"
     # m = l itself: cofactor 1, exclusion for every coprime n.
-    v = large_prime_gap(ctx37, 7, 10, 2)
+    v = large_prime_gap(ctx37, 7, 10)
     assert v.verdict == FAILS
     # Gap condition satisfied: no exclusion.
-    assert large_prime_gap(ctx37, 12, 7, 2).verdict == HOLDS
+    assert large_prime_gap(ctx37, 12, 7).verdict == HOLDS
 
 
 def test_large_prime_gap_hypotheses(ctx37):
     with pytest.raises(HypothesisViolated):
-        large_prime_gap(ctx37, 49, 10, 2)  # v_7(49) = 2
+        large_prime_gap(ctx37, 49, 10)  # v_7(49) = 2
     with pytest.raises(HypothesisViolated):
-        large_prime_gap(ctx37, 14, 21, 2)  # not coprime
+        large_prime_gap(ctx37, 14, 21)  # not coprime
     with pytest.raises(HypothesisViolated):
-        large_prime_gap(ctx37, 14, 9, 2, L_rho=11)  # l = 7 below threshold
+        large_prime_gap(configured(ctx37, L_rho=11), 14, 9)  # l = 7 below threshold
 
 
 def test_radical_lower_bound(ctx37):
     # Empty Lambda: empty product bound 1, trivially holds.
-    assert radical_lower_bound(ctx37, (10, 3), [], 2).verdict == HOLDS
+    assert radical_lower_bound(ctx37, (10, 3), []).verdict == HOLDS
     # Single l = 5: radical of 10/5 = 2 exceeds (sqrt(5)-1)^2 = 1.527...
-    assert radical_lower_bound(ctx37, (10, 3), [5], 2).verdict == HOLDS
+    assert radical_lower_bound(ctx37, (10, 3), [5]).verdict == HOLDS
     # n = (22,): radical 2 falls below (sqrt(11)-1)^2 = 5.366...; D_22 is
     # certified not a square.
-    v = radical_lower_bound(ctx37, (22,), [11], 2)
+    v = radical_lower_bound(ctx37, (22,), [11])
     assert v.verdict == FAILS and v.certified_exclusion
     assert not is_rho_power(ctx37.table.D(22), 2)
 
@@ -379,7 +404,7 @@ def test_radical_meets_bound_past_float_range():
 
 def test_radical_lower_bound_undecided_is_inconclusive(ctx37, monkeypatch):
     monkeypatch.setattr(edskit.obstruction, "_radical_meets_bound", lambda rad, ells: None)
-    v = radical_lower_bound(ctx37, (22,), [11], 2)
+    v = radical_lower_bound(ctx37, (22,), [11])
     assert v.verdict == INCONCLUSIVE
     assert v.notes == ["radical too close to the bound"]
     assert v.witnesses["bound"] == "5.366750"  # the float witness is unchanged
@@ -392,20 +417,20 @@ def test_radical_coprimality_violation_is_soundness_error(ctx37, monkeypatch):
 
     monkeypatch.setattr(ctx37, "radical_data", shared)
     with pytest.raises(SoundnessError):
-        radical_lower_bound(ctx37, (11, 13), [11, 13], 2)
+        radical_lower_bound(ctx37, (11, 13), [11, 13])
 
 
 def test_large_prime_gap_oracle_contradiction_is_soundness_error(ctx37, monkeypatch):
     monkeypatch.setattr(edskit.obstruction, "is_rho_power", lambda x, rho: True)
     with pytest.raises(SoundnessError):
-        large_prime_gap(ctx37, 14, 9, 2)
+        large_prime_gap(ctx37, 14, 9)
 
 
 def test_radical_lower_bound_hypotheses(ctx37):
     with pytest.raises(HypothesisViolated):
-        radical_lower_bound(ctx37, (10, 10), [5], 2)  # rho divides |I_5|
+        radical_lower_bound(ctx37, (10, 10), [5])  # rho divides |I_5|
     with pytest.raises(HypothesisViolated):
-        radical_lower_bound(ctx37, (22,), [4], 2)  # 4 is not prime
+        radical_lower_bound(ctx37, (22,), [4])  # 4 is not prime
 
 
 @pytest.mark.parametrize("n, Lambda, L_rho, message", [
@@ -418,7 +443,7 @@ def test_radical_lower_bound_hypotheses(ctx37):
 ])
 def test_radical_lower_bound_hypothesis_messages(ctx37, n, Lambda, L_rho, message):
     with pytest.raises(HypothesisViolated) as info:
-        radical_lower_bound(ctx37, n, Lambda, 2, L_rho)
+        radical_lower_bound(configured(ctx37, L_rho=L_rho), n, Lambda)
     assert str(info.value) == message
 
 
@@ -440,19 +465,19 @@ def test_incidence_matrix():
 
 
 def test_evaluate_tuple_exclusion(ctx37):
-    rep = evaluate_tuple(ctx37, (5, 3), 2)
+    rep = evaluate_tuple(ctx37, (5, 3))
     assert "absorption_congruence" in rep.certified_exclusions
     assert not product_relation(ctx37.table, (5, 3), 2).is_power
 
 
 def test_evaluate_tuple_square(ctx37):
-    rep = evaluate_tuple(ctx37, (5, 5), 2)
+    rep = evaluate_tuple(ctx37, (5, 5))
     assert rep.certified_exclusions == []
     assert product_relation(ctx37.table, (5, 5), 2).is_power
 
 
 def test_evaluate_tuple_reports_skips(ctx37):
-    rep = evaluate_tuple(ctx37, (1, 2), 2)
+    rep = evaluate_tuple(ctx37, (1, 2))
     assert any("repeated_top_prime" in s for s in rep.skipped)
 
 
@@ -480,8 +505,8 @@ def test_idle_prime_blocks_do_not_leak_between_tuples(fixture, request):
     runs = [(n, rho, B, L_rho) for n in tuples for rho, B, L_rho in settings]
 
     def sweep(order):
-        ctx = ObstructionContext(curve, point, S, table)
-        return {run: evaluate_tuple(ctx, *run) for run in order}
+        ctxs = {s: ObstructionContext(curve, point, S, table, *s) for s in settings}
+        return {run: evaluate_tuple(ctxs[run[1:]], run[0]) for run in order}
 
     forward, backward = sweep(runs), sweep(runs[::-1])
     for run in runs:
@@ -511,19 +536,10 @@ def test_idle_prime_blocks_do_not_leak_between_tuples(fixture, request):
         assert len(squarefree_at_7[(11, 3)]) == 1 and squarefree_at_7[(11, 9)] == []
 
 
-def test_blocks_keep_equal_bounds_of_different_text_apart(curve37, point37, s37, table37):
-    # 2 == 2.0, but the reasons print B, so a block built for one must not serve the other.
-    shared = ObstructionContext(curve37, point37, s37, table37)
-    for B in (2, 2.0, 2, 2.0):
-        fresh = ObstructionContext(curve37, point37, s37, table37)
-        expected = evaluate_tuple(fresh, (5, 3), 2, B).to_json()
-        assert evaluate_tuple(shared, (5, 3), 2, B).to_json() == expected
-
-
 def test_no_checker_holds_on_failed_hypotheses(ctx37):
     # Vacuity discipline: the vacuous support check is inconclusive, and
     # its hypothesis record shows which assumption failed.
-    v = support(ctx37, (10, 10), 5, 2)
+    v = support(ctx37, (10, 10), 5)
     assert v.verdict == INCONCLUSIVE
     assert v.hypotheses == {"rho_not_dividing_I": False}
 

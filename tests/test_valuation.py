@@ -70,12 +70,20 @@ def test_check_valuation_law_rejects_exceptional_prime(curve37, point37, table37
         check_valuation_law(curve37, point37, S, 2, 10, table37)
 
 
-def test_check_valuation_law_table_miss(curve37, point37, s37):
+def test_check_valuation_law_table_miss(curve37, point37, s37, monkeypatch):
     from edskit.eds import eds_range
 
     # r_5 = 8 fits in the table, but the scan must cover n <= 12.
     small = eds_range(curve37, point37, 10)
     assert check_valuation_law(curve37, point37, s37, 5, 10, small).holds
+    with pytest.raises(TableMiss):
+        check_valuation_law(curve37, point37, s37, 5, 12, small)
+
+    # The table guard comes before any reduction order is computed.
+    def reduction_order(self, P, p):
+        raise AssertionError("r_p computed before the table range was checked")
+
+    monkeypatch.setattr(WeierstrassCurve, "reduction_order", reduction_order)
     with pytest.raises(TableMiss):
         check_valuation_law(curve37, point37, s37, 5, 12, small)
 
