@@ -110,11 +110,6 @@ def _curve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--curve", required=True, help="curve/point JSON file")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--extra-s", default="", help="comma list of primes to add to S")
-    p.add_argument(
-        "--guard",
-        action="store_true",
-        help="include the {2,3} small-prime guard in the exceptional set",
-    )
 
 
 def _detecting_flags(p: argparse.ArgumentParser) -> None:
@@ -171,7 +166,7 @@ def _setup(args):
     for p in extra:
         if not is_prime(p):
             raise ConfigError(f"--extra-s entry {p} is not prime")
-    S = build_exceptional_set(E, P, extra=extra, include_guard=args.guard)
+    S = build_exceptional_set(E, P, extra=extra)
     minim = minimality_report(E)
     return E, P, S, minim
 

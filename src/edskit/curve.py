@@ -114,21 +114,6 @@ class WeierstrassCurve(_Group):
     def has_good_reduction(self, p: int) -> bool:
         return self.discriminant % p != 0
 
-    def reduce_point(self, P: RatPoint, p: int) -> FpPoint:
-        """Coordinate-wise reduction mod p; infinity when p divides x's denominator."""
-        if not self.has_good_reduction(p):
-            raise BadReduction(f"p={p} divides the discriminant")
-        if P is None:
-            return None
-        x, y = Fraction(P[0]), Fraction(P[1])
-        if x.denominator % p == 0:
-            return None
-        if y.denominator % p == 0:  # cannot happen for points on an integral model
-            return None
-        xr = x.numerator * pow(x.denominator, -1, p) % p
-        yr = y.numerator * pow(y.denominator, -1, p) % p
-        return (xr, yr)
-
     def fp_curve(self, p: int) -> "FpCurve":
         if not self.has_good_reduction(p):
             raise BadReduction(f"p={p} divides the discriminant")
@@ -149,10 +134,10 @@ class WeierstrassCurve(_Group):
         computed, and the order follows with at most one full-size scalar
         multiplication.
         """
-        Pt = self.reduce_point(P, p)
+        E = self.fp_curve(p)
+        Pt = E.reduce(P)
         if Pt is None:
             raise TrivialReduction(f"P reduces to the identity mod {p}")
-        E = self.fp_curve(p)
         return E.point_order(Pt, *E._annihilator_in_hasse_interval(Pt))
 
 
@@ -164,6 +149,20 @@ class FpCurve(_Group):
         self.p = p
         # What add reads, fetched in one attribute load.
         self._law = (a1, a2, a3, a4, p)
+
+    def reduce(self, P: RatPoint) -> FpPoint:
+        """Coordinate-wise reduction mod p; infinity when p divides x's denominator."""
+        if P is None:
+            return None
+        x, y = P
+        p = self.p
+        if x.denominator % p == 0:
+            return None
+        if y.denominator % p == 0:  # cannot happen for points on an integral model
+            return None
+        xr = x.numerator * pow(x.denominator, -1, p) % p
+        yr = y.numerator * pow(y.denominator, -1, p) % p
+        return (xr, yr)
 
     def rhs(self, x: int) -> int:
         return (x * x * x + self.a2 * x * x + self.a4 * x + self.a6) % self.p

@@ -11,18 +11,18 @@ the model is non-minimal, never a refutation of the law.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .curve import RatPoint, WeierstrassCurve
 from .errors import PrimeTooLarge, SoundnessError, TableMiss
-from .eds import EdsTable
+from .eds import EdsTable, eds_term
 from .factor import DEFAULT_EFFORT, Effort, factorize
 from .intmath import is_prime, valuation
 
 BAD_REDUCTION = "bad_reduction"
 DIVIDES_D1 = "divides_D1"
+LAW_FAILS_AT_2 = "law_fails_at_2"
 SMALL_PRIME_GUARD = "small_prime_guard"
 USER_ADDED = "user_added"
 
@@ -43,9 +43,6 @@ class ExceptionalSet:
     def __contains__(self, p: int) -> bool:
         return p in self.provenance
 
-    def __iter__(self):
-        return iter(self.primes)
-
     def add(self, p: int, reason: str) -> None:
         self.provenance.setdefault(p, reason)
 
@@ -57,13 +54,13 @@ def build_exceptional_set(
     curve: WeierstrassCurve,
     P: RatPoint,
     extra: Iterable[int] = (),
-    include_guard: bool = True,
+    include_guard: bool = False,
 ) -> ExceptionalSet:
-    """Union of bad-reduction primes, Supp(D_1), the {2,3} guard, and extras.
+    """Union of bad-reduction primes, Supp(D_1), 2 where the law fails there, and extras.
 
-    The guard can be switched off for fixtures whose valuation law has
-    been verified at 2 and 3 directly; the set may always be enlarged
-    without affecting any downstream statement.
+    Outside S the law holds at 3 too, since v_3(D_{r_3}) >= 1 > 1/(3-1).
+    include_guard adds 2 and 3 whatever the curve.  The set may always be
+    enlarged without affecting any downstream statement.
     """
     S = ExceptionalSet()
     disc = factorize(abs(curve.discriminant))
@@ -71,14 +68,22 @@ def build_exceptional_set(
         raise PrimeTooLarge("could not factor the discriminant; bad primes unknown")
     for p, _ in disc.factors:
         S.add(p, BAD_REDUCTION)
-    x = Fraction(P[0])
-    d1_squared = x.denominator
+    d1_squared = P[0].denominator
     if d1_squared > 1:
         fac = factorize(d1_squared)
         if not fac.complete:
             raise PrimeTooLarge("could not factor D_1; its support is unknown")
         for p, _ in fac.factors:
             S.add(p, DIVIDES_D1)
+    if curve.a1 % 2 and 2 not in S:
+        # In the formal group at 2, [2](z) = 2z - a1*z^2 + (terms of valuation >= 4): at
+        # z = 2u, u odd, that is 4u(1 - a1*u) + ..., so for odd a1 the law fails at 2
+        # exactly when v_2(D_{r_2}) = 1.  r_2, the least n with 2 | D_n, divides #E(F_2) <= 5.
+        evens = [D for D in (eds_term(curve, P, n).D for n in range(1, 6)) if D % 2 == 0]
+        if not evens:
+            raise SoundnessError("no D_n with n <= 5 is even, although #E(F_2) <= 5")
+        if valuation(evens[0], 2) == 1:
+            S.add(2, LAW_FAILS_AT_2)
     if include_guard:
         S.add(2, SMALL_PRIME_GUARD)
         S.add(3, SMALL_PRIME_GUARD)
@@ -202,8 +207,9 @@ def _verify_structured_divisor(
     """
     if not is_prime(l):
         return
-    Q = curve.reduce_point(P, p)
-    if Q is None or curve.fp_curve(p).mul(l, Q) is not None:
+    E = curve.fp_curve(p)
+    Q = E.reduce(P)
+    if Q is None or E.mul(l, Q) is not None:
         raise SoundnessError(f"prime {p} divides D_{l} but its reduction order is not {l}")
     for m in range(1, l):
         if m <= table.max_index and table.D(m) % p == 0:

@@ -1,9 +1,9 @@
 """Shared fixtures: the three reference (curve, point) pairs and their tables.
 
-The exceptional sets used here are the minimal ones (bad primes plus the
-support of D_1, no {2, 3} guard): the valuation law is verified to hold at
-2 and 3 for these pairs by test_valuation/test_acceptance, which is what
-justifies keeping them out of S.
+The exceptional sets are the library's: bad primes and the support of D_1.
+Every pair has a1 = 0, so 2 joins S only as a bad or D_1 prime; the
+valuation law at 2 and 3 is checked directly by test_valuation and
+test_acceptance.
 """
 
 import sys
@@ -63,17 +63,17 @@ def table43(curve43, point43):
 
 @pytest.fixture(scope="session")
 def s37(curve37, point37):
-    return build_exceptional_set(curve37, point37, include_guard=False)
+    return build_exceptional_set(curve37, point37)
 
 
 @pytest.fixture(scope="session")
 def s37q(curve37, point37q):
-    return build_exceptional_set(curve37, point37q, include_guard=False)
+    return build_exceptional_set(curve37, point37q)
 
 
 @pytest.fixture(scope="session")
 def s43(curve43, point43):
-    return build_exceptional_set(curve43, point43, include_guard=False)
+    return build_exceptional_set(curve43, point43)
 
 
 @pytest.fixture(scope="session")

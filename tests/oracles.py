@@ -21,14 +21,19 @@ factorization of D_l.  order_over_hasse_interval is the reduction order
 as edskit computed it before it certified the least multiple: BSGS for
 some multiple of r_p in the Hasse interval, then every prime of that
 multiple stripped with a full-size scalar multiplication.
+
+random_pairs is no oracle: it draws the seeded (E, P) that test_eds,
+test_curve and test_valuation sweep.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, isqrt
 
 import sympy as sp
 
+from edskit.curve import WeierstrassCurve
 from edskit.errors import BudgetExceeded, TableMiss, TrivialReduction
 from edskit.factor import factorize
 from edskit.intmath import primes_up_to, valuation
@@ -243,10 +248,10 @@ def order_over_hasse_interval(curve, P, p):
     The group law and scalar multiplication are edskit's F_p ones, which
     test_curve checks against enumeration.
     """
-    Q = curve.reduce_point(P, p)
+    E = curve.fp_curve(p)
+    Q = E.reduce(P)
     if Q is None:
         raise TrivialReduction(f"P reduces to the identity mod {p}")
-    E = curve.fp_curve(p)
     width = 4 * isqrt(p) + 4
     lo = max(1, p + 1 - width // 2)
     m = isqrt(width) + 1
@@ -273,6 +278,26 @@ def order_over_hasse_interval(curve, P, p):
             order //= q
     assert E.mul(order, Q) is None
     return order
+
+
+def random_pairs(seed, count):
+    """Non-torsion (E, P) with |a_i| <= 2 for i <= 4: P is [k]P0 for an integral
+    P0 with |x|, |y| <= 3 (a6 solved from P0) and k in {1, 2}, so some x(P) = u/v^2
+    with v > 1.  P is not torsion: [n]P != O for n <= 12 (Mazur)."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        a1, a2, a3, a4 = (rng.randint(-2, 2) for _ in range(4))
+        x0, y0 = rng.randint(-3, 3), rng.randint(-3, 3)
+        a6 = y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0 ** 3 - a2 * x0 * x0 - a4 * x0
+        try:
+            E = WeierstrassCurve(a1, a2, a3, a4, a6)
+        except ValueError:  # singular
+            continue
+        P = E.mul(rng.choice((1, 2)), (Fraction(x0), Fraction(y0)))
+        if P is not None and all(E.mul(n, P) is not None for n in range(1, 13)):
+            pairs.append((E, P))
+    return pairs
 
 
 def valuation_via_law(curve, P, S, p, n, table):

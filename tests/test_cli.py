@@ -23,6 +23,12 @@ TORSION_CURVE = {
     "a1": "0", "a2": "-1", "a3": "1", "a4": "0", "a6": "0",
     "x": "0/1", "y": "0/1",
 }
+# a1 odd, Delta = -61 and D_1..D_4 = 1, 2, 3, 8: the law fails at 2, since
+# v_2(D_4) = 3 != v_2(D_2) + 1, so 2 must be in S although 2 is a good prime.
+LAW_FAILS_AT_2_CURVE = {
+    "a1": "-1", "a2": "3", "a3": "-1", "a4": "1", "a6": "0",
+    "x": "-1/1", "y": "-1/1",
+}
 
 
 @pytest.fixture
@@ -50,11 +56,16 @@ def test_gen_single_term(tmp_path, curve_file, capsys):
 
 
 def test_gen_torsion_point_exits_3(tmp_path, capsys):
-    path = tmp_path / "torsion.json"
-    path.write_text(json.dumps(TORSION_CURVE))
-    rc = main(["gen", "--curve", str(path), "--n-max", "8",
-               "--out", str(tmp_path / "t.jsonl")])
-    assert rc == 3
+    # The second point has order 2 on a curve with odd a1 and good reduction at 2,
+    # so building S meets the torsion before the table does.
+    odd_a1 = {"a1": "1", "a2": "-2", "a3": "-2", "a4": "0", "a6": "-1", "x": "0/1", "y": "1/1"}
+    for doc in (TORSION_CURVE, odd_a1):
+        path = tmp_path / "torsion.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["gen", "--curve", str(path), "--n-max", "8",
+                   "--out", str(tmp_path / "t.jsonl")])
+        assert rc == 3
+        assert "TorsionPoint" in capsys.readouterr().err
 
 
 def test_gen_past_int_str_digit_limit(tmp_path, curve_file, capsys):
@@ -132,12 +143,48 @@ def test_verify_law_passes(curve_file, capsys):
     assert "p=37: skipped" in text
 
 
-def test_verify_law_guard_skips_2_and_3(curve_file, capsys):
-    rc = main(["verify-law", "--curve", curve_file, "--p-max", "10", "--guard"])
+def test_verify_law_extra_s_skips_2_and_3(curve_file, capsys):
+    rc = main(["verify-law", "--curve", curve_file, "--p-max", "10", "--extra-s", "2,3"])
     assert rc == 0
     text = capsys.readouterr().out
     assert "p=2: skipped (exceptional set)" in text
     assert "p=3: skipped (exceptional set)" in text
+
+
+@pytest.fixture
+def law_fails_at_2_file(tmp_path):
+    path = tmp_path / "law-fails-at-2.json"
+    path.write_text(json.dumps(LAW_FAILS_AT_2_CURVE))
+    return str(path)
+
+
+def test_obstruct_keeps_2_in_s_where_the_law_fails_there(law_fails_at_2_file, capsys):
+    # With 2 outside S the checkers would certify that D_2 * D_4 = 16 is not a square.
+    argv = ["obstruct", "--curve", law_fails_at_2_file, "--tuple", "2,4", "--n-max", "10",
+            "--format", "json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["exceptional_set"]["primes"] == [["2", "law_fails_at_2"], ["61", "bad_reduction"]]
+    assert doc["tuples"][0]["oracle"]["is_power"]
+    # The rule holds no assert: python -O prints the same report.
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-m", "edskit.cli"] + argv,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    optimized = json.loads(proc.stdout)
+    for report in (doc, optimized):
+        report.pop("generated_at")
+    assert optimized == doc
+
+
+def test_verify_law_and_probe_skip_2_where_the_law_fails_there(law_fails_at_2_file, capsys):
+    argv = ["--curve", law_fails_at_2_file]
+    assert main(["verify-law", "--p-max", "7", "--n-max", "12"] + argv) == 0
+    assert "p=2: skipped (exceptional set)" in capsys.readouterr().out
+    assert main(["probe-detecting", "--l-max", "7", "--format", "json"] + argv) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results[0] == {"l": "2", "detecting": [], "search_complete": True}  # D_2 = 2
 
 
 def test_obstruct_exclusion(curve_file, capsys):
@@ -264,7 +311,7 @@ def test_obstruct_builds_its_context_from_rho_B_and_L_rho(curve_file, capsys):
     th = doc["thresholds"]
     assert (th["rho"], th["B"], th["L_rho"]) == (3, 7.0, 7)
     E, P = cli.load_curve_file(curve_file)
-    S = build_exceptional_set(E, P, include_guard=False)
+    S = build_exceptional_set(E, P)
     table = eds_range(E, P, th["n_max"])
     ctx = ObstructionContext(E, P, S, table, 3, 7.0, 7, cli._parse_effort(th["effort"]))
     reports = doc["tuples"]
@@ -398,11 +445,11 @@ def test_bad_effort_spec_exits_2_before_any_work(argv, curve_file, capsys, monke
 
 # Every option of each subcommand, in declaration order.
 OPTIONS = {
-    "gen": ["--curve", "--format", "--extra-s", "--guard", "--n-max", "--out", "--max-digits"],
-    "verify-law": ["--curve", "--format", "--extra-s", "--guard", "--p-max", "--n-max"],
-    "obstruct": ["--curve", "--format", "--extra-s", "--guard", "--rho", "--effort",
+    "gen": ["--curve", "--format", "--extra-s", "--n-max", "--out", "--max-digits"],
+    "verify-law": ["--curve", "--format", "--extra-s", "--p-max", "--n-max"],
+    "obstruct": ["--curve", "--format", "--extra-s", "--rho", "--effort",
                  "--strict", "--B", "--L-rho", "--n-max", "--tuple", "--tuple-file"],
-    "probe-detecting": ["--curve", "--format", "--extra-s", "--guard", "--rho", "--effort",
+    "probe-detecting": ["--curve", "--format", "--extra-s", "--rho", "--effort",
                         "--l-max", "--l-min"],
 }
 
@@ -420,7 +467,7 @@ def _subcommand_options(command):
 
 def test_each_subcommand_declares_its_pinned_options():
     assert {c: list(_subcommand_options(c)) for c in OPTIONS} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 33
+    assert sum(map(len, OPTIONS.values())) == 29
 
 
 @pytest.mark.parametrize("argv", [
@@ -469,6 +516,9 @@ def test_every_option_is_read(argv, tmp_path, curve_file, capsys, monkeypatch):
 ] + [["probe-detecting", "--strict"]] + [
     # The D_l trial-division floor is the constant valuation.SIEVE_BOUND, no flag.
     [command, "--sieve-bound", "10"] for command in ("obstruct", "probe-detecting")
+] + [
+    # S is computed from the curve; --extra-s is the one way to enlarge it.
+    [command, "--guard"] for command in ("gen", "verify-law", "obstruct", "probe-detecting")
 ], ids=lambda argv: f"{argv[0]}{argv[1]}")
 def test_flag_the_subcommand_does_not_take_exits_2(argv, tmp_path, curve_file, capsys):
     required = {"gen": ["--n-max", "8", "--out", str(tmp_path / "t.jsonl")],

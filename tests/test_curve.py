@@ -10,8 +10,13 @@ from edskit.curve import WeierstrassCurve, minimality_report
 from edskit.errors import BadReduction, TrivialReduction
 from edskit.factor import factorize
 from edskit.intmath import is_prime, primes_up_to
-from oracles import enumerate_fp_points, order_over_hasse_interval, oracle_add, oracle_mul
-from test_eds import _random_pairs
+from oracles import (
+    enumerate_fp_points,
+    oracle_add,
+    oracle_mul,
+    order_over_hasse_interval,
+    random_pairs,
+)
 
 F = Fraction
 COEFFS_37 = (0, 0, 1, -1, 0)
@@ -97,7 +102,7 @@ def test_fp_scalar_mul_through_the_identity(E):
     P = (F(0), F(0))
     for p in (2, 3, 5, 7, 101, 1009):
         Ep = E.fp_curve(p)
-        Q = E.reduce_point(P, p)
+        Q = Ep.reduce(P)
         r = E.reduction_order(P, p)
         for sign, step in ((1, Q), (-1, Ep.negate(Q))):
             R = None
@@ -118,16 +123,17 @@ def test_associativity_spot_checks(E):
 
 
 def test_reduce_point_examples(E):
-    assert E.reduce_point((F(0), F(0)), 5) == (0, 0)
-    assert E.reduce_point((F(1, 4), F(-5, 8)), 2) is None
+    assert E.fp_curve(5).reduce((F(0), F(0))) == (0, 0)
+    assert E.fp_curve(5).reduce((0, 0)) == (0, 0)  # int coordinates reduce as they are
+    assert E.fp_curve(2).reduce((F(1, 4), F(-5, 8))) is None
     # Modular-inverse oracle: x = 1 * 4^-1 = 2 mod 7, y = -5 * 8^-1 = 2 mod 7.
     assert pow(4, -1, 7) == 2 and (-5 * pow(8, -1, 7)) % 7 == 2
-    assert E.reduce_point((F(1, 4), F(-5, 8)), 7) == (2, 2)
+    assert E.fp_curve(7).reduce((F(1, 4), F(-5, 8))) == (2, 2)
 
 
 def test_reduce_point_bad_reduction(E):
-    with pytest.raises(BadReduction):
-        E.reduce_point((F(0), F(0)), 37)
+    with pytest.raises(BadReduction, match="p=37 divides the discriminant"):
+        E.reduction_order((F(0), F(0)), 37)
     with pytest.raises(BadReduction):
         E.fp_curve(37)
 
@@ -149,7 +155,7 @@ def test_group_order_hasse_bound(E):
 def assert_exact_order(curve, P, p, r):
     """[r]P = O and [r/q]P != O mod p for every prime q | r."""
     Ep = curve.fp_curve(p)
-    Pt = curve.reduce_point(P, p)
+    Pt = Ep.reduce(P)
     assert Ep.mul(r, Pt) is None
     fac = factorize(r)
     assert fac.complete
@@ -186,13 +192,13 @@ def test_reduction_is_homomorphism(E):
     P = (F(0), F(0))
     for p in (5, 7, 11, 13):
         Ep = E.fp_curve(p)
-        Pt = E.reduce_point(P, p)
+        Pt = Ep.reduce(P)
         for n in range(1, 15):
             Q = E.mul(n, P)
             if Q is not None and F(Q[0]).denominator % p == 0:
                 assert Ep.mul(n, Pt) is None
             else:
-                assert E.reduce_point(Q, p) == Ep.mul(n, Pt)
+                assert Ep.reduce(Q) == Ep.mul(n, Pt)
 
 
 def test_fp_point_counting_naive_vs_enumeration():
@@ -217,7 +223,7 @@ def count_orders_matching_oracle(curve, P, primes):
     """Assert reduction_order equals the slow path at every good p in primes; return how many."""
     compared = 0
     for p in primes:
-        if not curve.has_good_reduction(p) or curve.reduce_point(P, p) is None:
+        if not curve.has_good_reduction(p) or curve.fp_curve(p).reduce(P) is None:
             continue
         assert curve.reduction_order(P, p) == order_over_hasse_interval(curve, P, p), p
         compared += 1
@@ -244,7 +250,7 @@ def test_reduction_order_matches_oracle_on_large_primes(all_fixtures):
 
 
 def test_reduction_order_matches_oracle_on_random_pairs():
-    for curve, P in _random_pairs(seed=12, count=24):
+    for curve, P in random_pairs(seed=12, count=24):
         assert count_orders_matching_oracle(curve, P, primes_up_to(1000)) > 100
 
 
@@ -255,10 +261,10 @@ def test_bsgs_certifies_the_least_multiple(all_fixtures):
         for p in primes_up_to(499):
             if not curve.has_good_reduction(p):
                 continue
-            Q = curve.reduce_point(P, p)
+            Ep = curve.fp_curve(p)
+            Q = Ep.reduce(P)
             if Q is None:
                 continue
-            Ep = curve.fp_curve(p)
             start, least = Ep._annihilator_in_hasse_interval(Q)
             assert start == 1 or start <= p + 1 and (p + 1 - start) ** 2 >= 4 * p, (p, start)
             n, R = 1, Q

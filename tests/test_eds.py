@@ -33,7 +33,7 @@ from edskit.errors import (
     TableMiss,
     TorsionPoint,
 )
-from oracles import divisibility_violations_by_pairs, term_by_per_term_gcd
+from oracles import divisibility_violations_by_pairs, random_pairs, term_by_per_term_gcd
 
 F = Fraction
 
@@ -113,32 +113,12 @@ def _psi_upto(E, P, n):
     return psi, a, d
 
 
-def _random_pairs(seed, count):
-    """Non-torsion (E, P) with |a_i| <= 2 for i <= 4: P is [k]P0 for an integral
-    P0 with |x|, |y| <= 3 (a6 solved from P0) and k in {1, 2}, so some x(P) = u/v^2
-    with v > 1.  P is not torsion: [n]P != O for n <= 12 (Mazur)."""
-    rng = random.Random(seed)
-    pairs = []
-    while len(pairs) < count:
-        a1, a2, a3, a4 = (rng.randint(-2, 2) for _ in range(4))
-        x0, y0 = rng.randint(-3, 3), rng.randint(-3, 3)
-        a6 = y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0 ** 3 - a2 * x0 * x0 - a4 * x0
-        try:
-            E = WeierstrassCurve(a1, a2, a3, a4, a6)
-        except ValueError:  # singular
-            continue
-        P = E.mul(rng.choice((1, 2)), (F(x0), F(y0)))
-        if P is not None and all(E.mul(n, P) is not None for n in range(1, 13)):
-            pairs.append((E, P))
-    return pairs
-
-
 def test_ward_shortcut_matches_per_term_gcd():
     # Every term n <= 40 of 24 seeded pairs against the per-term gcd and
     # double-and-add; the pairs cover both paths, some with d > 1.
     N = 40
     paths = []
-    for E, P in _random_pairs(seed=12, count=24):
+    for E, P in random_pairs(seed=12, count=24):
         psi, a, d = _psi_upto(E, P, N + 1)
         strong = _strong_divisibility(psi)
         assert strong == (math.gcd(psi[3], psi[4]) == 1)

@@ -49,7 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def _context(coeffs, N, rho, B=2, L_rho=0, effort=Effort()):
     curve = WeierstrassCurve(*coeffs)
     point = (Fraction(0), Fraction(0))
-    S = build_exceptional_set(curve, point, include_guard=False)
+    S = build_exceptional_set(curve, point)
     return ObstructionContext(curve, point, S, eds_range(curve, point, N), rho, B, L_rho, effort)
 
 
@@ -163,7 +163,7 @@ def test_obstruct_batch_reference_digests():
     for name, run in ref["runs"].items():
         header, th = run["header"], run["header"]["thresholds"]
         curve, point = load_curve_file(str(ROOT / header["curve_file"]))
-        S = build_exceptional_set(curve, point, include_guard=False)
+        S = build_exceptional_set(curve, point)
         assert S.to_json() == header["exceptional_set"]
         table = eds_range(curve, point, th["n_max"])
         assert th["sieve_bound"] == SIEVE_BOUND

@@ -116,9 +116,8 @@ def test_absorption_examples(ctx37):
 
 def test_absorption_preconditions(ctx37, curve37, point37, table37):
     # evaluate_tuple builds the views only for primes p outside S with p | D_l.
-    guarded = ObstructionContext(
-        curve37, point37, build_exceptional_set(curve37, point37), table37, rho=2
-    )
+    S = build_exceptional_set(curve37, point37, include_guard=True)
+    guarded = ObstructionContext(curve37, point37, S, table37, rho=2)
     for ctx, at_5 in ((ctx37, [(5, 2)]), (guarded, [])):  # D_5 = 2; the guard puts 2 in S
         rep = evaluate_tuple(ctx, (5, 3, 35))
         expected = [(l, p) for l in primes_up_to(35) for p, _ in ctx.radical_data(l).entries]

@@ -1,37 +1,44 @@
 """Exceptional sets, the valuation law, detecting primes."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import edskit
 from edskit.curve import WeierstrassCurve
+from edskit.eds import EdsTerm, eds_range
 from edskit.errors import SoundnessError, TableMiss
 from edskit.factor import Effort
 from edskit.intmath import primes_up_to, valuation
+from edskit.obstruction import ObstructionContext, evaluate_tuple
+from edskit.relation import test_relation as product_relation
 from edskit.valuation import (
+    LAW_FAILS_AT_2,
     SIEVE_BOUND,
+    ExceptionalSet,
     TermRadicalData,
     _verify_structured_divisor,
     build_exceptional_set,
     check_valuation_law,
     term_radical_data,
 )
-from oracles import brute_valuation, radical_data_by_sieve, valuation_via_law
+from oracles import brute_valuation, radical_data_by_sieve, random_pairs, valuation_via_law
 
 P_ABOVE_2_40 = 1149313944433  # divides D_53 on the Delta=37 fixture
 
 
 def test_build_exceptional_set_with_guard(curve37, point37, point37q):
-    S = build_exceptional_set(curve37, point37)
+    S = build_exceptional_set(curve37, point37, include_guard=True)
     assert S.primes == [2, 3, 37]
-    Sq = build_exceptional_set(curve37, point37q)
+    Sq = build_exceptional_set(curve37, point37q, include_guard=True)
     assert Sq.primes == [2, 3, 37]  # D_1 = 2 already sits in the guard
-    S11 = build_exceptional_set(curve37, point37, extra=[11])
+    S11 = build_exceptional_set(curve37, point37, extra=[11], include_guard=True)
     assert S11.primes == [2, 3, 11, 37]
 
 
@@ -42,12 +49,58 @@ def test_build_exceptional_set_minimal(s37, s37q, s43):
 
 
 def test_provenance_tags(curve37, point37q):
-    S = build_exceptional_set(curve37, point37q, extra=[11])
+    S = build_exceptional_set(curve37, point37q, extra=[11], include_guard=True)
     assert S.provenance[37] == "bad_reduction"
     assert S.provenance[2] == "divides_D1"
     assert S.provenance[3] == "small_prime_guard"
     assert S.provenance[11] == "user_added"
     assert S.to_json()["primes"][0] == ["2", "divides_D1"]
+
+
+def test_exceptional_set_decides_2_from_the_curve(monkeypatch):
+    # a1 = -1 is odd and D_2 = 2, so v_2(D_{r_2}) = 1: 2 joins S, before the guard and extras.
+    E, P = WeierstrassCurve(-1, 3, -1, 1, 0), (Fraction(-1), Fraction(-1))
+    assert build_exceptional_set(E, P).to_json()["primes"] == [
+        ["2", "law_fails_at_2"], ["61", "bad_reduction"]]
+    for guard in (False, True):
+        S = build_exceptional_set(E, P, extra=[2], include_guard=guard)
+        assert S.provenance[2] == "law_fails_at_2"
+    # r_2 | #E(F_2) <= 5, so an odd D_1..D_5 is a contradiction, not a pass.
+    monkeypatch.setattr(edskit.valuation, "eds_term", lambda E, P, n: EdsTerm(n=n, A=1, D=1))
+    with pytest.raises(SoundnessError):
+        build_exceptional_set(E, P)
+
+
+def test_exceptional_set_on_random_pairs():
+    # On seeded pairs with odd and even a1, S gains 2 exactly where the law at 2
+    # fails without it, the law holds at 3 whenever 3 is outside S, and no
+    # certified exclusion is a rho-th power.  A small effort keeps the D_l of
+    # large height cheap; it can only leave verdicts inconclusive.
+    rng = random.Random(21)
+    effort = Effort(10 ** 4, 2000, 600)
+    fired = 0
+    for E, P in random_pairs(seed=21, count=100):
+        S = build_exceptional_set(E, P)
+        table = eds_range(E, P, 32, max_digits=10 ** 6)
+        if S.provenance.get(2, LAW_FAILS_AT_2) == LAW_FAILS_AT_2:
+            without_2 = ExceptionalSet()
+            without_2.provenance = {p: why for p, why in S.provenance.items() if p != 2}
+            law = check_valuation_law(E, P, without_2, 2, 32, table)
+            assert (2 in S) == (not law.holds), E.coefficients()
+            fired += 2 in S
+        if 3 not in S:
+            assert check_valuation_law(E, P, S, 3, 32, table).holds, E.coefficients()
+        m = rng.randint(1, 6)
+        tuples = [[m, 2 * m]] + [
+            [rng.randint(1, 12) for _ in range(rng.randint(2, 3))] for _ in range(2)]
+        squares = [[a, b] for a in range(1, 13) for b in range(a + 1, 13)
+                   if product_relation(table, (a, b), 2).is_power]
+        for rho, extra in ((2, squares), (3, [])):
+            ctx = ObstructionContext(E, P, S, table, rho, effort=effort)
+            for n in tuples + extra:
+                if evaluate_tuple(ctx, n).certified_exclusions:
+                    assert not product_relation(table, n, rho).is_power, (E.coefficients(), n)
+    assert fired >= 5
 
 
 def test_check_valuation_law_p5(curve37, point37, s37, table37):
@@ -65,7 +118,7 @@ def test_check_valuation_law_p7(curve37, point37, s37, table37):
 
 
 def test_check_valuation_law_rejects_exceptional_prime(curve37, point37, table37):
-    S = build_exceptional_set(curve37, point37)  # guard puts 2 into S
+    S = build_exceptional_set(curve37, point37, include_guard=True)  # guard puts 2 into S
     with pytest.raises(ValueError):
         check_valuation_law(curve37, point37, S, 2, 10, table37)
 
@@ -178,7 +231,7 @@ def test_radical_coprimality(curve37, point37, s37, table37):
 
 
 def test_term_radical_data_excludes_s(curve37, point37, table37):
-    S = build_exceptional_set(curve37, point37)  # 2, 3 guarded
+    S = build_exceptional_set(curve37, point37, include_guard=True)  # 2, 3 guarded
     data = term_radical_data(curve37, point37, S, 5, table37)
     assert data.entries == []  # D_5 = 2 is entirely inside S
     assert data.complete
