@@ -5,7 +5,11 @@ Subcommands:
   eds gen              generate and persist a denominator table
   eds verify-law       empirical valuation-law verification over a prime range
   eds obstruct         run every obstruction checker on index tuples
-  eds probe-detecting  probe detecting-prime existence at prime indices
+  eds probe-detecting  decide detecting-prime existence at prime indices, without factoring
+
+A detecting prime at l (p outside S, rho not dividing v_p(D_l)) exists exactly
+when D_l with S divided out is not a rho-th power, so probe-detecting answers
+every l exactly; obstruct factors D_l within --effort for the primes it prints.
 
 Machine output is JSON (``--format json``); all big integers are emitted
 as decimal strings.  Reports embed every threshold so each claim is
@@ -30,7 +34,8 @@ from .errors import EdskitError, PrimeTooLarge, SoundnessError
 from .eds import DEFAULT_MAX_DIGITS, eds_range
 from .factor import Effort
 from .intmath import is_prime, primes_up_to
-from .valuation import SIEVE_BOUND, build_exceptional_set, check_valuation_law, term_radical_data
+from .valuation import SIEVE_BOUND, build_exceptional_set, check_valuation_law
+from .valuation import detecting_prime_exists, s_free_part
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -112,17 +117,6 @@ def _curve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--extra-s", default="", help="comma list of primes to add to S")
 
 
-def _detecting_flags(p: argparse.ArgumentParser) -> None:
-    """The flags of the subcommands that search D_l for detecting primes."""
-    p.add_argument("--rho", type=_prime, default=2)
-    p.add_argument("--effort", default="1000000:10000000:60")
-
-
-def _detecting_thresholds(args) -> dict:
-    """The header thresholds of the subcommands that search D_l for detecting primes."""
-    return {"rho": args.rho, "sieve_bound": SIEVE_BOUND, "effort": args.effort}
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="eds")
     ap.add_argument("--version", action="version", version=__version__)
@@ -141,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("obstruct", help="run obstruction checkers on index tuples")
     _curve_flags(o)
-    _detecting_flags(o)
+    o.add_argument("--rho", type=_prime, default=2)
+    o.add_argument("--effort", default="1000000:10000000:60")
     o.add_argument("--strict", action="store_true", help="require an explicit --L-rho")
     o.add_argument("--B", type=float, default=2.0)
     o.add_argument("--L-rho", type=int, default=0, dest="L_rho")
@@ -149,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--tuple", action="append", default=[], help="comma list, e.g. 5,3")
     o.add_argument("--tuple-file", help="file with one comma-separated tuple per line")
 
-    d = sub.add_parser("probe-detecting", help="probe detecting primes at prime indices")
+    d = sub.add_parser("probe-detecting", help="decide detecting-prime existence without factoring")
     _curve_flags(d)
-    _detecting_flags(d)
+    d.add_argument("--rho", type=_prime, default=2)
     d.add_argument("--l-max", type=_prime_bound, required=True)
     d.add_argument("--l-min", type=_positive, default=2)
     return ap
@@ -375,7 +370,8 @@ def cmd_obstruct(args) -> int:
     table = eds_range(E, P, n_max)
     ctx = ObstructionContext(E, P, S, table, args.rho, args.B, args.L_rho, effort)
     doc = _header(
-        args, S, minim, B=args.B, L_rho=args.L_rho, n_max=n_max, **_detecting_thresholds(args)
+        args, S, minim, B=args.B, L_rho=args.L_rho, n_max=n_max, rho=args.rho,
+        sieve_bound=SIEVE_BOUND, effort=args.effort,
     )
     reports = []
     lines = []
@@ -405,36 +401,25 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_probe_detecting(args) -> int:
-    effort = _parse_effort(args.effort)
     E, P, S, minim = _setup(args)
     ls = [l for l in primes_up_to(args.l_max) if l >= args.l_min]
-    doc = _header(
-        args, S, minim, l_max=args.l_max, l_min=args.l_min, **_detecting_thresholds(args)
-    )
+    doc = _header(args, S, minim, rho=args.rho, l_max=args.l_max, l_min=args.l_min)
     lines = []
     results = []
     if ls:
         table = eds_range(E, P, max(ls))
         largest_without = None
         for l in ls:
-            data = term_radical_data(E, P, S, l, table, effort)
-            found, complete = data.detecting(args.rho), data.complete
-            if not data.detected(args.rho):
+            exists = detecting_prime_exists(s_free_part(table.D(l), S), args.rho)
+            if not exists:
                 largest_without = l
-            results.append(
-                {
-                    "l": str(l),
-                    "detecting": [[str(p), v] for p, v in found],
-                    "search_complete": complete,
-                }
-            )
-            desc = ", ".join(f"{p}^{v}" for p, v in found) or "none"
-            lines.append(f"l={l}: {desc}{'' if complete else ' (search incomplete)'}")
+            results.append({"l": str(l), "detecting_prime_exists": exists})
+            lines.append(f"l={l}: {'a detecting prime exists' if exists else 'none'}")
         doc["largest_prime_index_without_detecting_prime"] = (
             str(largest_without) if largest_without else None
         )
         lines.append(
-            "largest prime index with no detecting prime found: "
+            "largest prime index with no detecting prime: "
             f"{largest_without} (empirical observation only, not a bound)"
         )
     doc["results"] = results

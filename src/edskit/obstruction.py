@@ -7,7 +7,7 @@ terms to be a rho-th power.  Verdicts are three-valued:
   fails        - the condition is violated; under verified hypotheses this
                  certifies the product is not a rho-th power,
   inconclusive - hypotheses could not be verified (partial factorization,
-                 no verified detecting prime, vacuous case).
+                 no detecting prime, vacuous case).
 
 No checker ever claims a product IS a rho-th power; positive confirmation
 always routes through the exact integer root test.
@@ -238,7 +238,7 @@ def _verifiably_squarefree(ctx: ObstructionContext, x: int) -> bool:
 def _exclusion(
     statement: str, hyp: Dict[str, bool], wit: dict, detected: bool, fails: str, weak: str
 ) -> ObstructionVerdict:
-    """A violated necessary condition: fails only on verified detecting primes."""
+    """A violated necessary condition: fails only where detecting primes provably exist."""
     if detected:
         return ObstructionVerdict(statement, FAILS, hyp, wit, [fails])
     return ObstructionVerdict(statement, INCONCLUSIVE, hyp, wit, [weak])
@@ -332,9 +332,9 @@ def prime_support_check(
     quotient = prod(n[i - 1] // l for i in I)
     hyp["radical_complete"] = data.complete
     wit.update(radical=rad, quotient=quotient)
+    if not data.detected(rho):
+        return verdict(HOLDS, "radical trivial: no detecting prime at this index")
     if rad == 1:
-        if data.complete:
-            return verdict(HOLDS, "radical trivial: no detecting prime at this index")
         return verdict(INCONCLUSIVE, "partial factorization and empty certain radical")
     # Divisibility by the certain part is checked even when partial.
     if quotient % rad != 0:
@@ -358,13 +358,11 @@ def prime_support_check(
 def _check_top_prime_hypotheses(
     ctx: ObstructionContext, n: Sequence[int], l: int
 ) -> Tuple[List[str], bool]:
-    """Reasons the smooth-cofactor hypotheses fail at l (empty = all hold), and the top flag:
-    whether l is the simple top prime of every n_i it divides.  n_i / l is B-smooth exactly
+    """Reasons the smooth-cofactor hypotheses fail at a prime l (empty = all hold), and the top
+    flag: whether l is the simple top prime of every n_i it divides.  n_i / l is B-smooth exactly
     when P^+(n_i / l) <= B, read once l is known to be n_i's simple top prime."""
     reasons = []
     top = True
-    if not is_prime(l):
-        reasons.append(f"l={l} is not prime")
     if l <= ctx.L_rho:
         reasons.append(f"l={l} does not exceed the detecting threshold L_rho={ctx.L_rho}")
     if l < ctx.B_bound:
@@ -389,8 +387,8 @@ def smooth_cofactor_balance(
 
     reasons is what _check_top_prime_hypotheses finds at l; any reason means
     the hypotheses fail.  A fails verdict certifies the product is not a rho-th
-    power, provided a detecting prime at l was actually exhibited; with only
-    the threshold assumption the verdict degrades to inconclusive.
+    power, provided a detecting prime at l provably exists; with only the
+    threshold assumption the verdict degrades to inconclusive.
     """
     if reasons:
         raise HypothesisViolated("; ".join(reasons))

@@ -18,7 +18,7 @@ from .curve import RatPoint, WeierstrassCurve
 from .errors import PrimeTooLarge, SoundnessError, TableMiss
 from .eds import EdsTable, eds_term
 from .factor import DEFAULT_EFFORT, Effort, factorize
-from .intmath import is_prime, valuation
+from .intmath import is_prime, is_rho_power, valuation
 
 BAD_REDUCTION = "bad_reduction"
 DIVIDES_D1 = "divides_D1"
@@ -145,14 +145,15 @@ def check_valuation_law(
 
 
 class TermRadicalData(NamedTuple):
-    """Primes outside S dividing D_l, with valuations and completeness."""
+    """Primes outside S dividing D_l, with valuations and completeness, and D_l's S-free part."""
 
     l: int
     entries: List[Tuple[int, int]]  # (p, v_p(D_l)) for p outside S
     complete: bool
+    s_free: int  # D_l with every prime of S divided out
 
     def power_radical(self, rho: int) -> int:
-        """The product of the detecting primes; a lower bound unless complete."""
+        """The product of the detecting primes found; a lower bound unless complete."""
         return prod(p for p, _ in self.detecting(rho))
 
     def detecting(self, rho: int) -> List[Tuple[int, int]]:
@@ -160,13 +161,26 @@ class TermRadicalData(NamedTuple):
         return [(p, v) for p, v in self.entries if v % rho != 0]
 
     def detected(self, rho: int) -> bool:
-        """Whether a detecting prime was exhibited at l.
+        """Whether a detecting prime exists at l, found or not.
 
-        The obstruction checkers' detecting-prime hypotheses and
-        probe-detecting's largest index without one read this.  False
-        means "none found"; it means "none exists" only when complete.
+        The obstruction checkers' detecting-prime hypotheses read this.
         """
-        return bool(self.detecting(rho))
+        return detecting_prime_exists(self.s_free, rho)
+
+
+def s_free_part(D: int, S: ExceptionalSet) -> int:
+    """D with every prime of S divided out."""
+    return D // prod(p ** valuation(D, p) for p in S.primes)
+
+
+def detecting_prime_exists(s_free: int, rho: int) -> bool:
+    """Whether some p outside S has rho not dividing v_p(D_l), from s_free_part(D_l, S).
+
+    That holds exactly when the S-free part is not a rho-th power, which the
+    integer root decides with no factoring and no budget.  For prime l the law,
+    which holds outside S, makes every such p primitive with r_p = l.
+    """
+    return not is_rho_power(s_free, rho)
 
 
 def term_radical_data(
@@ -181,14 +195,15 @@ def term_radical_data(
 
     Trial division of D_l reaches at least SIEVE_BOUND, rho and ECM take the
     cofactor.  When l is prime, every prime found is verified to have
-    reduction order exactly l.
+    reduction order exactly l.  The S-free part is exact whatever the budget.
     """
     effort = Effort(max(effort.trial_bound, SIEVE_BOUND), effort.rho_iterations, effort.wall_clock)
     fac = factorize(table.D(l), effort)
     entries = [(p, v) for p, v in fac.factors if p not in S]
     for p, _ in entries:
         _verify_structured_divisor(curve, P, p, l, table)
-    return TermRadicalData(l=l, entries=entries, complete=fac.complete)
+    s_free = s_free_part(table.D(l), S)
+    return TermRadicalData(l=l, entries=entries, complete=fac.complete, s_free=s_free)
 
 
 def _verify_structured_divisor(

@@ -184,7 +184,7 @@ def test_verify_law_and_probe_skip_2_where_the_law_fails_there(law_fails_at_2_fi
     assert "p=2: skipped (exceptional set)" in capsys.readouterr().out
     assert main(["probe-detecting", "--l-max", "7", "--format", "json"] + argv) == 0
     results = json.loads(capsys.readouterr().out)["results"]
-    assert results[0] == {"l": "2", "detecting": [], "search_complete": True}  # D_2 = 2
+    assert results[0] == {"l": "2", "detecting_prime_exists": False}  # D_2 = 2
 
 
 def test_obstruct_exclusion(curve_file, capsys):
@@ -327,14 +327,60 @@ def test_probe_detecting(curve_file, capsys):
     rc = main(["probe-detecting", "--curve", curve_file, "--rho", "2",
                "--l-max", "13"])
     assert rc == 0
-    text = capsys.readouterr().out
-    assert "l=5: 2^1" in text
-    assert "l=7: 3^1" in text
-    assert "l=11: 23^1" in text
-    assert "l=13: 59^1" in text
-    assert "l=2: none" in text
-    assert "l=3: none" in text
-    assert "largest prime index with no detecting prime found: 3" in text
+    assert capsys.readouterr().out.splitlines() == [
+        "l=2: none",
+        "l=3: none",
+        "l=5: a detecting prime exists",  # D_5 = 2
+        "l=7: a detecting prime exists",  # D_7 = 3
+        "l=11: a detecting prime exists",
+        "l=13: a detecting prime exists",
+        "largest prime index with no detecting prime: 3 (empirical observation only, not a bound)",
+    ]
+
+
+def test_probe_detecting_json(curve_file, capsys):
+    rc = main(["probe-detecting", "--curve", curve_file, "--rho", "3", "--l-max", "13",
+               "--l-min", "3", "--format", "json"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"] == [
+        {"l": "3", "detecting_prime_exists": False},  # D_3 = 1
+        {"l": "5", "detecting_prime_exists": True},
+        {"l": "7", "detecting_prime_exists": True},
+        {"l": "11", "detecting_prime_exists": True},
+        {"l": "13", "detecting_prime_exists": True},
+    ]
+    assert doc["largest_prime_index_without_detecting_prime"] == "3"
+
+
+# D_l is a rho-th power outside S only at small l on the reference pairs.
+PROBE_CURVES = {
+    "37": FIXTURE_CURVE,
+    "37q": dict(FIXTURE_CURVE, x="1/4", y="-5/8"),
+    "43": {"a1": "0", "a2": "1", "a3": "1", "a4": "0", "a6": "0", "x": "0/1", "y": "0/1"},
+}
+
+
+@pytest.mark.parametrize("name, largest", [("37", "3"), ("43", "7"), ("37q", "2")])
+@pytest.mark.parametrize("rho", ["2", "3"])
+def test_probe_detecting_decides_every_index_to_200_without_factoring(
+    name, largest, rho, tmp_path, capsys, monkeypatch
+):
+    import edskit.valuation
+
+    def factoring(*args, **kwargs):
+        raise AssertionError("probe-detecting factored a D_l")
+
+    for module in (edskit.valuation, cli):
+        monkeypatch.setattr(module, "term_radical_data", factoring, raising=False)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(PROBE_CURVES[name]))
+    rc = main(["probe-detecting", "--curve", str(path), "--rho", rho, "--l-max", "200",
+               "--format", "json"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["results"]) == 46  # the primes up to 200
+    assert doc["largest_prime_index_without_detecting_prime"] == largest
 
 
 def test_probe_detecting_empty_range(curve_file, capsys):
@@ -345,13 +391,12 @@ def test_probe_detecting_empty_range(curve_file, capsys):
 
 
 def test_probe_detecting_header_names_every_threshold(curve_file, capsys):
-    # --effort decides which detecting primes are found and search_complete.
+    # No factoring budget bounds the answer, so the header names none.
     rc = main(["probe-detecting", "--curve", curve_file, "--l-max", "13", "--l-min", "5",
-               "--effort", "10:10:1", "--format", "json"])
+               "--format", "json"])
     assert rc == 0
     thresholds = json.loads(capsys.readouterr().out)["thresholds"]
-    assert thresholds == {"effort": "10:10:1", "l_max": 13, "l_min": 5, "rho": 2,
-                          "sieve_bound": 10000}
+    assert thresholds == {"l_max": 13, "l_min": 5, "rho": 2}
 
 
 def test_obstruct_json_under_the_smallest_int_digit_limit(curve_file):
@@ -428,12 +473,9 @@ def test_import_loads_only_the_shared_layers():
 
 @pytest.mark.parametrize("argv", [
     ["obstruct", "--tuple", "5,3", "--effort", "oops"],
-    ["probe-detecting", "--l-max", "13", "--effort", "oops"],
-    # no prime index to probe
-    ["probe-detecting", "--l-max", "13", "--l-min", "14", "--effort", "oops"],
     # a negative trial bound would pass 22 and 33 off as primes
     ["obstruct", "--tuple", "22,33", "--effort=-60:100:10"],
-], ids=["obstruct", "probe-detecting", "probe-detecting-empty-range", "obstruct-negative-budget"])
+], ids=["obstruct", "obstruct-negative-budget"])
 def test_bad_effort_spec_exits_2_before_any_work(argv, curve_file, capsys, monkeypatch):
     def setup(args):
         raise AssertionError("work started before the effort spec was parsed")
@@ -449,8 +491,7 @@ OPTIONS = {
     "verify-law": ["--curve", "--format", "--extra-s", "--p-max", "--n-max"],
     "obstruct": ["--curve", "--format", "--extra-s", "--rho", "--effort",
                  "--strict", "--B", "--L-rho", "--n-max", "--tuple", "--tuple-file"],
-    "probe-detecting": ["--curve", "--format", "--extra-s", "--rho", "--effort",
-                        "--l-max", "--l-min"],
+    "probe-detecting": ["--curve", "--format", "--extra-s", "--rho", "--l-max", "--l-min"],
 }
 
 
@@ -467,7 +508,7 @@ def _subcommand_options(command):
 
 def test_each_subcommand_declares_its_pinned_options():
     assert {c: list(_subcommand_options(c)) for c in OPTIONS} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 29
+    assert sum(map(len, OPTIONS.values())) == 28
 
 
 @pytest.mark.parametrize("argv", [
@@ -513,7 +554,7 @@ def test_every_option_is_read(argv, tmp_path, curve_file, capsys, monkeypatch):
     [command, flag] + value
     for command in ("gen", "verify-law")
     for flag, value in (("--effort", ["1:1:1"]), ("--sieve-bound", ["10"]), ("--strict", []))
-] + [["probe-detecting", "--strict"]] + [
+] + [["probe-detecting", "--strict"], ["probe-detecting", "--effort", "1:1:1"]] + [
     # The D_l trial-division floor is the constant valuation.SIEVE_BOUND, no flag.
     [command, "--sieve-bound", "10"] for command in ("obstruct", "probe-detecting")
 ] + [

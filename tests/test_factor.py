@@ -41,7 +41,8 @@ def power_radical(x, S, rho, effort=Effort()):
     """rad_{S,rho}(x) with its completeness, through TermRadicalData.power_radical."""
     fac = factorize(x, effort)
     data = TermRadicalData(l=0, entries=[(p, e) for p, e in fac.factors if p not in S],
-                           complete=fac.complete)
+                           complete=fac.complete,
+                           s_free=x // math.prod(p ** valuation(x, p) for p in S))
     return data.power_radical(rho), data.complete
 
 

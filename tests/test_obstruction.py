@@ -10,12 +10,14 @@ import random
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
 
 import edskit.obstruction
 from edskit.errors import HypothesisViolated, SoundnessError
+from edskit.factor import Effort
 from edskit.intmath import is_rho_power, primes_up_to
 from edskit.obstruction import (
     FAILS,
@@ -258,6 +260,44 @@ def test_smooth_cofactor_balance(ctx37):
         balance(configured(ctx37, B=4), (5,), 5)
 
 
+def test_exclusion_needs_no_found_detecting_prime(ctx37):
+    # With no factoring budget nothing is found in D_43, but its S-free part is not a
+    # square: a detecting prime exists, so the balance exclusion is certified.
+    zero = ObstructionContext(ctx37.curve, ctx37.point, ctx37.S, ctx37.table, 2,
+                              effort=Effort(0, 0, 0))
+    data = zero.radical_data(43)
+    assert not data.complete and data.detecting(2) == [] and data.detected(2)
+    v = smooth_cofactor_balance(zero, (43,), 43, [])
+    assert v.verdict == FAILS and v.certified_exclusion
+    v = support(zero, (43,), 43)
+    assert v.verdict == INCONCLUSIVE
+    assert v.notes == ["partial factorization and empty certain radical"]
+
+
+def test_prime_support_reads_existence_not_the_search(ctx37, monkeypatch):
+    # A D_l left unfactored whose S-free part is a square has no detecting prime.
+    monkeypatch.setattr(ctx37, "radical_data", lambda l: TermRadicalData(l, [], False, 9))
+    v = support(ctx37, (11,), 11)
+    assert v.verdict == HOLDS
+    assert v.notes == ["radical trivial: no detecting prime at this index"]
+
+
+@pytest.mark.parametrize("fixture, rho", [("37", 2), ("43", 3)])
+def test_pair_census_is_sound_and_independent_of_effort(fixture, rho, request):
+    # Every pair from {2..60}: no certified exclusion is a rho-th power, and the
+    # factoring budget changes no certified exclusion, since existence is exact.
+    curve, point, S, table = (
+        request.getfixturevalue(name + fixture) for name in ("curve", "point", "s", "table")
+    )
+    pairs = list(combinations_with_replacement(range(2, 61), 2))
+    certified = []
+    for effort in (Effort(0, 0, 0), Effort()):
+        ctx = ObstructionContext(curve, point, S, table, rho, effort=effort)
+        certified.append({n for n in pairs if evaluate_tuple(ctx, n).certified_exclusions})
+    assert certified[0] == certified[1]
+    assert not [n for n in certified[1] if product_relation(table, n, rho).is_power]
+
+
 def test_smooth_cofactor_threshold_exact():
     from edskit.obstruction import _exceeds_sqrtB_plus_1_sq
 
@@ -412,7 +452,7 @@ def test_radical_lower_bound_undecided_is_inconclusive(ctx37, monkeypatch):
 def test_radical_coprimality_violation_is_soundness_error(ctx37, monkeypatch):
     # Two indices whose certain radicals share the prime 2 contradict primitivity.
     def shared(l):
-        return TermRadicalData(l=l, entries=[(2, 1)], complete=True)
+        return TermRadicalData(l=l, entries=[(2, 1)], complete=True, s_free=2)
 
     monkeypatch.setattr(ctx37, "radical_data", shared)
     with pytest.raises(SoundnessError):

@@ -26,6 +26,8 @@ from edskit.valuation import (
     _verify_structured_divisor,
     build_exceptional_set,
     check_valuation_law,
+    detecting_prime_exists,
+    s_free_part,
     term_radical_data,
 )
 from oracles import brute_valuation, radical_data_by_sieve, random_pairs, valuation_via_law
@@ -71,9 +73,19 @@ def test_exceptional_set_decides_2_from_the_curve(monkeypatch):
         build_exceptional_set(E, P)
 
 
+def assert_existence_matches_search(data, where):
+    """A detecting prime found exists, and a complete search finds one wherever one exists."""
+    for rho in (2, 3):
+        found = bool(data.detecting(rho))
+        assert data.detected(rho) or not found, (where, rho)
+        if data.complete:
+            assert data.detected(rho) == found, (where, rho)
+
+
 def test_exceptional_set_on_random_pairs():
     # On seeded pairs with odd and even a1, S gains 2 exactly where the law at 2
-    # fails without it, the law holds at 3 whenever 3 is outside S, and no
+    # fails without it, the law holds at 3 whenever 3 is outside S, the exact
+    # existence test agrees with the primes found at every prime l <= 32, and no
     # certified exclusion is a rho-th power.  A small effort keeps the D_l of
     # large height cheap; it can only leave verdicts inconclusive.
     rng = random.Random(21)
@@ -90,6 +102,9 @@ def test_exceptional_set_on_random_pairs():
             fired += 2 in S
         if 3 not in S:
             assert check_valuation_law(E, P, S, 3, 32, table).holds, E.coefficients()
+        for l in primes_up_to(32):  # trial division only: most D_l stay partial
+            data = term_radical_data(E, P, S, l, table, Effort(0, 0, 0))
+            assert_existence_matches_search(data, (E.coefficients(), l))
         m = rng.randint(1, 6)
         tuples = [[m, 2 * m]] + [
             [rng.randint(1, 12) for _ in range(rng.randint(2, 3))] for _ in range(2)]
@@ -230,6 +245,14 @@ def test_radical_coprimality(curve37, point37, s37, table37):
             assert gcd(rads[a], rads[b]) == 1, (a, b)
 
 
+def test_detecting_prime_exists_on_the_s_free_part(s37q):
+    # S = {2, 37} on 37q: the S-free part of 2^5 * 37 * 9 is 9, a square and no cube.
+    s_free = s_free_part(2 ** 5 * 37 * 9, s37q)
+    assert s_free == 9
+    assert not detecting_prime_exists(s_free, 2)
+    assert detecting_prime_exists(s_free, 3)
+
+
 def test_term_radical_data_excludes_s(curve37, point37, table37):
     S = build_exceptional_set(curve37, point37, include_guard=True)  # 2, 3 guarded
     data = term_radical_data(curve37, point37, S, 5, table37)
@@ -252,12 +275,13 @@ def test_term_radical_data_matches_sieve_oracle(all_fixtures):
             assert (data.entries, data.complete) == oracle, (l, effort)
     curve, point, table, S = all_fixtures[0]
     assert table.D(1) == 1
-    assert term_radical_data(curve, point, S, 1, table) == TermRadicalData(1, [], True)
+    assert term_radical_data(curve, point, S, 1, table) == TermRadicalData(1, [], True, 1)
 
 
 def test_radical_data_valuations_match_the_table(all_fixtures):
     # evaluate_tuple reads v_p(D_l) off these entries instead of dividing the
-    # table, and detected() must agree with the detecting list.  The default
+    # table.  A detecting prime found exists, and a complete search finds one
+    # wherever one exists, whatever the budget that decides completeness.  The default
     # budget runs for minutes on 37q's D_l of up to 3200 bits, so 37q takes
     # the small budget of the sieve-oracle test above.
     zero = Effort(0, 0, 0)
@@ -268,8 +292,7 @@ def test_radical_data_valuations_match_the_table(all_fixtures):
                 data = term_radical_data(curve, point, S, l, table, effort)
                 for p, v in data.entries:
                     assert v == brute_valuation(table.D(l), p) > 0, (l, p, effort)
-                for rho in (2, 3):
-                    assert data.detected(rho) == bool(data.detecting(rho)), (l, rho)
+                assert_existence_matches_search(data, (l, effort))
 
 
 def test_law_and_radical_data_never_count_points(all_fixtures, monkeypatch):
