@@ -304,7 +304,7 @@ def cmd_verify_law(args) -> int:
             lines.append(f"p={p}: skipped (exceptional set)")
             continue
         try:
-            rep = check_valuation_law(E, P, S, p, args.n_max, table)
+            rep = check_valuation_law(table, S, p)
         except PrimeTooLarge:
             results.append({"p": str(p), "status": "skipped", "reason": "order not factored"})
             lines.append(f"p={p}: skipped (order not factored)")
@@ -368,7 +368,7 @@ def cmd_obstruct(args) -> int:
     effort = _parse_effort(args.effort)
     E, P, S, minim = _setup(args)
     table = eds_range(E, P, n_max)
-    ctx = ObstructionContext(E, P, S, table, args.rho, args.B, args.L_rho, effort)
+    ctx = ObstructionContext(table, S, args.rho, args.B, args.L_rho, effort)
     doc = _header(
         args, S, minim, B=args.B, L_rho=args.L_rho, n_max=n_max, rho=args.rho,
         sieve_bound=SIEVE_BOUND, effort=args.effort,

@@ -19,7 +19,6 @@ from fractions import Fraction
 from math import floor, gcd, isqrt, prod, sqrt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .curve import RatPoint, WeierstrassCurve
 from .eds import EdsTable, _decimal
 from .errors import HypothesisViolated, SoundnessError
 from .factor import DEFAULT_EFFORT, Effort, Factorization, factorize
@@ -76,25 +75,21 @@ def _jsonable(v):
 
 
 class ObstructionContext:
-    """One obstruction run: the inputs every checker reads, the prime rho, the smoothness
+    """One obstruction run on the table's (E, P): S, the prime rho, the smoothness
     bound B >= 2 and the detecting threshold L_rho, with caches of work shared across
     tuples: radical data, index factorizations and the blocks of _prime_block."""
 
     def __init__(
         self,
-        curve: WeierstrassCurve,
-        point: RatPoint,
-        S: ExceptionalSet,
         table: EdsTable,
+        S: ExceptionalSet,
         rho: int,
         B=2,
         L_rho: int = 0,
         effort: Effort = DEFAULT_EFFORT,
     ):
-        self.curve = curve
-        self.point = point
-        self.S = S
         self.table = table
+        self.S = S
         self.rho = rho
         self.B = B
         self.L_rho = L_rho
@@ -111,9 +106,7 @@ class ObstructionContext:
 
     def radical_data(self, l: int) -> TermRadicalData:
         if l not in self._radical_cache:
-            self._radical_cache[l] = term_radical_data(
-                self.curve, self.point, self.S, l, self.table, self.effort
-            )
+            self._radical_cache[l] = term_radical_data(self.table, self.S, l, self.effort)
         return self._radical_cache[l]
 
     def factorization(self, x: int) -> Factorization:

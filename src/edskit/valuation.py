@@ -15,7 +15,7 @@ from math import prod
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .curve import RatPoint, WeierstrassCurve
-from .errors import PrimeTooLarge, SoundnessError, TableMiss
+from .errors import PrimeTooLarge, SoundnessError
 from .eds import EdsTable, eds_term
 from .factor import DEFAULT_EFFORT, Effort, factorize
 from .intmath import is_prime, is_rho_power, valuation
@@ -110,24 +110,16 @@ class LawReport(NamedTuple):
         return not self.violations
 
 
-def check_valuation_law(
-    curve: WeierstrassCurve,
-    P: RatPoint,
-    S: ExceptionalSet,
-    p: int,
-    n_max: int,
-    table: EdsTable,
-) -> LawReport:
-    """Assert both clauses of the law against directly computed v_p(D_n)."""
+def check_valuation_law(table: EdsTable, S: ExceptionalSet, p: int) -> LawReport:
+    """Assert both clauses of the law at p against v_p(D_n) for every n in the table."""
     if p in S:
         raise ValueError(f"p={p} is in the exceptional set; the law is not claimed there")
-    if n_max > table.max_index:
-        raise TableMiss(f"index {n_max} outside table range 1..{table.max_index}")
-    r_p = curve.reduction_order(P, p)
+    n_max = table.max_index
+    r_p = table.curve.reduction_order(table.point, p)
     terms = table.terms
     v_base = valuation(terms[r_p - 1].D, p) if r_p <= n_max else 0
     # The n with p | D_n; only they and the multiples of r_p need a closer look.
-    hits = {n for n, term in enumerate(terms[:n_max], 1) if term.D % p == 0}
+    hits = {n for n, term in enumerate(terms, 1) if term.D % p == 0}
     violations: List[LawViolation] = []
     for n in sorted(hits.union(range(r_p, n_max + 1, r_p))):
         if n not in hits:
@@ -184,12 +176,7 @@ def detecting_prime_exists(s_free: int, rho: int) -> bool:
 
 
 def term_radical_data(
-    curve: WeierstrassCurve,
-    P: RatPoint,
-    S: ExceptionalSet,
-    l: int,
-    table: EdsTable,
-    effort: Effort = DEFAULT_EFFORT,
+    table: EdsTable, S: ExceptionalSet, l: int, effort: Effort = DEFAULT_EFFORT
 ) -> TermRadicalData:
     """All primes p outside S with p | D_l, with v_p(D_l), as far as the budget reaches.
 
@@ -198,21 +185,15 @@ def term_radical_data(
     reduction order exactly l.  The S-free part is exact whatever the budget.
     """
     effort = Effort(max(effort.trial_bound, SIEVE_BOUND), effort.rho_iterations, effort.wall_clock)
-    fac = factorize(table.D(l), effort)
+    D = table.D(l)
+    fac = factorize(D, effort)
     entries = [(p, v) for p, v in fac.factors if p not in S]
     for p, _ in entries:
-        _verify_structured_divisor(curve, P, p, l, table)
-    s_free = s_free_part(table.D(l), S)
-    return TermRadicalData(l=l, entries=entries, complete=fac.complete, s_free=s_free)
+        _verify_structured_divisor(table, p, l)
+    return TermRadicalData(l=l, entries=entries, complete=fac.complete, s_free=s_free_part(D, S))
 
 
-def _verify_structured_divisor(
-    curve: WeierstrassCurve,
-    P: RatPoint,
-    p: int,
-    l: int,
-    table: EdsTable,
-) -> None:
+def _verify_structured_divisor(table: EdsTable, p: int, l: int) -> None:
     """Check that p | D_l is structured as the law predicts.
 
     For prime l: r_p must be exactly l, i.e. P mod p is not O and
@@ -222,10 +203,10 @@ def _verify_structured_divisor(
     """
     if not is_prime(l):
         return
-    E = curve.fp_curve(p)
-    Q = E.reduce(P)
+    E = table.curve.fp_curve(p)
+    Q = E.reduce(table.point)
     if Q is None or E.mul(l, Q) is not None:
         raise SoundnessError(f"prime {p} divides D_{l} but its reduction order is not {l}")
     for m in range(1, l):
-        if m <= table.max_index and table.D(m) % p == 0:
+        if table.D(m) % p == 0:
             raise SoundnessError(f"prime {p} dividing D_{l} is not primitive: p | D_{m}")

@@ -77,8 +77,8 @@ def s43(curve43, point43):
 
 
 @pytest.fixture(scope="session")
-def ctx37(curve37, point37, s37, table37):
-    return ObstructionContext(curve37, point37, s37, table37, rho=2)
+def ctx37(s37, table37):
+    return ObstructionContext(table37, s37, rho=2)
 
 
 @pytest.fixture(scope="session")

@@ -50,11 +50,11 @@ def test_03_valuation_law_to_ten_thousand(all_fixtures):
     """Both clauses of the valuation law for p <= 10^4, n <= 60, all fixtures. < 30 s."""
     start = time.monotonic()
     checked = 0
-    for curve, point, table, S in all_fixtures:
+    for curve, _, table, S in all_fixtures:
         for p in primes_up_to(10 ** 4):
             if p in S or not curve.has_good_reduction(p):
                 continue
-            report = check_valuation_law(curve, point, S, p, 60, table)
+            report = check_valuation_law(table, S, p)
             assert report.holds, (p, report.violations)
             checked += 1
     elapsed = time.monotonic() - start
@@ -98,7 +98,7 @@ def test_07_soundness_sweep(ctx37):
     start = time.monotonic()
     tuples = checked_exclusions = 0
     for rho in (2, 3):
-        ctx = ObstructionContext(ctx37.curve, ctx37.point, ctx37.S, ctx37.table, rho)
+        ctx = ObstructionContext(ctx37.table, ctx37.S, rho)
         for k in (1, 2, 3):
             for combo in combinations_with_replacement(range(1, 13), k):
                 report = evaluate_tuple(ctx, combo)
@@ -133,7 +133,7 @@ def test_08_positive_relations_pass_absorption(ctx37):
 def test_09_cluster_packing_fixtures(ctx37):
     """The 4-tuple two-block fixture satisfies all five conclusions; the
     weight-1 fixture yields a certified exclusion confirmed by the oracle."""
-    ctx = ObstructionContext(ctx37.curve, ctx37.point, ctx37.S, ctx37.table, rho=2, B=3)
+    ctx = ObstructionContext(ctx37.table, ctx37.S, rho=2, B=3)
 
     def packing(n):
         reasons = {l: _check_top_prime_hypotheses(ctx, n, l)[0] for l in (11, 13)}

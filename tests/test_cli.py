@@ -313,7 +313,7 @@ def test_obstruct_builds_its_context_from_rho_B_and_L_rho(curve_file, capsys):
     E, P = cli.load_curve_file(curve_file)
     S = build_exceptional_set(E, P)
     table = eds_range(E, P, th["n_max"])
-    ctx = ObstructionContext(E, P, S, table, 3, 7.0, 7, cli._parse_effort(th["effort"]))
+    ctx = ObstructionContext(table, S, 3, 7.0, 7, cli._parse_effort(th["effort"]))
     reports = doc["tuples"]
     assert [r["n"] for r in reports] == [list(n) for n in pairs]
     for n, report in zip(pairs, reports):

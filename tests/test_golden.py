@@ -50,7 +50,7 @@ def _context(coeffs, N, rho, B=2, L_rho=0, effort=Effort()):
     curve = WeierstrassCurve(*coeffs)
     point = (Fraction(0), Fraction(0))
     S = build_exceptional_set(curve, point)
-    return ObstructionContext(curve, point, S, eds_range(curve, point, N), rho, B, L_rho, effort)
+    return ObstructionContext(eds_range(curve, point, N), S, rho, B, L_rho, effort)
 
 
 def report_digest(ctx, n):
@@ -168,7 +168,7 @@ def test_obstruct_batch_reference_digests():
         table = eds_range(curve, point, th["n_max"])
         assert th["sieve_bound"] == SIEVE_BOUND
         ctx = ObstructionContext(
-            curve, point, S, table, th["rho"], th["B"], th["L_rho"], _parse_effort(th["effort"])
+            table, S, th["rho"], th["B"], th["L_rho"], _parse_effort(th["effort"])
         )
         assert len(run["reports"]) == 980
         changed = []

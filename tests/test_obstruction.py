@@ -80,8 +80,8 @@ def test_rank_equals_row_count_for_disjoint_supports():
 
 
 def configured(ctx, B=2, L_rho=0):
-    """A context like ctx, on its curve data and rho, with another B and L_rho."""
-    return ObstructionContext(ctx.curve, ctx.point, ctx.S, ctx.table, ctx.rho, B, L_rho, ctx.effort)
+    """A context like ctx, on its table, S and rho, with another B and L_rho."""
+    return ObstructionContext(ctx.table, ctx.S, ctx.rho, B, L_rho, ctx.effort)
 
 
 def hypotheses(ctx, n, Lambda):
@@ -119,7 +119,7 @@ def test_absorption_examples(ctx37):
 def test_absorption_preconditions(ctx37, curve37, point37, table37):
     # evaluate_tuple builds the views only for primes p outside S with p | D_l.
     S = build_exceptional_set(curve37, point37, include_guard=True)
-    guarded = ObstructionContext(curve37, point37, S, table37, rho=2)
+    guarded = ObstructionContext(table37, S, rho=2)
     for ctx, at_5 in ((ctx37, [(5, 2)]), (guarded, [])):  # D_5 = 2; the guard puts 2 in S
         rep = evaluate_tuple(ctx, (5, 3, 35))
         expected = [(l, p) for l in primes_up_to(35) for p, _ in ctx.radical_data(l).entries]
@@ -226,7 +226,7 @@ def test_prime_support_examples(ctx37):
     assert v.verdict == FAILS and not v.witnesses["top_prime_interval_ok"]
 
 
-def test_multiplicity_examples(ctx37, curve43, point43, s43, table43):
+def test_multiplicity_examples(ctx37, s43, table43):
     assert congruence(ctx37, (10, 3), 5, 2, 2).multiplicity().verdict == HOLDS
     assert congruence(ctx37, (10, 10), 5, 2, 2).multiplicity().verdict == HOLDS
     v = congruence(ctx37, (5, 3), 5, 2, 2).multiplicity()
@@ -237,7 +237,7 @@ def test_multiplicity_examples(ctx37, curve43, point43, s43, table43):
     assert (53, 53) not in views(evaluate_tuple(ctx37, (53,)), "multiplicity_obstruction")
     # On 43, v_13(D_19) = 3: 13 lies in the power radical of D_19 for rho = 2 only.
     for rho, built in ((2, True), (3, False)):
-        rep = evaluate_tuple(ObstructionContext(curve43, point43, s43, table43, rho), (19,))
+        rep = evaluate_tuple(ObstructionContext(table43, s43, rho), (19,))
         assert (19, 13) in views(rep, "absorption_congruence")
         assert ((19, 13) in views(rep, "multiplicity_obstruction")) == built
 
@@ -263,8 +263,7 @@ def test_smooth_cofactor_balance(ctx37):
 def test_exclusion_needs_no_found_detecting_prime(ctx37):
     # With no factoring budget nothing is found in D_43, but its S-free part is not a
     # square: a detecting prime exists, so the balance exclusion is certified.
-    zero = ObstructionContext(ctx37.curve, ctx37.point, ctx37.S, ctx37.table, 2,
-                              effort=Effort(0, 0, 0))
+    zero = ObstructionContext(ctx37.table, ctx37.S, 2, effort=Effort(0, 0, 0))
     data = zero.radical_data(43)
     assert not data.complete and data.detecting(2) == [] and data.detected(2)
     v = smooth_cofactor_balance(zero, (43,), 43, [])
@@ -284,16 +283,16 @@ def test_prime_support_reads_existence_not_the_search(ctx37, monkeypatch):
 
 @pytest.mark.parametrize("fixture, rho", [("37", 2), ("43", 3)])
 def test_pair_census_is_sound_and_independent_of_effort(fixture, rho, request):
-    # Every pair from {2..60}: no certified exclusion is a rho-th power, and the
-    # factoring budget changes no certified exclusion, since existence is exact.
-    curve, point, S, table = (
-        request.getfixturevalue(name + fixture) for name in ("curve", "point", "s", "table")
-    )
-    pairs = list(combinations_with_replacement(range(2, 61), 2))
+    # Every pair from {2..60} and every triple from {2..40}: no certified exclusion
+    # is a rho-th power, and the factoring budget changes no certified exclusion,
+    # since existence is exact.
+    S, table = (request.getfixturevalue(name + fixture) for name in ("s", "table"))
+    tuples = list(combinations_with_replacement(range(2, 61), 2))
+    tuples += combinations_with_replacement(range(2, 41), 3)
     certified = []
     for effort in (Effort(0, 0, 0), Effort()):
-        ctx = ObstructionContext(curve, point, S, table, rho, effort=effort)
-        certified.append({n for n in pairs if evaluate_tuple(ctx, n).certified_exclusions})
+        ctx = ObstructionContext(table, S, rho, effort=effort)
+        certified.append({n for n in tuples if evaluate_tuple(ctx, n).certified_exclusions})
     assert certified[0] == certified[1]
     assert not [n for n in certified[1] if product_relation(table, n, rho).is_power]
 
@@ -533,7 +532,7 @@ def at_l(report, l):
 
 @pytest.mark.parametrize("fixture", ["37", "43"])
 def test_idle_prime_blocks_do_not_leak_between_tuples(fixture, request):
-    curve, point, table, S = request.getfixturevalue("all_fixtures")[0 if fixture == "37" else 2]
+    _, _, table, S = request.getfixturevalue("all_fixtures")[0 if fixture == "37" else 2]
     # (11, 3) and (11, 9) share the idle l = 2, 5, 7; only the first is squarefree.  On 43,
     # v_13(D_19) = 3, so at an idle 19 the multiplicity view exists for rho = 2 only.
     tuples = [
@@ -544,7 +543,7 @@ def test_idle_prime_blocks_do_not_leak_between_tuples(fixture, request):
     runs = [(n, rho, B, L_rho) for n in tuples for rho, B, L_rho in settings]
 
     def sweep(order):
-        ctxs = {s: ObstructionContext(curve, point, S, table, *s) for s in settings}
+        ctxs = {s: ObstructionContext(table, S, *s) for s in settings}
         return {run: evaluate_tuple(ctxs[run[1:]], run[0]) for run in order}
 
     forward, backward = sweep(runs), sweep(runs[::-1])

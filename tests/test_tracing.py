@@ -24,7 +24,9 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
      {"obstruction.evaluate_tuple", "factor.factorize", "relation.test_relation"}),
     (["verify-law", "--p-max", "50", "--n-max", "12"],
      {"factor.factorize", "valuation.check_valuation_law", "curve.reduction_order"}),
-], ids=["obstruct", "verify-law"])
+    (["gen", "--n-max", "40", "--out", "t.jsonl"],
+     {"eds.eds_range", "eds.check_divisibility", "eds.dump"}),
+], ids=["obstruct", "verify-law", "gen"])
 def test_tracing_script_runs(argv, expected, tmp_path):
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(Path(edskit.__file__).resolve().parents[1]))
@@ -39,3 +41,6 @@ def test_tracing_script_runs(argv, expected, tmp_path):
     assert expected | {"cli.main", "cli.setup", "cli.emit"} <= named
     if argv[0] == "obstruct":
         assert doc["sums"]["obstruction.radical_lookups"] > 0
+    if argv[0] == "gen":
+        assert doc["sums"]["eds.terms"] == 40
+        assert doc["sums"]["eds.dump.bytes"] == (tmp_path / "t.jsonl").stat().st_size > 0

@@ -97,13 +97,13 @@ def test_exceptional_set_on_random_pairs():
         if S.provenance.get(2, LAW_FAILS_AT_2) == LAW_FAILS_AT_2:
             without_2 = ExceptionalSet()
             without_2.provenance = {p: why for p, why in S.provenance.items() if p != 2}
-            law = check_valuation_law(E, P, without_2, 2, 32, table)
+            law = check_valuation_law(table, without_2, 2)
             assert (2 in S) == (not law.holds), E.coefficients()
             fired += 2 in S
         if 3 not in S:
-            assert check_valuation_law(E, P, S, 3, 32, table).holds, E.coefficients()
+            assert check_valuation_law(table, S, 3).holds, E.coefficients()
         for l in primes_up_to(32):  # trial division only: most D_l stay partial
-            data = term_radical_data(E, P, S, l, table, Effort(0, 0, 0))
+            data = term_radical_data(table, S, l, Effort(0, 0, 0))
             assert_existence_matches_search(data, (E.coefficients(), l))
         m = rng.randint(1, 6)
         tuples = [[m, 2 * m]] + [
@@ -111,23 +111,23 @@ def test_exceptional_set_on_random_pairs():
         squares = [[a, b] for a in range(1, 13) for b in range(a + 1, 13)
                    if product_relation(table, (a, b), 2).is_power]
         for rho, extra in ((2, squares), (3, [])):
-            ctx = ObstructionContext(E, P, S, table, rho, effort=effort)
+            ctx = ObstructionContext(table, S, rho, effort=effort)
             for n in tuples + extra:
                 if evaluate_tuple(ctx, n).certified_exclusions:
                     assert not product_relation(table, n, rho).is_power, (E.coefficients(), n)
     assert fired >= 5
 
 
-def test_check_valuation_law_p5(curve37, point37, s37, table37):
-    rep = check_valuation_law(curve37, point37, s37, 5, 10, table37)
+def test_check_valuation_law_p5(s37, table37):
+    rep = check_valuation_law(table37, s37, 5)
     assert rep.holds
-    assert rep.r_p == 8
+    assert (rep.r_p, rep.n_max) == (8, table37.max_index)
     assert valuation(table37.D(8), 5) == 1
     assert all(table37.D(n) % 5 != 0 for n in list(range(1, 8)) + [9, 10])
 
 
-def test_check_valuation_law_p7(curve37, point37, s37, table37):
-    rep = check_valuation_law(curve37, point37, s37, 7, 10, table37)
+def test_check_valuation_law_p7(curve37, s37, table37):
+    rep = check_valuation_law(table37, s37, 7)
     assert rep.holds
     assert curve37.group_order(7) % rep.r_p == 0
 
@@ -135,25 +135,7 @@ def test_check_valuation_law_p7(curve37, point37, s37, table37):
 def test_check_valuation_law_rejects_exceptional_prime(curve37, point37, table37):
     S = build_exceptional_set(curve37, point37, include_guard=True)  # guard puts 2 into S
     with pytest.raises(ValueError):
-        check_valuation_law(curve37, point37, S, 2, 10, table37)
-
-
-def test_check_valuation_law_table_miss(curve37, point37, s37, monkeypatch):
-    from edskit.eds import eds_range
-
-    # r_5 = 8 fits in the table, but the scan must cover n <= 12.
-    small = eds_range(curve37, point37, 10)
-    assert check_valuation_law(curve37, point37, s37, 5, 10, small).holds
-    with pytest.raises(TableMiss):
-        check_valuation_law(curve37, point37, s37, 5, 12, small)
-
-    # The table guard comes before any reduction order is computed.
-    def reduction_order(self, P, p):
-        raise AssertionError("r_p computed before the table range was checked")
-
-    monkeypatch.setattr(WeierstrassCurve, "reduction_order", reduction_order)
-    with pytest.raises(TableMiss):
-        check_valuation_law(curve37, point37, s37, 5, 12, small)
+        check_valuation_law(table37, S, 2)
 
 
 def test_check_valuation_law_reports_planted_violations(curve37, point37, s37, table37):
@@ -175,7 +157,7 @@ def test_check_valuation_law_reports_planted_violations(curve37, point37, s37, t
             expected.append((n, 1, int(divides), v))
         elif divides and v_base + brute_valuation(n // 8, 5) != v:
             expected.append((n, 2, v_base + brute_valuation(n // 8, 5), v))
-    rep = check_valuation_law(curve37, point37, s37, 5, 60, planted)
+    rep = check_valuation_law(planted, s37, 5)
     assert rep.violations == expected
     assert {(n, clause) for n, clause, _, _ in expected} >= {(3, 1), (16, 2), (24, 1)}
 
@@ -212,31 +194,31 @@ def test_law_agrees_with_direct_valuation(all_fixtures):
                 assert valuation_via_law(curve, point, S, p, n, table) == direct, (p, n)
 
 
-def test_detecting_primes_examples(curve37, point37, s37, table37):
+def test_detecting_primes_examples(s37, table37):
     for l, found in ((5, [(2, 1)]), (7, [(3, 1)]), (2, [])):
-        data = term_radical_data(curve37, point37, s37, l, table37)
+        data = term_radical_data(table37, s37, l)
         assert (data.detecting(2), data.complete) == (found, True)
 
 
-def test_detecting_primes_larger_indices(curve37, point37, s37, table37):
+def test_detecting_primes_larger_indices(s37, table37):
     for l, p in ((11, 23), (13, 59)):
-        data = term_radical_data(curve37, point37, s37, l, table37)
+        data = term_radical_data(table37, s37, l)
         assert data.complete and (p, 1) in data.detecting(2)
 
 
 def test_detecting_primes_are_primitive(curve37, point37, s37, table37):
     for l in (5, 7, 11, 13, 17, 19):
-        found = term_radical_data(curve37, point37, s37, l, table37).detecting(2)
+        found = term_radical_data(table37, s37, l).detecting(2)
         for p, _v in found:
             assert curve37.reduction_order(point37, p) == l
             assert all(table37.D(m) % p != 0 for m in range(1, l))
 
 
-def test_radical_coprimality(curve37, point37, s37, table37):
+def test_radical_coprimality(s37, table37):
     ells = [l for l in primes_up_to(31)]
     rads = {}
     for l in ells:
-        data = term_radical_data(curve37, point37, s37, l, table37)
+        data = term_radical_data(table37, s37, l)
         rads[l] = data.power_radical(2)
     from math import gcd
 
@@ -255,7 +237,7 @@ def test_detecting_prime_exists_on_the_s_free_part(s37q):
 
 def test_term_radical_data_excludes_s(curve37, point37, table37):
     S = build_exceptional_set(curve37, point37, include_guard=True)  # 2, 3 guarded
-    data = term_radical_data(curve37, point37, S, 5, table37)
+    data = term_radical_data(table37, S, 5)
     assert data.entries == []  # D_5 = 2 is entirely inside S
     assert data.complete
     assert data.power_radical(2) == 1
@@ -268,14 +250,14 @@ def test_term_radical_data_matches_sieve_oracle(all_fixtures):
     # bound finds the primes in (10, 10^4] (checked on 37 and 43).
     cases = [(fx, Effort(10 ** 4, 200)) for fx in all_fixtures]
     cases += [(fx, Effort(trial_bound=10, rho_iterations=1)) for fx in all_fixtures[::2]]
-    for (curve, point, table, S), effort in cases:
+    for (_, _, table, S), effort in cases:
         for l in range(1, 61):
-            data = term_radical_data(curve, point, S, l, table, effort)
+            data = term_radical_data(table, S, l, effort)
             oracle = radical_data_by_sieve(table.D(l), S, SIEVE_BOUND, effort)
             assert (data.entries, data.complete) == oracle, (l, effort)
-    curve, point, table, S = all_fixtures[0]
+    _, _, table, S = all_fixtures[0]
     assert table.D(1) == 1
-    assert term_radical_data(curve, point, S, 1, table) == TermRadicalData(1, [], True, 1)
+    assert term_radical_data(table, S, 1) == TermRadicalData(1, [], True, 1)
 
 
 def test_radical_data_valuations_match_the_table(all_fixtures):
@@ -286,10 +268,10 @@ def test_radical_data_valuations_match_the_table(all_fixtures):
     # the small budget of the sieve-oracle test above.
     zero = Effort(0, 0, 0)
     budgets = [(Effort(), zero), (Effort(10 ** 4, 200), zero), (Effort(), zero)]
-    for (curve, point, table, S), efforts in zip(all_fixtures, budgets):
+    for (_, _, table, S), efforts in zip(all_fixtures, budgets):
         for effort in efforts:
             for l in range(1, 61):
-                data = term_radical_data(curve, point, S, l, table, effort)
+                data = term_radical_data(table, S, l, effort)
                 for p, v in data.entries:
                     assert v == brute_valuation(table.D(l), p) > 0, (l, p, effort)
                 assert_existence_matches_search(data, (l, effort))
@@ -300,31 +282,30 @@ def test_law_and_radical_data_never_count_points(all_fixtures, monkeypatch):
         raise RuntimeError(f"group_order({p}) called outside the tests")
 
     monkeypatch.setattr(WeierstrassCurve, "group_order", forbidden)
-    for curve, point, table, S in all_fixtures:
+    for curve, _, table, S in all_fixtures:
         for p in primes_up_to(200):
             if p not in S and curve.has_good_reduction(p):
-                assert check_valuation_law(curve, point, S, p, 60, table).holds
+                assert check_valuation_law(table, S, p).holds
         for l in primes_up_to(31):
             # A small factoring budget: only the sieve's r_p checks matter here.
-            term_radical_data(curve, point, S, l, table, effort=Effort(10 ** 4, 10 ** 4))
+            term_radical_data(table, S, l, effort=Effort(10 ** 4, 10 ** 4))
 
 
-def test_prime_index_radical_data_complete_on_37_and_43(curve37, point37, table37, s37,
-                                                        curve43, point43, table43, s43):
+def test_prime_index_radical_data_complete_on_37_and_43(table37, s37, table43, s43):
     # The bench budget factors every D_l with l <= 60 prime on these two
     # fixtures completely.  (On 37q the D_l reach 3200 bits and stay partial.)
     effort = Effort(10 ** 6, 10 ** 6, 600)
-    for curve, point, table, S in ((curve37, point37, table37, s37), (curve43, point43, table43, s43)):
+    for table, S in ((table37, s37), (table43, s43)):
         for l in primes_up_to(60):
-            assert term_radical_data(curve, point, S, l, table, effort=effort).complete, l
+            assert term_radical_data(table, S, l, effort=effort).complete, l
 
 
-def test_structured_divisor_check_above_2_40(curve37, point37, table37):
+def test_structured_divisor_check_above_2_40(table37):
     p = P_ABOVE_2_40
     assert p > 2 ** 40 and table37.D(53) % p == 0
-    _verify_structured_divisor(curve37, point37, p, 53, table37)
+    _verify_structured_divisor(table37, p, 53)
     with pytest.raises(SoundnessError):
-        _verify_structured_divisor(curve37, point37, p, 47, table37)
+        _verify_structured_divisor(table37, p, 47)
 
 
 def test_structured_divisor_check_survives_optimize():
@@ -341,7 +322,7 @@ def test_structured_divisor_check_survives_optimize():
         E = WeierstrassCurve(0, 0, 1, -1, 0)
         P = (Fraction(0), Fraction(0))
         try:
-            _verify_structured_divisor(E, P, {P_ABOVE_2_40}, 47, eds_range(E, P, 53))
+            _verify_structured_divisor(eds_range(E, P, 53), {P_ABOVE_2_40}, 47)
         except SoundnessError:
             sys.exit(0)
         sys.exit("order check did not raise")
