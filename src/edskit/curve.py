@@ -64,10 +64,6 @@ class WeierstrassCurve(_Group):
         self.discriminant = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         if self.discriminant == 0:
             raise ValueError("singular curve: discriminant is zero")
-        # Cross-check the b8 identity 4*b8 = b2*b6 - b4^2.
-        assert 4 * b8 == b2 * b6 - b4 * b4
-        # Cross-check c4^3 - c6^2 = 1728 * disc.
-        assert self.c4 ** 3 - self.c6 ** 2 == 1728 * self.discriminant
 
     # -- rational point arithmetic -------------------------------------
 

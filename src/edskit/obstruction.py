@@ -22,7 +22,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .eds import EdsTable, _decimal
 from .errors import HypothesisViolated, SoundnessError
 from .factor import DEFAULT_EFFORT, Effort, Factorization, factorize
-from .intmath import is_prime, is_rho_power, primes_up_to, valuation
+from .intmath import is_rho_power, primes_up_to, valuation
 from .valuation import ExceptionalSet, TermRadicalData, term_radical_data
 
 HOLDS = "holds"
@@ -124,11 +124,6 @@ def incidence_set(n: Sequence[int], l: int) -> List[int]:
     return [i for i, ni in enumerate(n, start=1) if ni % l == 0]
 
 
-def build_incidence_matrix(n: Sequence[int], Lambda: Sequence[int]) -> Dict[int, List[int]]:
-    """Row l is the 0/1 indicator of l | n_i over the positions of n."""
-    return {l: [1 if ni % l == 0 else 0 for ni in n] for l in Lambda}
-
-
 def gf_rank(rows: List[List[int]], rho: int) -> int:
     """Rank over F_rho by dense Gaussian elimination."""
     mat = [[x % rho for x in row] for row in rows]
@@ -206,21 +201,41 @@ def _top_primes(ctx: ObstructionContext, x: int) -> Tuple[int, int]:
     return p, fac.factors[-2][0] if len(fac.factors) > 1 else 1
 
 
-def _top_prime_defect(ctx: ObstructionContext, n: Sequence[int], i: int, l: int) -> Optional[str]:
-    """Why l is not the simple top prime of n_i (v_l(n_i) = 1, P^+(n_i) = l); None if it is.
+class PrimeFacts(NamedTuple):
+    """What the tuple n is at one prime l, decided once and read by every per-l checker."""
 
-    An n_i not factored within the budget is a defect: P^+(n_i) = l is then unverified.
-    """
-    v = valuation(n[i - 1], l)
-    if v != 1:
-        return f"v_l(n_{i})={v} != 1"
-    try:
-        top = _top_primes(ctx, n[i - 1])[0]
-    except HypothesisViolated as exc:
-        return str(exc)
-    if top != l:
-        return f"l is not the largest prime divisor of n_{i}={n[i - 1]}"
-    return None
+    l: int
+    I: List[int]  # I_l(n)
+    top: bool  # l is the simple top prime of every n_i with i in I
+    reasons: List[str]  # why the smooth-cofactor hypotheses fail at l; empty when they hold
+
+
+def prime_facts(ctx: ObstructionContext, n: Sequence[int], l: int) -> PrimeFacts:
+    """The facts of n at l.  n_i is checked for v_l(n_i) = 1 first, then for P^+(n_i) = l from
+    its factorization: one not factored within the budget leaves P^+(n_i) = l unverified.
+    n_i / l is B-smooth exactly when P^+(n_i / l) <= B, read once l is n_i's simple top prime."""
+    reasons = []
+    if l <= ctx.L_rho:
+        reasons.append(f"l={l} does not exceed the detecting threshold L_rho={ctx.L_rho}")
+    if l < ctx.B_bound:
+        reasons.append(f"l={l} does not exceed (sqrt(B)+1)^2 for B={ctx.B}")
+    I = incidence_set(n, l)
+    top = True
+    for i in I:
+        ni, v = n[i - 1], valuation(n[i - 1], l)
+        try:
+            if v != 1:
+                raise HypothesisViolated(f"v_l(n_{i})={v} != 1")
+            p, cofactor_top = _top_primes(ctx, ni)
+            if p != l:
+                raise HypothesisViolated(f"l is not the largest prime divisor of n_{i}={ni}")
+        except HypothesisViolated as exc:
+            top = False
+            reasons.append(str(exc))
+            continue
+        if cofactor_top > ctx.B:
+            reasons.append(f"cofactor n_{i}/l={ni // l} is not B-smooth")
+    return PrimeFacts(l, I, top, reasons)
 
 
 def _verifiably_squarefree(ctx: ObstructionContext, x: int) -> bool:
@@ -292,26 +307,21 @@ class _Congruence(NamedTuple):
         )
 
 
-def _congruence(n: Sequence[int], l: int, p: int, v_D: int, rho: int) -> _Congruence:
-    """The record at (l, p), with v_D = v_p(D_l) read off l's radical data."""
-    I = incidence_set(n, l)
-    quot_sum = sum(valuation(n[i - 1] // l, p) for i in I)
-    residue = (len(I) * v_D + quot_sum) % rho
-    return _Congruence(l, p, rho, I, v_D, valuation(l, p), quot_sum, residue)
+def _congruence(n: Sequence[int], f: PrimeFacts, p: int, v_D: int, rho: int) -> _Congruence:
+    """The record at (f.l, p), with v_D = v_p(D_l) read off l's radical data."""
+    quot_sum = sum(valuation(n[i - 1] // f.l, p) for i in f.I)
+    residue = (len(f.I) * v_D + quot_sum) % rho
+    return _Congruence(f.l, p, rho, f.I, v_D, valuation(f.l, p), quot_sum, residue)
 
 
 # -- support and packing checkers --------------------------------------
 
 
 def prime_support_check(
-    ctx: ObstructionContext,
-    n: Sequence[int],
-    l: int,
-    top: bool,
+    ctx: ObstructionContext, n: Sequence[int], f: PrimeFacts
 ) -> ObstructionVerdict:
-    """Radical divisibility, Hasse scale, and, when top, the top-prime interval at index l."""
-    rho = ctx.rho
-    I = incidence_set(n, l)
+    """Radical divisibility, Hasse scale, and, when f.top, the top-prime interval at index f.l."""
+    rho, l, I = ctx.rho, f.l, f.I
     hyp = {"rho_not_dividing_I": len(I) % rho != 0}
     wit: Dict[str, object] = {"l": l, "I_l": I}
 
@@ -336,7 +346,7 @@ def prime_support_check(
     wit["radical_primes"] = radical_primes
     if not all(_hasse_compatible(l, q) for q in radical_primes):
         return verdict(FAILS, "Hasse-scale inequality violated by a radical prime")
-    if top:
+    if f.top:
         interval_ok = all(
             q < l and not _below_sqrt_l_minus_1_sq(q, l) for q in radical_primes
         )
@@ -348,45 +358,17 @@ def prime_support_check(
     return verdict(HOLDS)
 
 
-def _check_top_prime_hypotheses(
-    ctx: ObstructionContext, n: Sequence[int], l: int
-) -> Tuple[List[str], bool]:
-    """Reasons the smooth-cofactor hypotheses fail at a prime l (empty = all hold), and the top
-    flag: whether l is the simple top prime of every n_i it divides.  n_i / l is B-smooth exactly
-    when P^+(n_i / l) <= B, read once l is known to be n_i's simple top prime."""
-    reasons = []
-    top = True
-    if l <= ctx.L_rho:
-        reasons.append(f"l={l} does not exceed the detecting threshold L_rho={ctx.L_rho}")
-    if l < ctx.B_bound:
-        reasons.append(f"l={l} does not exceed (sqrt(B)+1)^2 for B={ctx.B}")
-    for i in incidence_set(n, l):
-        defect = _top_prime_defect(ctx, n, i, l)
-        top = top and defect is None
-        if defect is None and _top_primes(ctx, n[i - 1])[1] > ctx.B:
-            defect = f"cofactor n_{i}/l={n[i - 1] // l} is not B-smooth"
-        if defect is not None:
-            reasons.append(defect)
-    return reasons, top
-
-
-def smooth_cofactor_balance(
-    ctx: ObstructionContext,
-    n: Sequence[int],
-    l: int,
-    reasons: Sequence[str],
-) -> ObstructionVerdict:
+def smooth_cofactor_balance(ctx: ObstructionContext, f: PrimeFacts) -> ObstructionVerdict:
     """rho must divide |I_l(n)| when l is a large top prime with smooth cofactors.
 
-    reasons is what _check_top_prime_hypotheses finds at l; any reason means
-    the hypotheses fail.  A fails verdict certifies the product is not a rho-th
-    power, provided a detecting prime at l provably exists; with only the
-    threshold assumption the verdict degrades to inconclusive.
+    Any of f.reasons means the hypotheses fail.  A fails verdict certifies the
+    product is not a rho-th power, provided a detecting prime at l provably
+    exists; with only the threshold assumption the verdict degrades to
+    inconclusive.
     """
-    if reasons:
-        raise HypothesisViolated("; ".join(reasons))
-    rho = ctx.rho
-    I = incidence_set(n, l)
+    if f.reasons:
+        raise HypothesisViolated("; ".join(f.reasons))
+    rho, l, I = ctx.rho, f.l, f.I
     wit = {"l": l, "I_l": I, "size_mod_rho": len(I) % rho}
     hyp = {"top_prime_hypotheses": True}
     if len(I) % rho == 0:
@@ -426,20 +408,19 @@ class ClusterPackingReport(NamedTuple):
 
 
 def cluster_packing(
-    ctx: ObstructionContext,
-    n: Sequence[int],
-    reasons: Dict[int, List[str]],
+    ctx: ObstructionContext, n: Sequence[int], facts: Sequence[PrimeFacts]
 ) -> ClusterPackingReport:
     """Build M_Lambda(n) over F_rho and check all five packing conclusions.
 
-    Lambda is the keys of reasons, each l's reasons from _check_top_prime_hypotheses.
-    Primes failing the per-l hypotheses are dropped with a note rather
-    than aborting the whole report.
+    Lambda is the l of facts; row l is the 0/1 indicator of I_l(n) over the
+    positions of n.  Primes failing the per-l hypotheses are dropped with a
+    note rather than aborting the whole report.
     """
     k, rho = len(n), ctx.rho
-    dropped = {l: "; ".join(r) for l, r in reasons.items() if r}
-    surviving = [l for l, r in reasons.items() if not r]
-    matrix = build_incidence_matrix(n, surviving)
+    dropped = {f.l: "; ".join(f.reasons) for f in facts if f.reasons}
+    kept = [f for f in facts if not f.reasons]
+    surviving = [f.l for f in kept]
+    matrix = {f.l: [int(i in f.I) for i in range(1, k + 1)] for f in kept}
     lambda_star = [l for l in surviving if any(matrix[l])]
     conclusions: Dict[int, str] = {}
     # (1) each row weight divisible by rho
@@ -560,32 +541,27 @@ def large_prime_gap(ctx: ObstructionContext, m: int, n: int) -> ObstructionVerdi
 
 
 def radical_lower_bound(
-    ctx: ObstructionContext, n: Sequence[int], Lambda: Sequence[int]
+    ctx: ObstructionContext, n: Sequence[int], facts: Sequence[PrimeFacts]
 ) -> ObstructionVerdict:
     """rad of the quotient product against prod over Lambda of (sqrt(l)-1)^2.
 
-    Each l in Lambda must be prime, above L_rho, with rho not dividing
-    |I_l(n)|, and the simple top prime of every n_i it divides.
+    Lambda is each l of facts that is the simple top prime of every n_i it
+    divides, with rho not dividing |I_l(n)|: so I_l(n) is nonempty and l is
+    prime.  Each l in Lambda must lie above L_rho.
     """
     rho = ctx.rho
-    for l in Lambda:
-        if not is_prime(l):
-            raise HypothesisViolated(f"l={l} is not prime")
-        if l <= ctx.L_rho:
-            raise HypothesisViolated(f"l={l} below L_rho")
-        I = incidence_set(n, l)
-        if len(I) % rho == 0:
-            raise HypothesisViolated(f"rho divides |I_l(n)| for l={l}")
-        for i in I:
-            if _top_prime_defect(ctx, n, i, l) is not None:
-                raise HypothesisViolated(f"top-prime condition fails at l={l}, i={i}")
+    chosen = [f for f in facts if f.top and len(f.I) % rho != 0]
+    for f in chosen:
+        if f.l <= ctx.L_rho:
+            raise HypothesisViolated(f"l={f.l} below L_rho")
+    Lambda = [f.l for f in chosen]
     # Pairwise coprimality of the certain radical parts is unconditional.
     rads = {l: ctx.radical_data(l).power_radical(rho) for l in Lambda}
     for ix, a in enumerate(Lambda):
         for b in Lambda[ix + 1 :]:
             if gcd(rads[a], rads[b]) != 1:
                 raise SoundnessError(f"radical coprimality violated at ({a},{b})")
-    quotient = prod(n[i - 1] // l for l in Lambda for i in incidence_set(n, l))
+    quotient = prod(n[i - 1] // f.l for f in chosen for i in f.I)
     hyp = {"top_prime_hypotheses": True}
     fac = ctx.factorization(quotient)
     rad_q = prod(p for p, _ in fac.factors)  # a lower bound when fac is partial
@@ -617,9 +593,7 @@ def radical_lower_bound(
 class _PrimeBlock(NamedTuple):
     """What evaluate_tuple reports at one candidate prime l."""
 
-    I: List[int]  # I_l(n)
-    top: bool  # l is the simple top prime of every n_i with i in I
-    reasons: List[str]  # why the smooth-cofactor hypotheses fail at l
+    facts: PrimeFacts
     verdicts: List[ObstructionVerdict]
     skipped: List[str]
 
@@ -629,27 +603,26 @@ def _prime_block(
 ) -> _PrimeBlock:
     """The congruence views at each radical-data entry of l, then the support and balance checks,
     built once per key: every check reads the tuple only at the positions in I_l(n)."""
-    I = incidence_set(n, l)
-    key = (l, squarefree, tuple((i, n[i - 1]) for i in I))
+    key = (l, squarefree, tuple((i, n[i - 1]) for i in incidence_set(n, l)))
     if key in ctx._blocks:
         return ctx._blocks[key]
-    reasons, top = _check_top_prime_hypotheses(ctx, n, l)
+    facts = prime_facts(ctx, n, l)
     verdicts: List[ObstructionVerdict] = []
     # The entries are the primes outside S dividing D_l: the views' preconditions hold.
     for p, v in ctx.radical_data(l).entries:
-        c = _congruence(n, l, p, v, ctx.rho)
+        c = _congruence(n, facts, p, v, ctx.rho)
         verdicts.extend([c.absorption(), c.pairing()])
         if p != l and v % ctx.rho != 0:
             verdicts.append(c.multiplicity())
             if squarefree:
                 verdicts.append(c.squarefree())
-    verdicts.append(prime_support_check(ctx, n, l, top))
+    verdicts.append(prime_support_check(ctx, n, facts))
     skipped = []
     try:
-        verdicts.append(smooth_cofactor_balance(ctx, n, l, reasons))
+        verdicts.append(smooth_cofactor_balance(ctx, facts))
     except HypothesisViolated as exc:
         skipped.append(f"smooth_cofactor_balance(l={l}): {exc}")
-    block = ctx._blocks[key] = _PrimeBlock(I, top, reasons, verdicts, skipped)
+    block = ctx._blocks[key] = _PrimeBlock(facts, verdicts, skipped)
     return block
 
 
@@ -698,20 +671,17 @@ def evaluate_tuple(ctx: ObstructionContext, n: Sequence[int]) -> TupleReport:
         except HypothesisViolated as exc:
             skipped.append(f"{label}: {exc}")
 
-    reasons = {}
-    rl_lambda = []  # each simple top prime l with rho not dividing |I_l(n)|
+    facts = []
     for l in candidate_primes:
         block = _prime_block(ctx, n, l, squarefree)
-        reasons[l] = block.reasons
+        facts.append(block.facts)
         verdicts.extend(block.verdicts)
         skipped.extend(block.skipped)
-        if block.top and len(block.I) % ctx.rho != 0:
-            rl_lambda.append(l)
-    cluster = cluster_packing(ctx, n, reasons) if n else None
+    cluster = cluster_packing(ctx, n, facts) if n else None
     attempt("repeated_top_prime", repeated_top_prime, n)
     if len(n) == 2 and gcd(n[0], n[1]) == 1:
         for m, other in (n, (n[1], n[0])):
             if m >= 2:
                 attempt(f"large_prime_gap(m={m})", large_prime_gap, m, other)
-    attempt("radical_lower_bound", radical_lower_bound, n, rl_lambda)
+    attempt("radical_lower_bound", radical_lower_bound, n, facts)
     return TupleReport(n=n, rho=ctx.rho, verdicts=verdicts, cluster=cluster, skipped=skipped)

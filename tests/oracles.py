@@ -37,7 +37,7 @@ from edskit.curve import WeierstrassCurve
 from edskit.errors import BudgetExceeded, TableMiss, TrivialReduction
 from edskit.factor import factorize
 from edskit.intmath import primes_up_to, valuation
-from edskit.obstruction import _congruence
+from edskit.obstruction import _congruence, prime_facts
 from edskit.relation import test_relation as product_relation
 
 DEFAULT_SEARCH_CAP = 2_000_000
@@ -167,7 +167,7 @@ def oracle_lq_count(n, l, q):
 
 def congruence(ctx, n, l, p, rho):
     """The congruence record of (n, l, p, rho), with v_p(D_l) divided out of ctx's table."""
-    return _congruence(n, l, p, brute_valuation(ctx.table.D(l), p), rho)
+    return _congruence(n, prime_facts(ctx, n, l), p, brute_valuation(ctx.table.D(l), p), rho)
 
 
 def brute_is_smooth(x, B):

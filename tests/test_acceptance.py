@@ -14,9 +14,9 @@ from edskit.obstruction import (
     FAILS,
     HOLDS,
     ObstructionContext,
-    _check_top_prime_hypotheses,
     cluster_packing,
     evaluate_tuple,
+    prime_facts,
 )
 from edskit.relation import test_relation as product_relation
 from edskit.valuation import check_valuation_law
@@ -136,8 +136,7 @@ def test_09_cluster_packing_fixtures(ctx37):
     ctx = ObstructionContext(ctx37.table, ctx37.S, rho=2, B=3)
 
     def packing(n):
-        reasons = {l: _check_top_prime_hypotheses(ctx, n, l)[0] for l in (11, 13)}
-        return cluster_packing(ctx, n, reasons)
+        return cluster_packing(ctx, n, [prime_facts(ctx, n, l) for l in (11, 13)])
 
     rep = packing((22, 33, 26, 39))
     assert rep.dropped == {}

@@ -55,6 +55,21 @@ def test_gen_single_term(tmp_path, curve_file, capsys):
     assert len(open(out).read().splitlines()) == 2  # header + one term
 
 
+def test_gen_to_unwritable_path_exits_2(tmp_path, curve_file):
+    out = tmp_path / "missing" / "t.jsonl"
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "edskit.cli", "gen", "--curve", curve_file,
+                           "--n-max", "10", "--out", str(out)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: cannot write table file {out}: No such file or directory"
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.json"]
+
+
 def test_gen_torsion_point_exits_3(tmp_path, capsys):
     # The second point has order 2 on a curve with odd a1 and good reduction at 2,
     # so building S meets the torsion before the table does.

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from edskit.curve import WeierstrassCurve, minimality_report
 from edskit.errors import BadReduction, TrivialReduction
@@ -31,6 +32,17 @@ def test_invariants_and_discriminant(E):
     assert E.discriminant == 37
     E43 = WeierstrassCurve(0, 1, 1, 0, 0)
     assert E43.discriminant == -43
+
+
+@given(st.tuples(*[st.integers(-10**6, 10**6)] * 5))
+def test_invariant_identities(coeffs):
+    # Both hold for every integer a1..a6, so they check the formulas, not the input.
+    try:
+        E = WeierstrassCurve(*coeffs)
+    except ValueError:
+        assume(False)  # singular
+    assert 4 * E.b8 == E.b2 * E.b6 - E.b4 * E.b4
+    assert E.c4 ** 3 - E.c6 ** 2 == 1728 * E.discriminant
 
 
 def test_singular_curve_rejected():

@@ -26,15 +26,14 @@ from edskit.obstruction import (
     ObstructionContext,
     ObstructionVerdict,
     TupleReport,
-    _check_top_prime_hypotheses,
     _radical_meets_bound,
     _top_primes,
-    build_incidence_matrix,
     cluster_packing,
     evaluate_tuple,
     gf_rank,
     incidence_set,
     large_prime_gap,
+    prime_facts,
     prime_support_check,
     radical_lower_bound,
     repeated_top_prime,
@@ -85,13 +84,13 @@ def configured(ctx, B=2, L_rho=0):
 
 
 def hypotheses(ctx, n, Lambda):
-    """{l: reasons the smooth-cofactor hypotheses fail at l}, as evaluate_tuple builds it."""
-    return {l: _check_top_prime_hypotheses(ctx, n, l)[0] for l in Lambda}
+    """The facts of n at each l of Lambda, as evaluate_tuple builds them."""
+    return [prime_facts(ctx, n, l) for l in Lambda]
 
 
 def support(ctx, n, l):
-    """prime_support_check with the top flag evaluate_tuple passes it."""
-    return prime_support_check(ctx, n, l, _check_top_prime_hypotheses(ctx, n, l)[1])
+    """prime_support_check on the facts evaluate_tuple passes it."""
+    return prime_support_check(ctx, n, prime_facts(ctx, n, l))
 
 
 def views(report, statement):
@@ -220,9 +219,10 @@ def test_prime_support_examples(ctx37):
     assert v.verdict == INCONCLUSIVE  # |I_5| = 2 is even: vacuous
     assert not v.hypotheses["rho_not_dividing_I"]
     # 253 = 11 * 23: 11 is not its top prime, so the interval test (which 23 > 11 fails) is off.
-    assert not _check_top_prime_hypotheses(ctx37, (253,), 11)[1]
+    facts = prime_facts(ctx37, (253,), 11)
+    assert not facts.top
     assert support(ctx37, (253,), 11).verdict == HOLDS
-    v = prime_support_check(ctx37, (253,), 11, True)
+    v = prime_support_check(ctx37, (253,), facts._replace(top=True))
     assert v.verdict == FAILS and not v.witnesses["top_prime_interval_ok"]
 
 
@@ -247,7 +247,7 @@ def test_multiplicity_examples(ctx37, s43, table43):
 
 def test_smooth_cofactor_balance(ctx37):
     def balance(ctx, n, l):
-        return smooth_cofactor_balance(ctx, n, l, hypotheses(ctx, n, [l])[l])
+        return smooth_cofactor_balance(ctx, prime_facts(ctx, n, l))
 
     # |I_7| = 2: balanced, no obstruction.
     assert balance(ctx37, (7, 14), 7).verdict == HOLDS
@@ -266,7 +266,7 @@ def test_exclusion_needs_no_found_detecting_prime(ctx37):
     zero = ObstructionContext(ctx37.table, ctx37.S, 2, effort=Effort(0, 0, 0))
     data = zero.radical_data(43)
     assert not data.complete and data.detecting(2) == [] and data.detected(2)
-    v = smooth_cofactor_balance(zero, (43,), 43, [])
+    v = smooth_cofactor_balance(zero, prime_facts(zero, (43,), 43))
     assert v.verdict == FAILS and v.certified_exclusion
     v = support(zero, (43,), 43)
     assert v.verdict == INCONCLUSIVE
@@ -292,9 +292,17 @@ def test_pair_census_is_sound_and_independent_of_effort(fixture, rho, request):
     certified = []
     for effort in (Effort(0, 0, 0), Effort()):
         ctx = ObstructionContext(table, S, rho, effort=effort)
-        certified.append({n for n in tuples if evaluate_tuple(ctx, n).certified_exclusions})
+        reports = [evaluate_tuple(ctx, n) for n in tuples]
+        certified.append({rep.n for rep in reports if rep.certified_exclusions})
     assert certified[0] == certified[1]
     assert not [n for n in certified[1] if product_relation(table, n, rho).is_power]
+    # The paper's Hasse step, at the default effort: r_q = l for each radical prime q gives
+    # l <= (sqrt(q)+1)^2, and at a simple top prime l, q divides prod n_i / l, so q < l.
+    support = [v for rep in reports for v in rep.verdicts if v.statement == "prime_support_check"]
+    assert sum("top_prime_interval_ok" in v.witnesses for v in support) > 0
+    notes = {note for v in support for note in v.notes}
+    assert "Hasse-scale inequality violated by a radical prime" not in notes
+    assert "top-prime interval violated by a radical prime" not in notes
 
 
 def test_smooth_cofactor_threshold_exact():
@@ -409,10 +417,10 @@ def test_radical_lower_bound(ctx37):
     # Empty Lambda: empty product bound 1, trivially holds.
     assert radical_lower_bound(ctx37, (10, 3), []).verdict == HOLDS
     # Single l = 5: radical of 10/5 = 2 exceeds (sqrt(5)-1)^2 = 1.527...
-    assert radical_lower_bound(ctx37, (10, 3), [5]).verdict == HOLDS
+    assert radical_lower_bound(ctx37, (10, 3), hypotheses(ctx37, (10, 3), [5])).verdict == HOLDS
     # n = (22,): radical 2 falls below (sqrt(11)-1)^2 = 5.366...; D_22 is
     # certified not a square.
-    v = radical_lower_bound(ctx37, (22,), [11])
+    v = radical_lower_bound(ctx37, (22,), hypotheses(ctx37, (22,), [11]))
     assert v.verdict == FAILS and v.certified_exclusion
     assert not is_rho_power(ctx37.table.D(22), 2)
 
@@ -442,7 +450,7 @@ def test_radical_meets_bound_past_float_range():
 
 def test_radical_lower_bound_undecided_is_inconclusive(ctx37, monkeypatch):
     monkeypatch.setattr(edskit.obstruction, "_radical_meets_bound", lambda rad, ells: None)
-    v = radical_lower_bound(ctx37, (22,), [11])
+    v = radical_lower_bound(ctx37, (22,), hypotheses(ctx37, (22,), [11]))
     assert v.verdict == INCONCLUSIVE
     assert v.notes == ["radical too close to the bound"]
     assert v.witnesses["bound"] == "5.366750"  # the float witness is unchanged
@@ -455,7 +463,7 @@ def test_radical_coprimality_violation_is_soundness_error(ctx37, monkeypatch):
 
     monkeypatch.setattr(ctx37, "radical_data", shared)
     with pytest.raises(SoundnessError):
-        radical_lower_bound(ctx37, (11, 13), [11, 13])
+        radical_lower_bound(ctx37, (11, 13), hypotheses(ctx37, (11, 13), [11, 13]))
 
 
 def test_large_prime_gap_oracle_contradiction_is_soundness_error(ctx37, monkeypatch):
@@ -465,23 +473,32 @@ def test_large_prime_gap_oracle_contradiction_is_soundness_error(ctx37, monkeypa
 
 
 def test_radical_lower_bound_hypotheses(ctx37):
-    with pytest.raises(HypothesisViolated):
-        radical_lower_bound(ctx37, (10, 10), [5])  # rho divides |I_5|
-    with pytest.raises(HypothesisViolated):
-        radical_lower_bound(ctx37, (22,), [4])  # 4 is not prime
+    # The bound picks Lambda from the facts itself: of every prime up to 22, only 11 is
+    # the simple top prime of an odd number of entries of (22,).
+    every = radical_lower_bound(ctx37, (22,), hypotheses(ctx37, (22,), primes_up_to(22)))
+    only = radical_lower_bound(ctx37, (22,), hypotheses(ctx37, (22,), [11]))
+    assert every.to_json() == only.to_json()
+    assert every.witnesses["bound"] == "5.366750"
 
 
 @pytest.mark.parametrize("n, Lambda, L_rho, message", [
-    ((10, 10), [5], 0, "rho divides |I_l(n)| for l=5"),
-    ((22,), [4], 0, "l=4 is not prime"),
+    ((10, 10), [5], 0, None),  # rho divides |I_5|
+    ((22,), [4], 0, None),  # 4 divides no entry
     ((10, 3), [5], 5, "l=5 below L_rho"),
-    ((35, 3), [5], 0, "top-prime condition fails at l=5, i=1"),  # P+(35) = 7
-    ((25, 3), [5], 0, "top-prime condition fails at l=5, i=1"),  # v_5(25) = 2
+    ((35, 3), [5], 0, None),  # P+(35) = 7
+    ((25, 3), [5], 0, None),  # v_5(25) = 2
     ((10, 3), [5, 3], 3, "l=3 below L_rho"),
 ])
 def test_radical_lower_bound_hypothesis_messages(ctx37, n, Lambda, L_rho, message):
+    # An l failing the top-prime hypotheses is left out of Lambda; one below L_rho raises.
+    ctx = configured(ctx37, L_rho=L_rho)
+    facts = hypotheses(ctx, n, Lambda)
+    if message is None:
+        v = radical_lower_bound(ctx, n, facts)
+        assert v.verdict == HOLDS and v.witnesses["bound"] == "1.000000"  # Lambda is empty
+        return
     with pytest.raises(HypothesisViolated) as info:
-        radical_lower_bound(configured(ctx37, L_rho=L_rho), n, Lambda)
+        radical_lower_bound(ctx, n, facts)
     assert str(info.value) == message
 
 
@@ -492,11 +509,6 @@ def test_largest_prime_factor_examples(ctx37):
     assert _top_primes(ctx37, 35) == (7, 5)
     assert _top_primes(ctx37, 18) == (3, 3)  # 3^2 | 18: the cofactor keeps the top prime
     assert _top_primes(ctx37, 2 * 7 ** 3) == (7, 7)
-
-
-def test_incidence_matrix():
-    m = build_incidence_matrix((22, 33, 26, 39), [11, 13])
-    assert m == {11: [1, 1, 0, 0], 13: [0, 0, 1, 1]}
 
 
 # -- whole-tuple evaluation --------------------------------------------

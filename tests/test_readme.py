@@ -1,4 +1,5 @@
-"""The library example in README.md runs and prints what its comments say."""
+"""Claims of README.md: the library example prints what its comments say, and the package
+holds no assert."""
 
 import ast
 import contextlib
@@ -6,7 +7,8 @@ import io
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_python_example_runs():
@@ -18,3 +20,16 @@ def test_readme_python_example_runs():
     excluded, is_power = out.getvalue().splitlines()
     assert ast.literal_eval(excluded)[:2] == ["absorption_congruence", "incidence_pairing"]
     assert is_power == "False"
+
+
+def test_package_holds_no_assert():
+    # Soundness checks raise SoundnessError, so they also run under python -O.
+    modules = sorted((ROOT / "src" / "edskit").glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
