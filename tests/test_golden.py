@@ -19,10 +19,13 @@ hold fixed: one digest per (curve, effort, B, L_rho, rho) over a thinned
 pair sweep, so the B-smoothness, L_rho and partial-factorization
 wordings are pinned too.
 
-The benchmark's obstruct-batch reference is reproduced here too, in process.
+The benchmark's three references in bench/reference are reproduced here
+too, in process: the obstruct-batch reports, the law-sweep reports and the
+gen-ladder tables.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -33,7 +36,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import edskit
-from edskit.cli import _parse_effort, load_curve_file
+from edskit.cli import _parse_effort, load_curve_file, main
 from edskit.curve import WeierstrassCurve
 from edskit.eds import eds_range
 from edskit.factor import Effort
@@ -180,3 +183,53 @@ def test_obstruct_batch_reference_digests():
             if hashlib.sha256(blob.encode()).hexdigest()[:16] != digest:
                 changed.append(key)
         assert not changed, f"{name}: {len(changed)} reports changed, first: {changed[:5]}"
+
+
+def _bench_law_args(monkeypatch):
+    """law_args from bench/run.py, which imports its sibling module tracing."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module.law_args
+
+
+def test_law_sweep_reference(monkeypatch, capsys):
+    """verify-law on each fixture, with the benchmark's arguments, prints its reference."""
+    ref = json.loads((ROOT / "bench" / "reference" / "law-sweep.json").read_text())
+    law_args = _bench_law_args(monkeypatch)
+    monkeypatch.chdir(ROOT)  # the arguments and the reference name fixtures relative to it
+    assert sorted(ref) == ["37", "37q", "43"]
+    for name, want in ref.items():
+        assert main(law_args(name)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc.pop("generated_at")
+        results = doc.pop("results")
+        assert doc == want["header"], name
+        assert len(results) == len(want["results"]) > 600, name
+        changed = [r["p"] for r, w in zip(results, want["results"]) if r != w]
+        assert not changed, f"{name}: {len(changed)} prime results changed, first: {changed[:5]}"
+
+
+def test_gen_ladder_reference(tmp_path):
+    """Every table of bench/reference/gen-ladder.json, built and written in process.
+
+    The reference's crash fields describe the 4300-digit crash, which no
+    current run reaches; they are not read.
+    """
+    ref = json.loads((ROOT / "bench" / "reference" / "gen-ladder.json").read_text())
+    assert len(ref["sizes"]) == 6
+    for key, want in ref["sizes"].items():
+        name, n = key.split(":")
+        n = int(n)
+        curve, point = load_curve_file(str(ROOT / "bench" / "fixtures" / f"{name}.json"))
+        table = eds_range(curve, point, n)
+        assert table.content_hash() == want["content_hash"], key
+        assert [str(d) for d in table.d_values()[:20]] == want["D_prefix"], key
+        path = tmp_path / f"{name}-{n}.jsonl"
+        table.dump(str(path))
+        with open(path) as fh:
+            header = json.loads(fh.readline())
+            lines = 1 + sum(1 for _ in fh)
+        assert (header["content_hash"], lines) == (want["content_hash"], n + 1), key
