@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .curve import WeierstrassCurve, minimality_report
-from .errors import EdskitError, PrimeTooLarge, SoundnessError
+from .errors import EdskitError, SoundnessError
 from .eds import DEFAULT_MAX_DIGITS, eds_range
 from .factor import Effort
 from .intmath import is_prime, primes_up_to
@@ -306,12 +306,7 @@ def cmd_verify_law(args) -> int:
             results.append({"p": str(p), "status": "skipped", "reason": "in exceptional set"})
             lines.append(f"p={p}: skipped (exceptional set)")
             continue
-        try:
-            rep = check_valuation_law(table, S, p)
-        except PrimeTooLarge:
-            results.append({"p": str(p), "status": "skipped", "reason": "order not factored"})
-            lines.append(f"p={p}: skipped (order not factored)")
-            continue
+        rep = check_valuation_law(table, S, p)
         status = "pass" if rep.holds else "FAIL"
         if not rep.holds:
             violations += 1

@@ -152,9 +152,8 @@ class FpCurve(_Group):
             return None
         x, y = P
         p = self.p
+        # On an integral model v_p(y) < 0 exactly when v_p(x) < 0.
         if x.denominator % p == 0:
-            return None
-        if y.denominator % p == 0:  # cannot happen for points on an integral model
             return None
         xr = x.numerator * pow(x.denominator, -1, p) % p
         yr = y.numerator * pow(y.denominator, -1, p) % p

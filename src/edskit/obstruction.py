@@ -22,7 +22,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .eds import EdsTable, _decimal
 from .errors import HypothesisViolated, SoundnessError
 from .factor import DEFAULT_EFFORT, Effort, Factorization, factorize
-from .intmath import is_rho_power, primes_up_to, valuation
+from .intmath import primes_up_to, valuation
+from .relation import test_relation
 from .valuation import ExceptionalSet, TermRadicalData, term_radical_data
 
 HOLDS = "holds"
@@ -528,8 +529,7 @@ def large_prime_gap(ctx: ObstructionContext, m: int, n: int) -> ObstructionVerdi
         return ObstructionVerdict("large_prime_gap", HOLDS, hyp, wit, [note])
     wit["route"] = "prime_gap"
     if detected and max(m, n) <= ctx.table.max_index:
-        product = ctx.table.D(m) * ctx.table.D(n)
-        oracle = is_rho_power(product, ctx.rho)
+        oracle = test_relation(ctx.table, (m, n), ctx.rho).is_power
         wit["oracle_product_is_power"] = oracle
         if oracle:
             raise SoundnessError(f"exclusion of D_{m}*D_{n} contradicted by the exact power oracle")

@@ -20,6 +20,23 @@ from edskit.obstruction import ObstructionContext
 from edskit.valuation import build_exceptional_set
 
 
+@pytest.fixture(autouse=True)
+def int_digit_limit_unchanged():
+    """Fail a test that leaves Python's integer-to-string digit limit changed.
+
+    Tests that set the limit by hand must restore it; a leak would silently
+    change what every later test checks.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):  # interpreters without the limit
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    yield
+    after = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(before)
+    assert after == before, f"the test left the digit limit at {after}, not {before}"
+
+
 @pytest.fixture(scope="session")
 def curve37():
     return WeierstrassCurve(0, 0, 1, -1, 0)

@@ -280,10 +280,12 @@ def order_over_hasse_interval(curve, P, p):
     return order
 
 
-def random_pairs(seed, count):
+def random_pairs(seed, count, multipliers=(1, 2)):
     """Non-torsion (E, P) with |a_i| <= 2 for i <= 4: P is [k]P0 for an integral
-    P0 with |x|, |y| <= 3 (a6 solved from P0) and k in {1, 2}, so some x(P) = u/v^2
-    with v > 1.  P is not torsion: [n]P != O for n <= 12 (Mazur)."""
+    P0 with |x|, |y| <= 3 (a6 solved from P0) and k drawn from multipliers, so
+    some x(P) = u/v^2 with v > 1.  A P = [3]P0 is kept only when 3 | v, so that
+    pairs with 3 | D_1 join those with 2 | D_1, the paper's two hypotheses on
+    D_1.  P is not torsion: [n]P != O for n <= 12 (Mazur)."""
     rng = random.Random(seed)
     pairs = []
     while len(pairs) < count:
@@ -294,8 +296,11 @@ def random_pairs(seed, count):
             E = WeierstrassCurve(a1, a2, a3, a4, a6)
         except ValueError:  # singular
             continue
-        P = E.mul(rng.choice((1, 2)), (Fraction(x0), Fraction(y0)))
-        if P is not None and all(E.mul(n, P) is not None for n in range(1, 13)):
+        k = rng.choice(multipliers)
+        P = E.mul(k, (Fraction(x0), Fraction(y0)))
+        if P is None or (k == 3 and P[0].denominator % 3):
+            continue
+        if all(E.mul(n, P) is not None for n in range(1, 13)):
             pairs.append((E, P))
     return pairs
 

@@ -225,7 +225,9 @@ def test_obstruct_oracle_contradiction_exits_4(curve_file, capsys, monkeypatch):
 
     # The prime-gap exclusion of D_14 * D_9 cross-checks the power oracle,
     # here made to claim the product is a square.
-    monkeypatch.setattr(edskit.obstruction, "is_rho_power", lambda x, rho: True)
+    real = edskit.obstruction.test_relation
+    monkeypatch.setattr(edskit.obstruction, "test_relation",
+                        lambda table, n, rho: real(table, n, rho)._replace(is_power=True))
     rc = main(["obstruct", "--curve", curve_file, "--rho", "2", "--tuple", "14,9"])
     assert rc == 4
     assert "contradicted by the exact power oracle" in capsys.readouterr().err
@@ -242,9 +244,13 @@ def test_obstruct_contradiction_prints_no_report(curve_file, capsys, monkeypatch
     # first report is complete before the contradiction ends the run.
     table = eds_range(WeierstrassCurve(0, 0, 1, -1, 0), (Fraction(0), Fraction(0)), 14)
     target = table.D(14) * table.D(9)
-    real = edskit.obstruction.is_rho_power
-    monkeypatch.setattr(edskit.obstruction, "is_rho_power",
-                        lambda x, rho: x == target or real(x, rho))
+    real = edskit.obstruction.test_relation
+
+    def claims_square(table, n, rho):
+        rel = real(table, n, rho)
+        return rel._replace(is_power=rel.is_power or rel.product == target)
+
+    monkeypatch.setattr(edskit.obstruction, "test_relation", claims_square)
     rc = main(["obstruct", "--curve", curve_file, "--rho", "2", "--format", "json",
                "--tuple", "5,3", "--tuple", "14,9", "--tuple", "7,2"])
     assert rc == 4

@@ -467,7 +467,9 @@ def test_radical_coprimality_violation_is_soundness_error(ctx37, monkeypatch):
 
 
 def test_large_prime_gap_oracle_contradiction_is_soundness_error(ctx37, monkeypatch):
-    monkeypatch.setattr(edskit.obstruction, "is_rho_power", lambda x, rho: True)
+    real = edskit.obstruction.test_relation
+    monkeypatch.setattr(edskit.obstruction, "test_relation",
+                        lambda table, n, rho: real(table, n, rho)._replace(is_power=True))
     with pytest.raises(SoundnessError):
         large_prime_gap(ctx37, 14, 9)
 

