@@ -10,6 +10,9 @@ Subcommands:
 A detecting prime at l (p outside S, rho not dividing v_p(D_l)) exists exactly
 when D_l with S divided out is not a rho-th power, so probe-detecting answers
 every l exactly; obstruct factors D_l within --effort for the primes it prints.
+obstruct assumes no detecting threshold: an exclusion is certified only where a
+detecting prime is proven at each l it uses, and the header records the
+threshold as 0.
 
 Machine output is JSON (``--format json``); all big integers are emitted
 as decimal strings.  Reports embed every threshold so each claim is
@@ -137,9 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     _curve_flags(o)
     o.add_argument("--rho", type=_prime, default=2)
     o.add_argument("--effort", default="1000000:10000000:60")
-    o.add_argument("--strict", action="store_true", help="require an explicit --L-rho")
     o.add_argument("--B", type=float, default=2.0)
-    o.add_argument("--L-rho", type=int, default=0, dest="L_rho")
     o.add_argument("--n-max", type=_positive, help="table range (default: largest tuple entry)")
     o.add_argument("--tuple", action="append", default=[], help="comma list, e.g. 5,3")
     o.add_argument("--tuple-file", help="file with one comma-separated tuple per line")
@@ -354,10 +355,6 @@ def cmd_obstruct(args) -> int:
 
     if not math.isfinite(args.B) or args.B < 2:
         raise ConfigError("--B must be a finite number of at least 2")
-    if args.L_rho < 0:
-        raise ConfigError("--L-rho must be at least 0")
-    if args.strict and args.L_rho <= 0:
-        raise ConfigError("--strict requires an explicit positive --L-rho")
     tuples = _read_tuples(args)
     largest = max(max(t) for t in tuples)
     if args.n_max is not None and args.n_max < largest:
@@ -366,9 +363,9 @@ def cmd_obstruct(args) -> int:
     effort = _parse_effort(args.effort)
     E, P, S, minim = _setup(args)
     table = eds_range(E, P, n_max)
-    ctx = ObstructionContext(table, S, args.rho, args.B, args.L_rho, effort)
+    ctx = ObstructionContext(table, S, args.rho, args.B, effort)
     doc = _header(
-        args, S, minim, B=args.B, L_rho=args.L_rho, n_max=n_max, rho=args.rho,
+        args, S, minim, B=args.B, L_rho=0, n_max=n_max, rho=args.rho,
         sieve_bound=SIEVE_BOUND, effort=args.effort,
     )
     reports = []

@@ -20,7 +20,7 @@ from math import floor, gcd, isqrt, prod, sqrt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .eds import EdsTable, _decimal
-from .errors import HypothesisViolated, SoundnessError
+from .errors import HypothesisViolated, SoundnessError, TableMiss
 from .factor import DEFAULT_EFFORT, Effort, Factorization, factorize
 from .intmath import primes_up_to, valuation
 from .relation import test_relation
@@ -76,9 +76,10 @@ def _jsonable(v):
 
 
 class ObstructionContext:
-    """One obstruction run on the table's (E, P): S, the prime rho, the smoothness
-    bound B >= 2 and the detecting threshold L_rho, with caches of work shared across
-    tuples: radical data, index factorizations and the blocks of _prime_block."""
+    """One obstruction run on the table's (E, P): S, the prime rho and the smoothness
+    bound B >= 2, with caches of work shared across tuples: radical data, index
+    factorizations and the blocks of _prime_block.  No detecting threshold is assumed:
+    every exclusion needs a detecting prime proven to exist at each l it uses."""
 
     def __init__(
         self,
@@ -86,14 +87,12 @@ class ObstructionContext:
         S: ExceptionalSet,
         rho: int,
         B=2,
-        L_rho: int = 0,
         effort: Effort = DEFAULT_EFFORT,
     ):
         self.table = table
         self.S = S
         self.rho = rho
         self.B = B
-        self.L_rho = L_rho
         self.effort = effort
         # The least integer l > (sqrt(B) + 1)^2 = B + 1 + 2 sqrt(B): it is at least
         # floor(B) + floor(2 sqrt(B)) + 2, and floor(2 sqrt(B)) = isqrt(floor(4B)).
@@ -216,8 +215,6 @@ def prime_facts(ctx: ObstructionContext, n: Sequence[int], l: int) -> PrimeFacts
     its factorization: one not factored within the budget leaves P^+(n_i) = l unverified.
     n_i / l is B-smooth exactly when P^+(n_i / l) <= B, read once l is n_i's simple top prime."""
     reasons = []
-    if l <= ctx.L_rho:
-        reasons.append(f"l={l} does not exceed the detecting threshold L_rho={ctx.L_rho}")
     if l < ctx.B_bound:
         reasons.append(f"l={l} does not exceed (sqrt(B)+1)^2 for B={ctx.B}")
     I = incidence_set(n, l)
@@ -364,8 +361,7 @@ def smooth_cofactor_balance(ctx: ObstructionContext, f: PrimeFacts) -> Obstructi
 
     Any of f.reasons means the hypotheses fail.  A fails verdict certifies the
     product is not a rho-th power, provided a detecting prime at l provably
-    exists; with only the threshold assumption the verdict degrades to
-    inconclusive.
+    exists; without one the verdict degrades to inconclusive.
     """
     if f.reasons:
         raise HypothesisViolated("; ".join(f.reasons))
@@ -434,7 +430,7 @@ def cluster_packing(
     )
     conclusions[2] = HOLDS if disjoint else FAILS
     # (3) nonzero rows linearly independent: rank equals |Lambda*|
-    rank = gf_rank([matrix[l] for l in lambda_star], rho) if lambda_star else 0
+    rank = gf_rank([matrix[l] for l in lambda_star], rho)
     conclusions[3] = HOLDS if rank == len(lambda_star) else FAILS
     # (4) packing bound
     conclusions[4] = HOLDS if len(lambda_star) <= k // rho else FAILS
@@ -467,8 +463,6 @@ def repeated_top_prime(ctx: ObstructionContext, n: Sequence[int]) -> Obstruction
         if l_i == 1:
             raise HypothesisViolated(f"n_{i}=1 has no top prime")
         reasons = []
-        if l_i <= ctx.L_rho:
-            reasons.append(f"l_{i}={l_i} below L_rho")
         if l_i < ctx.B_bound:
             reasons.append(f"l_{i}={l_i} not above (sqrt(B)+1)^2")
         if top_cof == l_i:  # l_i^2 divides n_i
@@ -514,8 +508,6 @@ def large_prime_gap(ctx: ObstructionContext, m: int, n: int) -> ObstructionVerdi
     v = valuation(m, l)
     if v != 1:
         raise HypothesisViolated(f"v_l(m)={v} != 1")
-    if l <= ctx.L_rho:
-        raise HypothesisViolated(f"l={l} does not exceed L_rho={ctx.L_rho}")
     cofactor = m // l
     detected = ctx.radical_data(l).detected(ctx.rho)
     hyp = {
@@ -547,13 +539,10 @@ def radical_lower_bound(
 
     Lambda is each l of facts that is the simple top prime of every n_i it
     divides, with rho not dividing |I_l(n)|: so I_l(n) is nonempty and l is
-    prime.  Each l in Lambda must lie above L_rho.
+    prime.
     """
     rho = ctx.rho
     chosen = [f for f in facts if f.top and len(f.I) % rho != 0]
-    for f in chosen:
-        if f.l <= ctx.L_rho:
-            raise HypothesisViolated(f"l={f.l} below L_rho")
     Lambda = [f.l for f in chosen]
     # Pairwise coprimality of the certain radical parts is unconditional.
     rads = {l: ctx.radical_data(l).power_radical(rho) for l in Lambda}
@@ -657,12 +646,16 @@ def evaluate_tuple(ctx: ObstructionContext, n: Sequence[int]) -> TupleReport:
     """Run every checker that applies to the tuple and collect verdicts.
 
     Checkers whose preconditions or hypotheses do not hold are recorded
-    as skipped, never silently dropped.
+    as skipped, never silently dropped.  An entry past the table raises
+    TableMiss before any checker runs.
     """
     n = tuple(n)
+    largest = max(n, default=0)
+    if largest > ctx.table.max_index:
+        raise TableMiss(f"index {largest} outside table range 1..{ctx.table.max_index}")
     verdicts: List[ObstructionVerdict] = []
     skipped: List[str] = []
-    candidate_primes = primes_up_to(min(max(n, default=0), ctx.table.max_index))
+    candidate_primes = primes_up_to(largest)
     squarefree = all(_verifiably_squarefree(ctx, ni) for ni in n)
 
     def attempt(label: str, checker, *args) -> None:
@@ -683,5 +676,5 @@ def evaluate_tuple(ctx: ObstructionContext, n: Sequence[int]) -> TupleReport:
         for m, other in (n, (n[1], n[0])):
             if m >= 2:
                 attempt(f"large_prime_gap(m={m})", large_prime_gap, m, other)
-    attempt("radical_lower_bound", radical_lower_bound, n, facts)
+    verdicts.append(radical_lower_bound(ctx, n, facts))
     return TupleReport(n=n, rho=ctx.rho, verdicts=verdicts, cluster=cluster, skipped=skipped)

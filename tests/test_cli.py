@@ -285,14 +285,6 @@ def test_obstruct_invalid_rho(curve_file, capsys):
     assert main(["obstruct", "--curve", curve_file, "--rho", "4", "--tuple", "5,3"]) == 2
 
 
-def test_obstruct_strict_needs_threshold(curve_file, capsys):
-    rc = main(["obstruct", "--curve", curve_file, "--strict", "--tuple", "5,3"])
-    assert rc == 2
-    rc = main(["obstruct", "--curve", curve_file, "--strict", "--L-rho", "3",
-               "--tuple", "5,3"])
-    assert rc == 0
-
-
 def test_obstruct_malformed_tuple_file(tmp_path, curve_file, capsys):
     bad = tmp_path / "tuples.txt"
     bad.write_text("5,x\n")
@@ -322,26 +314,27 @@ def test_obstruct_builds_its_context_from_rho_B_and_L_rho(curve_file, capsys):
     from edskit.obstruction import ObstructionContext, evaluate_tuple
     from edskit.valuation import build_exceptional_set
 
-    # l = 5 <= L_rho at (5, 3); at (143, 2), 143 = 13 * 11 has a cofactor above B.  The
-    # rho-iteration budget, not the clock, ends each factorization of D_l up to l = 139.
+    # l = 5 <= (sqrt(7)+1)^2 at (5, 3); at (143, 2), 143 = 13 * 11 has a cofactor above B.
+    # The rho-iteration budget, not the clock, ends each factorization of D_l up to l = 139.
+    # The header records the detecting threshold as 0: no option sets it.
     pairs = [(5, 3), (143, 2), (17, 19)]
-    argv = ["obstruct", "--curve", curve_file, "--rho", "3", "--B", "7", "--L-rho", "7",
+    argv = ["obstruct", "--curve", curve_file, "--rho", "3", "--B", "7",
             "--effort", "1000:1000:600", "--format", "json"]
     assert main(argv + [arg for n in pairs for arg in ("--tuple", f"{n[0]},{n[1]}")]) == 0
     doc = json.loads(capsys.readouterr().out)
     th = doc["thresholds"]
-    assert (th["rho"], th["B"], th["L_rho"]) == (3, 7.0, 7)
+    assert (th["rho"], th["B"], th["L_rho"]) == (3, 7.0, 0)
     E, P = cli.load_curve_file(curve_file)
     S = build_exceptional_set(E, P)
     table = eds_range(E, P, th["n_max"])
-    ctx = ObstructionContext(table, S, 3, 7.0, 7, cli._parse_effort(th["effort"]))
+    ctx = ObstructionContext(table, S, 3, 7.0, cli._parse_effort(th["effort"]))
     reports = doc["tuples"]
     assert [r["n"] for r in reports] == [list(n) for n in pairs]
     for n, report in zip(pairs, reports):
         report.pop("oracle")
         assert report == json.loads(json.dumps(evaluate_tuple(ctx, n).to_json())), n
     text = json.dumps(reports)
-    assert "below L_rho" in text and "is not B-smooth" in text and "B=7.0" in text
+    assert "is not B-smooth" in text and "B=7.0" in text
 
 
 def test_probe_detecting(curve_file, capsys):
@@ -443,9 +436,8 @@ def test_obstruct_json_under_the_smallest_int_digit_limit(curve_file):
     ["obstruct", "--B", "nan", "--tuple", "5,3"],
     ["obstruct", "--B", "inf", "--tuple", "5,3"],
     ["obstruct", "--B", "1.5", "--tuple", "5,3"],
-    ["obstruct", "--L-rho", "-4", "--tuple", "2,2"],
     ["obstruct", "--n-max", "10", "--tuple", "14,9"],
-], ids=["B-nan", "B-inf", "B-below-2", "L-rho-negative", "obstruct-n-max-below-tuple"])
+], ids=["B-nan", "B-inf", "B-below-2", "obstruct-n-max-below-tuple"])
 def test_bad_size_or_bound_exits_2_before_any_work(argv, curve_file, capsys, monkeypatch):
     def setup(args):
         raise AssertionError("work started before the configuration was checked")
@@ -511,7 +503,7 @@ OPTIONS = {
     "gen": ["--curve", "--format", "--extra-s", "--n-max", "--out", "--max-digits"],
     "verify-law": ["--curve", "--format", "--extra-s", "--p-max", "--n-max"],
     "obstruct": ["--curve", "--format", "--extra-s", "--rho", "--effort",
-                 "--strict", "--B", "--L-rho", "--n-max", "--tuple", "--tuple-file"],
+                 "--B", "--n-max", "--tuple", "--tuple-file"],
     "probe-detecting": ["--curve", "--format", "--extra-s", "--rho", "--l-max", "--l-min"],
 }
 
@@ -529,7 +521,7 @@ def _subcommand_options(command):
 
 def test_each_subcommand_declares_its_pinned_options():
     assert {c: list(_subcommand_options(c)) for c in OPTIONS} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 28
+    assert sum(map(len, OPTIONS.values())) == 26
 
 
 @pytest.mark.parametrize("argv", [
@@ -576,6 +568,9 @@ def test_every_option_is_read(argv, tmp_path, curve_file, capsys, monkeypatch):
     for command in ("gen", "verify-law")
     for flag, value in (("--effort", ["1:1:1"]), ("--sieve-bound", ["10"]), ("--strict", []))
 ] + [["probe-detecting", "--strict"], ["probe-detecting", "--effort", "1:1:1"]] + [
+    # No detecting threshold is assumed, so no option sets or demands one.
+    ["obstruct", "--strict"], ["obstruct", "--L-rho", "7"],
+] + [
     # The D_l trial-division floor is the constant valuation.SIEVE_BOUND, no flag.
     [command, "--sieve-bound", "10"] for command in ("obstruct", "probe-detecting")
 ] + [

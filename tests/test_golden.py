@@ -15,9 +15,9 @@ the same digests can be recomputed in a fresh interpreter, including one
 running under python -O, where every assert statement is stripped.
 
 A third sweep, golden/threshold_reports.json, varies what the first two
-hold fixed: one digest per (curve, effort, B, L_rho, rho) over a thinned
-pair sweep, so the B-smoothness, L_rho and partial-factorization
-wordings are pinned too.
+hold fixed: one digest per (curve, effort, B, rho) over a thinned pair
+sweep, so the B-smoothness and partial-factorization wordings are pinned
+too.  Its keys still read L_rho=0, the threshold every report records.
 
 The benchmark's three references in bench/reference are reproduced here
 too, in process: the obstruct-batch reports, the law-sweep reports and the
@@ -49,11 +49,11 @@ THRESHOLD_GOLDEN = Path(__file__).parent / "golden" / "threshold_reports.json"
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _context(coeffs, N, rho, B=2, L_rho=0, effort=Effort()):
+def _context(coeffs, N, rho, B=2, effort=Effort()):
     curve = WeierstrassCurve(*coeffs)
     point = (Fraction(0), Fraction(0))
     S = build_exceptional_set(curve, point)
-    return ObstructionContext(eds_range(curve, point, N), S, rho, B, L_rho, effort)
+    return ObstructionContext(eds_range(curve, point, N), S, rho, B, effort)
 
 
 def report_digest(ctx, n):
@@ -83,15 +83,15 @@ def golden_digests():
 
 # Every twelfth pair from {1..60}: 153 tuples per configuration.
 THRESHOLD_PAIRS = list(combinations_with_replacement(range(1, 61), 2))[::12]
-# Wordings the threshold sweep must reach: a cofactor above B, an l at or
-# below L_rho, and an index that the zero effort leaves partly factored.
+# Wordings the threshold sweep must reach: a cofactor above B and an index
+# that the zero effort leaves partly factored.
 # large_prime_gap reads no B: l > (sqrt(B)+1)^2 gives (sqrt(l)-1)^2 > B, so a
 # B-smooth cofactor already meets its gap condition.
-THRESHOLD_WORDINGS = ("is not B-smooth", "below L_rho", "partial factorization")
+THRESHOLD_WORDINGS = ("is not B-smooth", "partial factorization")
 
 
 def threshold_sweep():
-    """({"<curve>/<effort>/B=<B>/L_rho=<L_rho>/rho=<rho>": digest}, wordings seen).
+    """({"<curve>/<effort>/B=<B>/L_rho=0/rho=<rho>": digest}, wordings seen).
 
     Each digest is the sha256 of the configuration's reports, one compact
     sorted-key JSON line per tuple, from one context per configuration.
@@ -100,24 +100,23 @@ def threshold_sweep():
     for name, coeffs in (("37", (0, 0, 1, -1, 0)), ("43", (0, 1, 1, 0, 0))):
         for label, effort in (("default", Effort()), ("zero", Effort(0, 0, 0))):
             for B in (2, 7, 30.5):
-                for L_rho in (0, 7):
-                    for rho in (2, 3):
-                        ctx = _context(coeffs, 60, rho, B, L_rho, effort)
-                        h = hashlib.sha256()
-                        for n in THRESHOLD_PAIRS:
-                            doc = json.dumps(
-                                evaluate_tuple(ctx, n).to_json(),
-                                sort_keys=True, separators=(",", ":"),
-                            )
-                            seen.update(w for w in THRESHOLD_WORDINGS if w in doc)
-                            h.update(doc.encode() + b"\n")
-                        out[f"{name}/{label}/B={B}/L_rho={L_rho}/rho={rho}"] = h.hexdigest()[:16]
+                for rho in (2, 3):
+                    ctx = _context(coeffs, 60, rho, B, effort)
+                    h = hashlib.sha256()
+                    for n in THRESHOLD_PAIRS:
+                        doc = json.dumps(
+                            evaluate_tuple(ctx, n).to_json(),
+                            sort_keys=True, separators=(",", ":"),
+                        )
+                        seen.update(w for w in THRESHOLD_WORDINGS if w in doc)
+                        h.update(doc.encode() + b"\n")
+                    out[f"{name}/{label}/B={B}/L_rho=0/rho={rho}"] = h.hexdigest()[:16]
     return out, seen
 
 
 def test_threshold_reports_match_golden_digests():
     expected = json.loads(THRESHOLD_GOLDEN.read_text())
-    assert len(expected) == 2 * 2 * 3 * 2 * 2
+    assert len(expected) == 2 * 2 * 3 * 2
     got, seen = threshold_sweep()
     assert got.keys() == expected.keys()
     changed = [key for key in expected if got[key] != expected[key]]
@@ -170,9 +169,8 @@ def test_obstruct_batch_reference_digests():
         assert S.to_json() == header["exceptional_set"]
         table = eds_range(curve, point, th["n_max"])
         assert th["sieve_bound"] == SIEVE_BOUND
-        ctx = ObstructionContext(
-            table, S, th["rho"], th["B"], th["L_rho"], _parse_effort(th["effort"])
-        )
+        assert th["L_rho"] == 0
+        ctx = ObstructionContext(table, S, th["rho"], th["B"], _parse_effort(th["effort"]))
         assert len(run["reports"]) == 980
         changed = []
         for key, digest in run["reports"].items():

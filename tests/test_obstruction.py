@@ -16,7 +16,8 @@ from math import gcd
 import pytest
 
 import edskit.obstruction
-from edskit.errors import HypothesisViolated, SoundnessError
+from edskit.eds import eds_range
+from edskit.errors import HypothesisViolated, SoundnessError, TableMiss
 from edskit.factor import Effort
 from edskit.intmath import is_rho_power, primes_up_to
 from edskit.obstruction import (
@@ -78,9 +79,9 @@ def test_rank_equals_row_count_for_disjoint_supports():
             assert gf_rank(rows, rho) == len(rows)
 
 
-def configured(ctx, B=2, L_rho=0):
-    """A context like ctx, on its table, S and rho, with another B and L_rho."""
-    return ObstructionContext(ctx.table, ctx.S, ctx.rho, B, L_rho, ctx.effort)
+def configured(ctx, B=2):
+    """A context like ctx, on its table, S and rho, with another B."""
+    return ObstructionContext(ctx.table, ctx.S, ctx.rho, B, ctx.effort)
 
 
 def hypotheses(ctx, n, Lambda):
@@ -409,8 +410,6 @@ def test_large_prime_gap_hypotheses(ctx37):
         large_prime_gap(ctx37, 49, 10)  # v_7(49) = 2
     with pytest.raises(HypothesisViolated):
         large_prime_gap(ctx37, 14, 21)  # not coprime
-    with pytest.raises(HypothesisViolated):
-        large_prime_gap(configured(ctx37, L_rho=11), 14, 9)  # l = 7 below threshold
 
 
 def test_radical_lower_bound(ctx37):
@@ -483,25 +482,16 @@ def test_radical_lower_bound_hypotheses(ctx37):
     assert every.witnesses["bound"] == "5.366750"
 
 
-@pytest.mark.parametrize("n, Lambda, L_rho, message", [
-    ((10, 10), [5], 0, None),  # rho divides |I_5|
-    ((22,), [4], 0, None),  # 4 divides no entry
-    ((10, 3), [5], 5, "l=5 below L_rho"),
-    ((35, 3), [5], 0, None),  # P+(35) = 7
-    ((25, 3), [5], 0, None),  # v_5(25) = 2
-    ((10, 3), [5, 3], 3, "l=3 below L_rho"),
+@pytest.mark.parametrize("n, Lambda", [
+    ((10, 10), [5]),  # rho divides |I_5|
+    ((22,), [4]),  # 4 divides no entry
+    ((35, 3), [5]),  # P+(35) = 7
+    ((25, 3), [5]),  # v_5(25) = 2
 ])
-def test_radical_lower_bound_hypothesis_messages(ctx37, n, Lambda, L_rho, message):
-    # An l failing the top-prime hypotheses is left out of Lambda; one below L_rho raises.
-    ctx = configured(ctx37, L_rho=L_rho)
-    facts = hypotheses(ctx, n, Lambda)
-    if message is None:
-        v = radical_lower_bound(ctx, n, facts)
-        assert v.verdict == HOLDS and v.witnesses["bound"] == "1.000000"  # Lambda is empty
-        return
-    with pytest.raises(HypothesisViolated) as info:
-        radical_lower_bound(ctx, n, facts)
-    assert str(info.value) == message
+def test_radical_lower_bound_leaves_out_failing_primes(ctx37, n, Lambda):
+    # An l failing the top-prime hypotheses is left out of Lambda.
+    v = radical_lower_bound(ctx37, n, hypotheses(ctx37, n, Lambda))
+    assert v.verdict == HOLDS and v.witnesses["bound"] == "1.000000"  # Lambda is empty
 
 
 def test_largest_prime_factor_examples(ctx37):
@@ -533,6 +523,15 @@ def test_evaluate_tuple_reports_skips(ctx37):
     assert any("repeated_top_prime" in s for s in rep.skipped)
 
 
+@pytest.mark.parametrize("n", [(13, 2), (22,), (16, 2)])
+def test_evaluate_tuple_entry_past_the_table_is_table_miss(curve37, point37, s37, n):
+    # On a 10-term table each raises for its largest entry, before any checker runs:
+    # (16, 2) would otherwise be reported without ever looking at l = 11 or 13.
+    ctx = ObstructionContext(eds_range(curve37, point37, 10), s37, rho=2)
+    with pytest.raises(TableMiss, match=rf"^index {max(n)} outside table range 1\.\.10$"):
+        evaluate_tuple(ctx, n)
+
+
 PER_L_STATEMENTS = {
     "absorption_congruence", "incidence_pairing", "multiplicity_obstruction",
     "squarefree_incidence", "prime_support_check", "smooth_cofactor_balance",
@@ -553,8 +552,8 @@ def test_idle_prime_blocks_do_not_leak_between_tuples(fixture, request):
         (11, 3), (11, 9), (5, 3), (4, 3), (13, 3), (7, 7, 2), (1,), (10, 6, 15), (23, 29),
         (3, 11), (11, 6),
     ]
-    settings = [(2, 2, 0), (3, 2, 0), (2, 7, 0), (2, 2, 5)]  # (rho, B, L_rho)
-    runs = [(n, rho, B, L_rho) for n in tuples for rho, B, L_rho in settings]
+    settings = [(2, 2), (3, 2), (2, 7)]  # (rho, B)
+    runs = [(n, rho, B) for n in tuples for rho, B in settings]
 
     def sweep(order):
         ctxs = {s: ObstructionContext(table, S, *s) for s in settings}
@@ -571,7 +570,7 @@ def test_idle_prime_blocks_do_not_leak_between_tuples(fixture, request):
     # share theirs at the idle l = 2, 5, 7 and at l = 3, where both read n_2 = 3.
     def shared(a, b, l):
         """For each per-l verdict of a (rho 2, B 2), whether b holds the same object."""
-        va, vb = at_l(forward[(a, 2, 2, 0)], l), at_l(forward[(b, 2, 2, 0)], l)
+        va, vb = at_l(forward[(a, 2, 2)], l), at_l(forward[(b, 2, 2)], l)
         assert va and len(va) == len(vb)
         return [x is y for x, y in zip(va, vb)]
 
@@ -582,7 +581,7 @@ def test_idle_prime_blocks_do_not_leak_between_tuples(fixture, request):
     assert not any(shared((11, 3), (11, 6), 3))
     if fixture == "37":  # the squarefree view at the idle l = 7 (D_7 = 3)
         squarefree_at_7 = {
-            n: [v for v in at_l(forward[(n, 2, 2, 0)], 7) if v.statement == "squarefree_incidence"]
+            n: [v for v in at_l(forward[(n, 2, 2)], 7) if v.statement == "squarefree_incidence"]
             for n in ((11, 3), (11, 9))
         }
         assert len(squarefree_at_7[(11, 3)]) == 1 and squarefree_at_7[(11, 9)] == []

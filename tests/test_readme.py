@@ -1,11 +1,14 @@
-"""Claims of README.md: the library example prints what its comments say, and the package
-holds no assert."""
+"""Claims of README.md: the library example prints what its comments say, the Command line
+section names exactly the parser's options, and the package holds no assert."""
 
+import argparse
 import ast
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from edskit.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -33,3 +36,32 @@ def test_package_holds_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _parser_options():
+    """Every option string of the parser and of each subcommand, --help left out."""
+    top = build_parser()
+    parsers = [top] + [
+        sub
+        for action in top._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for sub in action.choices.values()
+    ]
+    return {
+        option
+        for parser in parsers
+        for action in parser._actions
+        if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+        for option in action.option_strings
+    }
+
+
+def test_readme_command_line_names_exactly_the_parser_options():
+    # Case-sensitive, so a removed --L-rho or a misspelt --b cannot stay in the docs.
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## Command line\n(.*?)^## ", text, re.S | re.M).group(1)
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+    options = _parser_options()
+    assert "--B" in options and "--tuple-file" in options
+    assert named - options == set(), "flags the parser does not take"
+    assert options - named == set(), "options the section does not name"
