@@ -40,7 +40,8 @@ from edskit.cli import _parse_effort, load_curve_file, main
 from edskit.curve import WeierstrassCurve
 from edskit.eds import eds_range
 from edskit.factor import Effort
-from edskit.obstruction import ObstructionContext, evaluate_tuple
+from edskit.intmath import primes_up_to
+from edskit.obstruction import ObstructionContext, evaluate_tuple, prime_facts
 from edskit.relation import test_relation as product_relation
 from edskit.valuation import SIEVE_BOUND, build_exceptional_set
 
@@ -88,6 +89,9 @@ THRESHOLD_PAIRS = list(combinations_with_replacement(range(1, 61), 2))[::12]
 # large_prime_gap reads no B: l > (sqrt(B)+1)^2 gives (sqrt(l)-1)^2 > B, so a
 # B-smooth cofactor already meets its gap condition.
 THRESHOLD_WORDINGS = ("is not B-smooth", "partial factorization")
+THRESHOLD_CURVES = (("37", (0, 0, 1, -1, 0)), ("43", (0, 1, 1, 0, 0)))
+THRESHOLD_EFFORTS = (("default", Effort()), ("zero", Effort(0, 0, 0)))
+THRESHOLD_BOUNDS = (2, 7, 30.5)
 
 
 def threshold_sweep():
@@ -97,9 +101,9 @@ def threshold_sweep():
     sorted-key JSON line per tuple, from one context per configuration.
     """
     out, seen = {}, set()
-    for name, coeffs in (("37", (0, 0, 1, -1, 0)), ("43", (0, 1, 1, 0, 0))):
-        for label, effort in (("default", Effort()), ("zero", Effort(0, 0, 0))):
-            for B in (2, 7, 30.5):
+    for name, coeffs in THRESHOLD_CURVES:
+        for label, effort in THRESHOLD_EFFORTS:
+            for B in THRESHOLD_BOUNDS:
                 for rho in (2, 3):
                     ctx = _context(coeffs, 60, rho, B, effort)
                     h = hashlib.sha256()
@@ -122,6 +126,27 @@ def test_threshold_reports_match_golden_digests():
     changed = [key for key in expected if got[key] != expected[key]]
     assert not changed, f"{len(changed)} configurations changed, first: {changed[:5]}"
     assert seen == set(THRESHOLD_WORDINGS)
+
+
+def test_index_facts_and_exclusions_do_not_depend_on_the_effort():
+    """On every configuration and pair of the threshold sweep, the PrimeFacts record at each
+    prime l <= max(n) is the same at zero and at the default effort, and no certified
+    exclusion at either effort is of a product that the exact oracle finds a rho-th power.
+
+    Every prime of an index n_i, and of a quotient n_i / l, is at most max(n), so
+    deciding the index facts needs no factoring budget.
+    """
+    for name, coeffs in THRESHOLD_CURVES:
+        for B in THRESHOLD_BOUNDS:
+            for rho in (2, 3):
+                ctxs = [_context(coeffs, 60, rho, B, effort) for _, effort in THRESHOLD_EFFORTS]
+                for n in THRESHOLD_PAIRS:
+                    where = (name, B, rho, n)
+                    default, zero = ([prime_facts(c, n, l) for l in primes_up_to(max(n))]
+                                     for c in ctxs)
+                    assert zero == default, where
+                    if any(evaluate_tuple(c, n).certified_exclusions for c in ctxs):
+                        assert not product_relation(ctxs[0].table, n, rho).is_power, where
 
 
 def test_obstruct_reports_match_golden_digests():
