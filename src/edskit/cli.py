@@ -9,7 +9,8 @@ Subcommands:
 
 A detecting prime at l (p outside S, rho not dividing v_p(D_l)) exists exactly
 when D_l with S divided out is not a rho-th power, so probe-detecting answers
-every l exactly; obstruct factors D_l within --effort for the primes it prints.
+every l exactly.  obstruct factors each D_l within --effort for the primes it
+prints; it factors indices and quotients completely, whatever the effort.
 obstruct assumes no detecting threshold: an exclusion is certified only where a
 detecting prime is proven at each l it uses, and the header records the
 threshold as 0.
@@ -396,27 +397,30 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_probe_detecting(args) -> int:
-    E, P, S, minim = _setup(args)
     ls = [l for l in primes_up_to(args.l_max) if l >= args.l_min]
+    if not ls:
+        raise ConfigError(
+            f"--l-min {args.l_min} and --l-max {args.l_max} leave no prime to probe"
+        )
+    E, P, S, minim = _setup(args)
     doc = _header(args, S, minim, rho=args.rho, l_max=args.l_max, l_min=args.l_min)
+    table = eds_range(E, P, ls[-1])
     lines = []
     results = []
-    if ls:
-        table = eds_range(E, P, max(ls))
-        largest_without = None
-        for l in ls:
-            exists = detecting_prime_exists(s_free_part(table.D(l), S), args.rho)
-            if not exists:
-                largest_without = l
-            results.append({"l": str(l), "detecting_prime_exists": exists})
-            lines.append(f"l={l}: {'a detecting prime exists' if exists else 'none'}")
-        doc["largest_prime_index_without_detecting_prime"] = (
-            str(largest_without) if largest_without else None
-        )
-        lines.append(
-            "largest prime index with no detecting prime: "
-            f"{largest_without} (empirical observation only, not a bound)"
-        )
+    largest_without = None
+    for l in ls:
+        exists = detecting_prime_exists(s_free_part(table.D(l), S), args.rho)
+        if not exists:
+            largest_without = l
+        results.append({"l": str(l), "detecting_prime_exists": exists})
+        lines.append(f"l={l}: {'a detecting prime exists' if exists else 'none'}")
+    doc["largest_prime_index_without_detecting_prime"] = (
+        str(largest_without) if largest_without else None
+    )
+    lines.append(
+        "largest prime index with no detecting prime: "
+        f"{largest_without} (empirical observation only, not a bound)"
+    )
     doc["results"] = results
     _emit(doc, args.format, lines)
     return EXIT_OK

@@ -6,8 +6,8 @@ terms to be a rho-th power.  Verdicts are three-valued:
   holds        - the necessary condition is satisfied (no obstruction),
   fails        - the condition is violated; under verified hypotheses this
                  certifies the product is not a rho-th power,
-  inconclusive - hypotheses could not be verified (partial factorization,
-                 no detecting prime, vacuous case).
+  inconclusive - hypotheses could not be verified (a D_l factored only in
+                 part, no detecting prime, vacuous case).
 
 No checker ever claims a product IS a rho-th power; positive confirmation
 always routes through the exact integer root test.
@@ -95,8 +95,9 @@ class ObstructionContext:
         self.B = B
         self.effort = effort
         # The least integer l > (sqrt(B) + 1)^2 = B + 1 + 2 sqrt(B): it is at least
-        # floor(B) + floor(2 sqrt(B)) + 2, and floor(2 sqrt(B)) = isqrt(floor(4B)).
-        l = floor(B) + isqrt(floor(4 * B)) + 2
+        # floor(B) + floor(2 sqrt(B)) + 2, and floor(2 sqrt(B)) = isqrt(floor(4B)),
+        # with 4B exact: a finite float B can have 4B past the float range.
+        l = floor(B) + isqrt(floor(4 * Fraction(B))) + 2
         while not _exceeds_sqrtB_plus_1_sq(l, B):
             l += 1
         self.B_bound = l
@@ -110,9 +111,16 @@ class ObstructionContext:
         return self._radical_cache[l]
 
     def factorization(self, x: int) -> Factorization:
-        """factorize(x) within this context's effort, computed once per x."""
+        """The complete factorization of an index or a product of quotients n_i / l, once per x.
+
+        Every prime of such an x is at most the table's largest index, so trial division
+        to it completes the factorization: the effort budgets only the D_l.
+        """
         if x not in self._factor_cache:
-            self._factor_cache[x] = factorize(x, self.effort)
+            fac = factorize(x, Effort(self.table.max_index, 0, 0))
+            if not fac.complete:
+                raise TableMiss(f"{x} has primes past the table range 1..{self.table.max_index}")
+            self._factor_cache[x] = fac
         return self._factor_cache[x]
 
 
@@ -184,15 +192,11 @@ def _radical_meets_bound(rad: int, ells: Sequence[int]) -> Optional[bool]:
     return False if scaled < lo else None
 
 
-def _top_primes(ctx: ObstructionContext, x: int) -> Tuple[int, int]:
-    """(P^+(x), P^+(x / P^+(x))) from x's memoized factorization, with P^+(1) = 1.
+def _top_primes(fac: Factorization) -> Tuple[int, int]:
+    """(P^+(x), P^+(x / P^+(x))) from x's complete factorization, with P^+(1) = 1.
 
-    The second is P^+(x) again when P^+(x)^2 | x.  Refuses a partial
-    factorization rather than guesses.
+    The second is P^+(x) again when P^+(x)^2 | x.
     """
-    fac = ctx.factorization(x)
-    if not fac.complete:
-        raise HypothesisViolated(f"largest prime divisor of {x} unknown (partial factorization)")
     if not fac.factors:
         return 1, 1
     p, e = fac.factors[-1]  # factors are sorted
@@ -212,8 +216,8 @@ class PrimeFacts(NamedTuple):
 
 def prime_facts(ctx: ObstructionContext, n: Sequence[int], l: int) -> PrimeFacts:
     """The facts of n at l.  n_i is checked for v_l(n_i) = 1 first, then for P^+(n_i) = l from
-    its factorization: one not factored within the budget leaves P^+(n_i) = l unverified.
-    n_i / l is B-smooth exactly when P^+(n_i / l) <= B, read once l is n_i's simple top prime."""
+    its factorization.  n_i / l is B-smooth exactly when P^+(n_i / l) <= B, read once l is
+    n_i's simple top prime."""
     reasons = []
     if l < ctx.B_bound:
         reasons.append(f"l={l} does not exceed (sqrt(B)+1)^2 for B={ctx.B}")
@@ -221,24 +225,16 @@ def prime_facts(ctx: ObstructionContext, n: Sequence[int], l: int) -> PrimeFacts
     top = True
     for i in I:
         ni, v = n[i - 1], valuation(n[i - 1], l)
-        try:
-            if v != 1:
-                raise HypothesisViolated(f"v_l(n_{i})={v} != 1")
-            p, cofactor_top = _top_primes(ctx, ni)
-            if p != l:
-                raise HypothesisViolated(f"l is not the largest prime divisor of n_{i}={ni}")
-        except HypothesisViolated as exc:
+        p, cofactor_top = _top_primes(ctx.factorization(ni))
+        if v != 1 or p != l:
             top = False
-            reasons.append(str(exc))
-            continue
-        if cofactor_top > ctx.B:
+            reasons.append(
+                f"v_l(n_{i})={v} != 1" if v != 1
+                else f"l is not the largest prime divisor of n_{i}={ni}"
+            )
+        elif cofactor_top > ctx.B:
             reasons.append(f"cofactor n_{i}/l={ni // l} is not B-smooth")
     return PrimeFacts(l, I, top, reasons)
-
-
-def _verifiably_squarefree(ctx: ObstructionContext, x: int) -> bool:
-    fac = ctx.factorization(x)
-    return fac.complete and all(e == 1 for _, e in fac.factors)
 
 
 def _exclusion(
@@ -459,7 +455,7 @@ def repeated_top_prime(ctx: ObstructionContext, n: Sequence[int]) -> Obstruction
     rho = ctx.rho
     tops: List[int] = []
     for i, ni in enumerate(n, start=1):
-        l_i, top_cof = _top_primes(ctx, ni)
+        l_i, top_cof = _top_primes(ctx.factorization(ni))
         if l_i == 1:
             raise HypothesisViolated(f"n_{i}=1 has no top prime")
         reasons = []
@@ -504,7 +500,7 @@ def large_prime_gap(ctx: ObstructionContext, m: int, n: int) -> ObstructionVerdi
         raise HypothesisViolated("m must be at least 2")
     if gcd(m, n) != 1:
         raise HypothesisViolated(f"gcd({m},{n}) != 1")
-    l, top_cof = _top_primes(ctx, m)
+    l, top_cof = _top_primes(ctx.factorization(m))
     v = valuation(m, l)
     if v != 1:
         raise HypothesisViolated(f"v_l(m)={v} != 1")
@@ -544,22 +540,18 @@ def radical_lower_bound(
     rho = ctx.rho
     chosen = [f for f in facts if f.top and len(f.I) % rho != 0]
     Lambda = [f.l for f in chosen]
-    # Pairwise coprimality of the certain radical parts is unconditional.
-    rads = {l: ctx.radical_data(l).power_radical(rho) for l in Lambda}
+    # For distinct primes a and b, strong divisibility gives gcd(D_a, D_b) = D_1, whose
+    # primes all lie in S: the S-free parts of D_a and D_b are coprime, whatever the budget.
+    s_free = {l: ctx.radical_data(l).s_free for l in Lambda}
     for ix, a in enumerate(Lambda):
         for b in Lambda[ix + 1 :]:
-            if gcd(rads[a], rads[b]) != 1:
+            if gcd(s_free[a], s_free[b]) != 1:
                 raise SoundnessError(f"radical coprimality violated at ({a},{b})")
     quotient = prod(n[i - 1] // f.l for f in chosen for i in f.I)
     hyp = {"top_prime_hypotheses": True}
-    fac = ctx.factorization(quotient)
-    rad_q = prod(p for p, _ in fac.factors)  # a lower bound when fac is partial
+    rad_q = prod(p for p, _ in ctx.factorization(quotient).factors)
     bound = prod((sqrt(l) - 1) ** 2 for l in Lambda)  # shown only; decided exactly below
     wit = {"quotient": quotient, "radical": rad_q, "bound": f"{bound:.6f}"}
-    if not fac.complete:
-        return ObstructionVerdict(
-            "radical_lower_bound", INCONCLUSIVE, hyp, wit, ["quotient only partially factored"]
-        )
     meets = _radical_meets_bound(rad_q, Lambda)
     if meets:
         return ObstructionVerdict("radical_lower_bound", HOLDS, hyp, wit)
@@ -656,7 +648,7 @@ def evaluate_tuple(ctx: ObstructionContext, n: Sequence[int]) -> TupleReport:
     verdicts: List[ObstructionVerdict] = []
     skipped: List[str] = []
     candidate_primes = primes_up_to(largest)
-    squarefree = all(_verifiably_squarefree(ctx, ni) for ni in n)
+    squarefree = all(e == 1 for ni in n for _, e in ctx.factorization(ni).factors)
 
     def attempt(label: str, checker, *args) -> None:
         try:

@@ -44,7 +44,7 @@ def test_gen_writes_table(tmp_path, curve_file, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "1, 1, 1, 1, 2, 1, 3, 5" in text
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert json.loads(lines[0])["n_max"] == 8
     assert json.loads(lines[-1])["D"] == "5"
 
@@ -52,7 +52,7 @@ def test_gen_writes_table(tmp_path, curve_file, capsys):
 def test_gen_single_term(tmp_path, curve_file, capsys):
     out = str(tmp_path / "t.jsonl")
     assert main(["gen", "--curve", curve_file, "--n-max", "1", "--out", out]) == 0
-    assert len(open(out).read().splitlines()) == 2  # header + one term
+    assert len(Path(out).read_text().splitlines()) == 2  # header + one term
 
 
 def test_gen_to_unwritable_path_exits_2(tmp_path, curve_file):
@@ -259,18 +259,27 @@ def test_obstruct_contradiction_prints_no_report(curve_file, capsys, monkeypatch
     assert captured.out == ""
 
 
-def test_obstruct_partly_factored_index(curve_file, capsys):
-    # With one trial prime and no rho step, 15 stays unfactored: l = 3 and l = 5
-    # are then not verified simple top primes of 15, which skips checkers, not the run.
-    rc = main(["obstruct", "--curve", curve_file, "--rho", "2", "--effort", "1:1:1",
-               "--tuple", "15,3", "--tuple", "5,3", "--format", "json"])
+def test_obstruct_effort_budgets_only_the_D_l(curve_file, capsys):
+    # With one trial prime and no rho step 15 is still factored, since every prime of an
+    # index is at most the largest entry; D_2..D_5 fall to the sieve: the reports agree.
+    tuples = []
+    for effort in (["--effort", "1:1:1"], []):
+        rc = main(["obstruct", "--curve", curve_file, "--rho", "2", "--tuple", "15,3",
+                   "--tuple", "5,3", "--format", "json"] + effort)
+        assert rc == 0
+        tuples.append(json.loads(capsys.readouterr().out)["tuples"])
+    assert [r["n"] for r in tuples[0]] == [[15, 3], [5, 3]]
+    assert tuples[0] == tuples[1]
+    dropped = tuples[0][0]["cluster_packing"]["dropped"]
+    assert "l is not the largest prime divisor of n_1=15" in dropped["3"]
+
+
+def test_obstruct_B_with_4B_past_the_float_range(curve_file, capsys):
+    # 4 * 5e307 overflows a float, but the bound on l is computed exactly.
+    rc = main(["obstruct", "--curve", curve_file, "--rho", "2", "--B", "5e307",
+               "--tuple", "5,3"])
     assert rc == 0
-    reports = json.loads(capsys.readouterr().out)["tuples"]
-    assert [r["n"] for r in reports] == [[15, 3], [5, 3]]
-    unknown = "largest prime divisor of 15 unknown (partial factorization)"
-    assert unknown in reports[0]["cluster_packing"]["dropped"]["5"]
-    assert any(s.startswith("smooth_cofactor_balance(l=5)") and unknown in s
-               for s in reports[0]["skipped"])
+    assert "oracle is_power=False" in capsys.readouterr().out
 
 
 def test_obstruct_square(curve_file, capsys):
@@ -397,13 +406,6 @@ def test_probe_detecting_decides_every_index_to_200_without_factoring(
     assert doc["largest_prime_index_without_detecting_prime"] == largest
 
 
-def test_probe_detecting_empty_range(curve_file, capsys):
-    rc = main(["probe-detecting", "--curve", curve_file, "--l-max", "13", "--l-min", "14"])
-    assert rc == 0
-    doc = capsys.readouterr().out
-    assert "largest" not in doc
-
-
 def test_probe_detecting_header_names_every_threshold(curve_file, capsys):
     # No factoring budget bounds the answer, so the header names none.
     rc = main(["probe-detecting", "--curve", curve_file, "--l-max", "13", "--l-min", "5",
@@ -437,7 +439,12 @@ def test_obstruct_json_under_the_smallest_int_digit_limit(curve_file):
     ["obstruct", "--B", "inf", "--tuple", "5,3"],
     ["obstruct", "--B", "1.5", "--tuple", "5,3"],
     ["obstruct", "--n-max", "10", "--tuple", "14,9"],
-], ids=["B-nan", "B-inf", "B-below-2", "obstruct-n-max-below-tuple"])
+    # A range with no prime would check nothing.
+    ["probe-detecting", "--l-min", "5", "--l-max", "3"],
+    ["probe-detecting", "--l-min", "14", "--l-max", "13"],
+    ["probe-detecting", "--l-min", "24", "--l-max", "28"],
+], ids=["B-nan", "B-inf", "B-below-2", "obstruct-n-max-below-tuple", "probe-l-min-above-l-max",
+        "probe-empty-range", "probe-no-prime-in-range"])
 def test_bad_size_or_bound_exits_2_before_any_work(argv, curve_file, capsys, monkeypatch):
     def setup(args):
         raise AssertionError("work started before the configuration was checked")

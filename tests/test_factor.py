@@ -239,7 +239,7 @@ def test_sqf_trivial_iff_square_times_s_units():
         assert (power_radical(x, S, 2)[0] == 1) == expected
 
 
-def is_B_smooth(ctx, x, B):
+def is_B_smooth(x, B):
     """B-smoothness of x as the obstruction checkers decide it for a cofactor a = n / l:
     P^+(n / P^+(n)) <= B, here for n = l * x with l the least prime above x.
 
@@ -248,42 +248,42 @@ def is_B_smooth(ctx, x, B):
     l = x + 1
     while not is_prime(l):
         l += 1
-    return _top_primes(ctx, l * x)[1] <= B
+    return _top_primes(factorize(l * x))[1] <= B
 
 
-def test_is_B_smooth_examples(ctx37):
-    assert is_B_smooth(ctx37, 12, 3)
-    assert not is_B_smooth(ctx37, 14, 3)
-    assert is_B_smooth(ctx37, 1, 2)
-    assert is_B_smooth(ctx37, 6, 1e12)
-    assert is_B_smooth(ctx37, 3 ** 25, 10 ** 40)
-    assert not is_B_smooth(ctx37, 2 * 1000003, 10 ** 6)
+def test_is_B_smooth_examples():
+    assert is_B_smooth(12, 3)
+    assert not is_B_smooth(14, 3)
+    assert is_B_smooth(1, 2)
+    assert is_B_smooth(6, 1e12)
+    assert is_B_smooth(3 ** 25, 10 ** 40)
+    assert not is_B_smooth(2 * 1000003, 10 ** 6)
     with pytest.raises(ValueError):
-        is_B_smooth(ctx37, 0, 2)
+        is_B_smooth(0, 2)
 
 
-def test_is_B_smooth_matches_brute_force(ctx37):
+def test_is_B_smooth_matches_brute_force():
     rng = random.Random(0)
     xs = list(range(1, 2001)) + [rng.randrange(1, 10 ** 5) for _ in range(500)]
     for x in xs:
         for B in (2, 3, 5, 10, 100):
-            assert is_B_smooth(ctx37, x, B) == brute_is_smooth(x, B), (x, B)
+            assert is_B_smooth(x, B) == brute_is_smooth(x, B), (x, B)
 
 
 @given(
     st.integers(min_value=1, max_value=10 ** 6),
     st.one_of(st.integers(min_value=1, max_value=2000), st.floats(min_value=1, max_value=1e15)),
 )
-def test_is_B_smooth_matches_brute_force_property(ctx37, x, B):
-    assert is_B_smooth(ctx37, x, B) == brute_is_smooth(x, B)
+def test_is_B_smooth_matches_brute_force_property(x, B):
+    assert is_B_smooth(x, B) == brute_is_smooth(x, B)
 
 
-def test_is_B_smooth_fractional_bound(ctx37):
+def test_is_B_smooth_fractional_bound():
     # A real bound B acts through the primes <= B.
-    assert is_B_smooth(ctx37, 8, 2.5)
-    assert not is_B_smooth(ctx37, 9, 2.5)
-    assert is_B_smooth(ctx37, 1000003, 1000003.5)
-    assert not is_B_smooth(ctx37, 1000003, 1000002.5)
+    assert is_B_smooth(8, 2.5)
+    assert not is_B_smooth(9, 2.5)
+    assert is_B_smooth(1000003, 1000003.5)
+    assert not is_B_smooth(1000003, 1000002.5)
 
 
 def test_factorize_huge_trial_bound_keeps_the_sieve():

@@ -16,8 +16,9 @@ running under python -O, where every assert statement is stripped.
 
 A third sweep, golden/threshold_reports.json, varies what the first two
 hold fixed: one digest per (curve, effort, B, rho) over a thinned pair
-sweep, so the B-smoothness and partial-factorization wordings are pinned
-too.  Its keys still read L_rho=0, the threshold every report records.
+sweep, so the B-smoothness wording and that of a D_l factored only in part
+are pinned too.  Its keys still read L_rho=0, the threshold every report
+records.
 
 The benchmark's three references in bench/reference are reproduced here
 too, in process: the obstruct-batch reports, the law-sweep reports and the
@@ -84,8 +85,9 @@ def golden_digests():
 
 # Every twelfth pair from {1..60}: 153 tuples per configuration.
 THRESHOLD_PAIRS = list(combinations_with_replacement(range(1, 61), 2))[::12]
-# Wordings the threshold sweep must reach: a cofactor above B and an index
-# that the zero effort leaves partly factored.
+# Wordings the threshold sweep must reach: a cofactor above B, and a D_l that the
+# zero effort leaves partly factored with no prime found ("partial factorization
+# and empty certain radical"); indices are always factored completely.
 # large_prime_gap reads no B: l > (sqrt(B)+1)^2 gives (sqrt(l)-1)^2 > B, so a
 # B-smooth cofactor already meets its gap condition.
 THRESHOLD_WORDINGS = ("is not B-smooth", "partial factorization")

@@ -456,13 +456,25 @@ def test_radical_lower_bound_undecided_is_inconclusive(ctx37, monkeypatch):
 
 
 def test_radical_coprimality_violation_is_soundness_error(ctx37, monkeypatch):
-    # Two indices whose certain radicals share the prime 2 contradict primitivity.
+    # S-free parts of two prime indices that share the prime 2 contradict strong
+    # divisibility, gcd(D_11, D_13) = D_1, although no prime of either was found.
     def shared(l):
-        return TermRadicalData(l=l, entries=[(2, 1)], complete=True, s_free=2)
+        return TermRadicalData(l=l, entries=[], complete=False, s_free=2 * l)
 
     monkeypatch.setattr(ctx37, "radical_data", shared)
     with pytest.raises(SoundnessError):
         radical_lower_bound(ctx37, (11, 13), hypotheses(ctx37, (11, 13), [11, 13]))
+
+
+@pytest.mark.parametrize("fixture", ["37", "37q", "43"])
+def test_radical_coprimality_holds_on_the_fixtures(fixture, request):
+    # Lambda is every prime from 7 to 59; at zero effort nearly nothing is found, and the
+    # S-free parts are still pairwise coprime.
+    S, table = (request.getfixturevalue(name + fixture) for name in ("s", "table"))
+    ctx = ObstructionContext(table, S, 2, effort=Effort(0, 0, 0))
+    n = tuple(l for l in primes_up_to(60) if l >= 7)
+    v = radical_lower_bound(ctx, n, hypotheses(ctx, n, n))
+    assert v.witnesses["bound"] != "1.000000"  # Lambda is not empty
 
 
 def test_large_prime_gap_oracle_contradiction_is_soundness_error(ctx37, monkeypatch):
@@ -494,13 +506,27 @@ def test_radical_lower_bound_leaves_out_failing_primes(ctx37, n, Lambda):
     assert v.verdict == HOLDS and v.witnesses["bound"] == "1.000000"  # Lambda is empty
 
 
+def test_index_factorization_is_complete(ctx37):
+    # Trial division to the largest index factors every index completely, at any effort.
+    zero = ObstructionContext(ctx37.table, ctx37.S, 2, effort=Effort(0, 0, 0))
+    assert all(zero.factorization(x).complete for x in range(1, ctx37.table.max_index + 1))
+    assert zero.factorization(2 * 61).factors == [(2, 1), (61, 1)]
+    # Two primes past the table: no index or quotient of it has them, and a top prime
+    # read from the part below them would be wrong.
+    with pytest.raises(TableMiss):
+        repeated_top_prime(zero, (7 * 61 * 67,))
+
+
 def test_largest_prime_factor_examples(ctx37):
-    assert _top_primes(ctx37, 1) == (1, 1)
-    assert _top_primes(ctx37, 7) == (7, 1)
-    assert _top_primes(ctx37, 12) == (3, 2)
-    assert _top_primes(ctx37, 35) == (7, 5)
-    assert _top_primes(ctx37, 18) == (3, 3)  # 3^2 | 18: the cofactor keeps the top prime
-    assert _top_primes(ctx37, 2 * 7 ** 3) == (7, 7)
+    def top(x):
+        return _top_primes(ctx37.factorization(x))
+
+    assert top(1) == (1, 1)
+    assert top(7) == (7, 1)
+    assert top(12) == (3, 2)
+    assert top(35) == (7, 5)
+    assert top(18) == (3, 3)  # 3^2 | 18: the cofactor keeps the top prime
+    assert top(2 * 7 ** 3) == (7, 7)
 
 
 # -- whole-tuple evaluation --------------------------------------------
