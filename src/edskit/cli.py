@@ -15,9 +15,10 @@ obstruct assumes no detecting threshold: an exclusion is certified only where a
 detecting prime is proven at each l it uses, and the header records the
 threshold as 0.
 
-Machine output is JSON (``--format json``); all big integers are emitted
-as decimal strings.  Reports embed every threshold so each claim is
-reproducible.  Exit codes: 0 ok, 1 law violation found, 2 invalid
+Machine output is JSON (``--format json``): one line, the compact form of
+``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, with every big
+integer emitted as a decimal string.  Reports embed every threshold so each
+claim is reproducible.  Exit codes: 0 ok, 1 law violation found, 2 invalid
 configuration, 3 curve/point errors, 4 internal soundness contradiction.
 """
 
@@ -30,7 +31,7 @@ import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import __version__
 from .curve import WeierstrassCurve, minimality_report
@@ -186,26 +187,25 @@ _FLUSH_PIECES = 4096
 
 
 def _write_json(doc, out) -> None:
-    """Write ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` to ``out``.
+    """Write ``json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"`` to ``out``.
 
-    With ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder
-    and builds the whole document in memory.  This walks dicts, lists and
-    tuples itself, encodes strings with the C string encoder, hands every
-    other scalar to a compact ``JSONEncoder`` and writes as it goes, so the
-    output is the same bytes.  Keys must be strings.
+    ``json.dumps`` builds the whole document in memory.  This walks dicts,
+    lists and tuples itself, encodes strings with the C string encoder,
+    hands every other scalar to a compact ``JSONEncoder`` and writes as it
+    goes, so the output is the same bytes.  Keys must be strings.
 
-    A container that occurs more than once at one indentation is encoded
-    once: its second occurrence is captured as text, which every later one
-    reuses.  ``doc`` keeps each container alive, so its ``id`` stays unique.
+    A container that occurs more than once is encoded once: its second
+    occurrence is captured as text, which every later one reuses.  ``doc``
+    keeps each container alive, so its ``id`` stays unique.
     """
     scalar = json.JSONEncoder().encode
     enc = encode_basestring_ascii
     pending: List[str] = []
     buf = pending  # pending, or the buffer of a container being captured
     seen = set()
-    texts: Dict[Tuple[int, str], str] = {}
+    texts: Dict[int, str] = {}
 
-    def value(o, pad: str) -> None:
+    def value(o) -> None:
         nonlocal buf
         if isinstance(o, str):
             buf.append(enc(o))
@@ -216,48 +216,43 @@ def _write_json(doc, out) -> None:
         elif o is False:
             buf.append("false")
         elif isinstance(o, (dict, list, tuple)):
-            key = (id(o), pad)
+            key = id(o)
             text = texts.get(key)
             if text is not None:
                 buf.append(text)
             elif key in seen:
                 outer, buf = buf, []
-                container(o, pad)
+                container(o)
                 text = texts[key] = "".join(buf)
                 buf = outer
                 buf.append(text)
             else:
                 seen.add(key)
-                container(o, pad)
+                container(o)
         else:
             buf.append(scalar(o))
         if len(pending) >= _FLUSH_PIECES:
             out.write("".join(pending))
             pending.clear()
 
-    def container(o, pad: str) -> None:
+    def container(o) -> None:
         put = buf.append
-        inner = pad + "  "
-        if not o:
-            put("{}" if isinstance(o, dict) else "[]")
-        elif isinstance(o, dict):
-            sep = "{\n" + inner
+        if isinstance(o, dict):
+            sep = "{"
             for k, v in sorted(o.items()):
-                put(sep + enc(k) + ": ")
-                value(v, inner)
-                sep = ",\n" + inner
-            put("\n" + pad + "}")
-        elif all(isinstance(x, str) for x in o):
-            put("[\n" + inner + (",\n" + inner).join(map(enc, o)) + "\n" + pad + "]")
+                put(sep + enc(k) + ":")
+                value(v)
+                sep = ","
+            put("}" if o else "{}")
         else:
-            sep = "[\n" + inner
+            sep = "["
             for x in o:
                 put(sep)
-                value(x, inner)
-                sep = ",\n" + inner
-            put("\n" + pad + "]")
+                value(x)
+                sep = ","
+            put("]" if o else "[]")
 
-    value(doc, "")
+    value(doc)
     pending.append("\n")
     out.write("".join(pending))
 

@@ -12,20 +12,18 @@ operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, prod
 from typing import Dict, List, Optional, Tuple
 
-from .errors import BadReduction, PrimeTooLarge, SoundnessError, TrivialReduction
-from .factor import Effort, factorize
+from .errors import BadReduction, SoundnessError, TrivialReduction
+from .factor import Effort, Factorization, factorize
 from .intmath import valuation
 
 RatPoint = Optional[Tuple[Fraction, Fraction]]
 FpPoint = Optional[Tuple[int, int]]
 
 INFINITY: RatPoint = None
-
-# Budget for factoring an annihilator, which is at most p + 1 + 2*sqrt(p).
-ORDER_EFFORT = Effort(trial_bound=10 ** 6, rho_iterations=10 ** 8)
 
 
 class _Group:
@@ -64,6 +62,11 @@ class WeierstrassCurve(_Group):
         self.discriminant = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         if self.discriminant == 0:
             raise ValueError("singular curve: discriminant is zero")
+
+    @cached_property
+    def discriminant_factorization(self) -> Factorization:
+        """|discriminant| factored once: S and the minimality report read one result."""
+        return factorize(abs(self.discriminant))
 
     # -- rational point arithmetic -------------------------------------
 
@@ -277,9 +280,8 @@ class FpCurve(_Group):
         bound = least if least == start else (least - 1) // (least - start)
         if bound < 2:
             return least
-        fac = factorize(least, ORDER_EFFORT)
-        if not fac.complete:  # least <= p+1+2*sqrt(p); should never trigger
-            raise PrimeTooLarge(f"could not fully factor annihilator {least}")
+        # Trial division to sqrt(least) leaves no composite, so fac is complete.
+        fac = factorize(least, Effort(isqrt(least) + 1, 0, 0))
         small = [q for q, _ in fac.factors if q <= bound]
         s = prod(q ** e for q, e in fac.factors if q <= bound)
         if s == 1:
@@ -303,7 +305,7 @@ def minimality_report(curve: WeierstrassCurve) -> "MinimalityReport":
     criterion is not sufficient, so those primes only produce warnings
     and block certification.
     """
-    fac = factorize(abs(curve.discriminant))
+    fac = curve.discriminant_factorization
     notes: List[str] = []
     certified = True
     if not fac.complete:

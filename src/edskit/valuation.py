@@ -63,7 +63,7 @@ def build_exceptional_set(
     enlarged without affecting any downstream statement.
     """
     S = ExceptionalSet()
-    disc = factorize(abs(curve.discriminant))
+    disc = curve.discriminant_factorization
     if not disc.complete:
         raise PrimeTooLarge("could not factor the discriminant; bad primes unknown")
     for p, _ in disc.factors:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -406,6 +407,26 @@ def test_probe_detecting_decides_every_index_to_200_without_factoring(
     assert doc["largest_prime_index_without_detecting_prime"] == largest
 
 
+def test_setup_factors_the_discriminant_once(curve_file, monkeypatch):
+    # The exceptional set and the minimality report read one factorization of |Delta|.
+    import edskit.curve
+    import edskit.valuation
+
+    real = edskit.curve.factorize
+    calls = []
+
+    def counting(x, *args):
+        calls.append(x)
+        return real(x, *args)
+
+    for module in (edskit.curve, edskit.valuation):
+        monkeypatch.setattr(module, "factorize", counting)
+    args = cli.build_parser().parse_args(["gen", "--curve", curve_file, "--n-max", "1"])
+    E, _P, S, minim = cli._setup(args)
+    assert calls.count(abs(E.discriminant)) == 1
+    assert S.primes == [37] and minim.certified
+
+
 def test_probe_detecting_header_names_every_threshold(curve_file, capsys):
     # No factoring budget bounds the answer, so the header names none.
     rc = main(["probe-detecting", "--curve", curve_file, "--l-max", "13", "--l-min", "5",
@@ -428,10 +449,11 @@ def test_obstruct_json_under_the_smallest_int_digit_limit(curve_file):
         proc = subprocess.run(argv, capture_output=True, text=True, env={**env, **limit},
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        docs.append([line for line in proc.stdout.splitlines() if "generated_at" not in line])
+        doc = json.loads(proc.stdout)
+        del doc["generated_at"]
+        docs.append(doc)
     assert docs[0] == docs[1]
-    product = next(line for line in docs[0] if '"product"' in line)
-    assert len(product.split('"')[3]) == 853
+    assert len(docs[0]["tuples"][0]["oracle"]["product"]) == 853
 
 
 @pytest.mark.parametrize("argv", [
@@ -631,20 +653,24 @@ _documents = st.builds(
 ) | _values
 
 
+def _compact(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 @given(_documents)
 def test_write_json_matches_json_dumps(doc):
     out = io.StringIO()
     cli._write_json(doc, out)
-    assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert out.getvalue() == _compact(doc)
 
 
 @given(_documents)
 def test_write_json_shared_values_match_json_dumps(value):
-    # One object at several positions, at the same and at other indentations.
+    # One object at several positions, at several depths.
     doc = {"a": [value, value, value], "b": {"c": value, "d": [[value], value]}, "e": value}
     out = io.StringIO()
     cli._write_json(doc, out)
-    assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert out.getvalue() == _compact(doc)
 
 
 @pytest.mark.parametrize("flush_pieces", [1, 5, cli._FLUSH_PIECES])
@@ -660,14 +686,35 @@ def test_write_json_shared_containers_across_flushes(flush_pieces, monkeypatch):
     }
     out = _CountingStream()
     cli._write_json(doc, out)
-    assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert out.getvalue() == _compact(doc)
     if flush_pieces == 1:
         assert out.writes > 20
 
 
+@pytest.mark.parametrize("run", ["37:2", "43:3"])
+def test_obstruct_prints_the_reports_the_bench_reference_digests(run, capsys, monkeypatch):
+    # Each printed tuple report is the compact blob whose sha256 prefix
+    # bench/reference/obstruct-batch.json pins, byte for byte.
+    root = Path(cli.__file__).resolve().parents[2]
+    ref = json.loads((root / "bench" / "reference" / "obstruct-batch.json").read_text())
+    header = ref["runs"][run]["header"]
+    th = header["thresholds"]
+    keys = sorted(ref["runs"][run]["reports"])[::49]
+    assert len(keys) == 20
+    monkeypatch.chdir(root)  # the header names the curve file relative to it
+    argv = ["obstruct", "--curve", header["curve_file"], "--format", "json",
+            "--rho", str(th["rho"]), "--n-max", str(th["n_max"]), "--effort", th["effort"]]
+    assert main(argv + [arg for key in keys for arg in ("--tuple", key)]) == 0
+    out = capsys.readouterr().out
+    blobs = [_compact(rep)[:-1] for rep in json.loads(out)["tuples"]]
+    assert out.endswith('"tuples":[' + ",".join(blobs) + "]}\n")
+    digests = [hashlib.sha256(blob.encode()).hexdigest()[:16] for blob in blobs]
+    assert digests == [ref["runs"][run]["reports"][key] for key in keys]
+
+
 def test_write_json_keeps_int_str_digit_limit():
     with pytest.raises(ValueError):
-        json.dumps({"x": 10 ** 5000}, sort_keys=True, indent=2)
+        _compact({"x": 10 ** 5000})
     with pytest.raises(ValueError):
         cli._write_json({"x": 10 ** 5000}, io.StringIO())
 
@@ -696,6 +743,6 @@ def test_json_output_is_json_dumps_bytes(argv, tmp_path, curve_file, monkeypatch
     monkeypatch.setattr(sys, "stdout", stream)
     assert main(argv + ["--curve", curve_file, "--format", "json"]) == 0
     out = stream.getvalue()
-    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert out == _compact(json.loads(out))
     if argv[0] == "obstruct":  # the 78 reports span several flushes
         assert stream.writes >= 4

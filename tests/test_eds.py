@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import edskit
 from edskit import eds
@@ -361,6 +362,26 @@ def test_decimal_matches_str():
     try:
         for x in _decimal_cases():
             assert _decimal(x) == str(x), x.bit_length()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# Tops with zero runs inside, so a split can leave a zero-filled half at either end.
+_tops = st.integers(0, 10 ** 40) | st.builds(
+    lambda a, b: a * 10 ** 700 + b, st.integers(1, 10 ** 6), st.integers(0, 10 ** 6)
+)
+
+
+@given(st.integers(0, 4), st.integers(-2, 2), _tops, st.integers(-10 ** 40, 10 ** 40), st.booleans())
+def test_decimal_matches_str_at_split_points(j, shift, top, low, negative):
+    # x = top * 10**h + low straddles the split point 10**(512 * 2**j): top = 1
+    # and low < 0 give runs of nines just below it, top = 0 gives small x.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        x = top * 10 ** (512 * 2 ** j + shift) + low
+        x = -x if negative else x
+        assert _decimal(x) == str(x)
     finally:
         sys.set_int_max_str_digits(limit)
 
