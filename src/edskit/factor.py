@@ -12,7 +12,7 @@ import math
 import random
 import time
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .intmath import cached_primes, is_prime, primes_up_to, valuation
 
@@ -54,6 +54,9 @@ DEFAULT_EFFORT = Effort()
 
 # Trial division tests this many consecutive primes with one gcd.
 TRIAL_CHUNK = 256
+# Trial division first stops here; the primes up to a larger trial bound are
+# stripped only where rho, ECM or the cofactor they leave show one.
+FIRST_TRIAL_BOUND = 1 << 15
 # Each composite cofactor first gets this many rho steps, which find
 # factors of up to about 24 bits more cheaply than one ECM curve.
 RHO_SHORT_RUN = 1 << 13
@@ -203,16 +206,37 @@ def _xadd(X1: int, Z1: int, X2: int, Z2: int, Xd: int, Zd: int, n: int) -> Tuple
 
 
 def _ladder(k: int, X: int, Z: int, n: int, a24: int) -> Tuple[int, int, int, int]:
-    """(X:Z) of [k]P and [k+1]P for k >= 1, by the Montgomery ladder."""
+    """(X:Z) of [k]P and [k+1]P for k >= 1, by the Montgomery ladder.
+
+    The loop writes out _xadd and _xdbl, with the same products, since it runs
+    once per bit of the stage-1 scalar.  The sum x(P0 + P1) is computed before
+    the branch: swapping P0 and P1 in _xadd only negates z.
+    """
     X0, Z0 = X, Z
     X1, Z1 = _xdbl(X, Z, n, a24)
     for bit in bin(k)[3:]:
+        a0, b0 = X0 + Z0, X0 - Z0
+        a1, b1 = X1 + Z1, X1 - Z1
+        u = b0 * a1 % n
+        v = a0 * b1 % n
+        w = u + v
+        z = u - v
         if bit == "1":
-            X0, Z0 = _xadd(X1, Z1, X0, Z0, X, Z, n)
-            X1, Z1 = _xdbl(X1, Z1, n, a24)
+            X0 = Z * w * w % n
+            Z0 = X * z * z % n
+            s = a1 * a1 % n
+            d = b1 * b1 % n
+            t = s - d
+            X1 = s * d % n
+            Z1 = t * (d + a24 * t % n) % n
         else:
-            X1, Z1 = _xadd(X0, Z0, X1, Z1, X, Z, n)
-            X0, Z0 = _xdbl(X0, Z0, n, a24)
+            X1 = Z * w * w % n
+            Z1 = X * z * z % n
+            s = a0 * a0 % n
+            d = b0 * b0 % n
+            t = s - d
+            X0 = s * d % n
+            Z0 = t * (d + a24 * t % n) % n
     return X0, Z0, X1, Z1
 
 
@@ -332,34 +356,75 @@ def _split(n: int, budget: int, deadline: float) -> int | None:
     return d
 
 
-def factorize(x: int, effort: Effort = DEFAULT_EFFORT) -> Factorization:
-    """Trial division to effort.trial_bound, then rho and ECM within budget."""
-    if x < 1:
-        raise ValueError("x must be positive")
-    factors, rest = _trial_divide(x, effort.trial_bound)
-    if rest == 1:
-        return Factorization(x, factors)
-    if rest <= effort.trial_bound * effort.trial_bound:
-        # Below the square of the trial bound any survivor is prime.
-        factors.append((rest, 1))
-        return Factorization(x, factors)
+def _split_survivor(
+    rest: int, small: int, budget: int, deadline: float
+) -> Tuple[Optional[Set[int]], int]:
+    """The primes of rest that rho and ECM find, each composite piece within the budget.
 
-    # A prime found in one piece may also divide a piece left unsplit, so its
-    # exponent is counted in rest itself; what rest keeps is the cofactor.
-    deadline = time.monotonic() + effort.wall_clock
+    Returns (those primes, 1), or (None, piece) as soon as a piece <= small
+    turns up.
+    """
     found = set()
     stack = [rest]
     while stack:
         m = stack.pop()
+        if m <= small:
+            return None, m
         if is_prime(m):  # the one primality test of each cofactor
             found.add(m)
             continue
-        d = _split(m, effort.rho_iterations, deadline)
+        d = _split(m, budget, deadline)
         if d is not None:
             stack.append(d)
             stack.append(m // d)
-    for p in sorted(found):  # each above every prime trial division stripped
-        e = valuation(rest, p)
-        rest //= p ** e
-        factors.append((p, e))
-    return Factorization(x, factors, rest)
+    return found, 1
+
+
+def _primes_to(x: int, bound: int) -> List[int]:
+    """The primes <= bound that divide x, by trial division."""
+    factors, rest = _trial_divide(x, bound)
+    # A survivor <= bound has no prime <= bound left to hide, so it is 1 or a prime.
+    return [p for p, _ in factors] + ([rest] if 1 < rest <= bound else [])
+
+
+def factorize(x: int, effort: Effort = DEFAULT_EFFORT) -> Factorization:
+    """Trial division to effort.trial_bound, then rho and ECM within budget.
+
+    Trial division stops first at FIRST_TRIAL_BOUND.  A prime above that and
+    at most effort.trial_bound is stripped only once it shows: as a piece that
+    rho or ECM split off, or in the cofactor they leave, which trial division
+    then searches.  Rho and ECM start again on what is left.  So they end on
+    the number that trial division to the whole bound leaves, and the result
+    is the same.
+    """
+    if x < 1:
+        raise ValueError("x must be positive")
+    bound = effort.trial_bound
+    first = min(bound, FIRST_TRIAL_BOUND)
+    # A piece at most this holds a prime that trial division to bound strips.
+    small = bound if first < bound else 0
+    factors, rest = _trial_divide(x, first)
+    deadline = time.monotonic() + effort.wall_clock
+    stripped: List[Tuple[int, int]] = []
+    while True:
+        if rest <= first * first:
+            # Below the square of the trial bound any survivor is 1 or prime.
+            found, cofactor = ([(rest, 1)] if rest > 1 else []), 1
+            break
+        primes, piece = _split_survivor(rest, small, effort.rho_iterations, deadline)
+        if primes is not None:
+            # A prime found in one piece may also divide a piece left unsplit, so
+            # its exponent is counted in rest itself; what is left is the cofactor.
+            found = [(p, valuation(rest, p)) for p in primes]
+            cofactor = rest // math.prod(p ** e for p, e in found)
+            if cofactor == 1 or not small:
+                break
+            piece = cofactor
+        more = _primes_to(piece, bound)
+        if not more:
+            break
+        for p in more:
+            e = valuation(rest, p)
+            rest //= p ** e
+            stripped.append((p, e))
+    return Factorization(x, factors + sorted(stripped + found), cofactor)

@@ -57,14 +57,21 @@ class ObstructionVerdict:
     def to_json(self) -> dict:
         """One dict, built on the first call: a verdict is never changed once built."""
         if self._json is None:
-            self._json = {
-                "statement": self.statement,
-                "verdict": self.verdict,
-                "hypotheses": self.hypotheses,
-                "witnesses": {k: _jsonable(v) for k, v in self.witnesses.items()},
-                "notes": self.notes,
-            }
+            self._json = _Block(
+                statement=self.statement,
+                verdict=self.verdict,
+                hypotheses=self.hypotheses,
+                witnesses={k: _jsonable(v) for k, v in self.witnesses.items()},
+                notes=self.notes,
+            )
         return self._json
+
+
+class _Block(dict):
+    """A verdict's JSON dict.  The subclass marks it for the CLI's JSON writer,
+    which encodes a block whole, once, and reuses the text wherever it recurs."""
+
+    __slots__ = ()
 
 
 def _jsonable(v):

@@ -10,7 +10,9 @@ factorize, which test_factor checks.  The per-term-gcd oracle takes its
 Psi_n from edskit's recurrence, which test_eds checks against
 double-and-add, and recomputes only the bad-prime correction.
 
-Four slow paths live here as oracles only.  valuation_via_law reads
+Five slow paths live here as oracles only.
+factorize_after_full_trial_division trial-divides to the whole trial bound
+before edskit's rho and ECM split what is left.  valuation_via_law reads
 v_p(D_n) off D_{r_p} as the law states it, with edskit's reduction order;
 test_valuation checks it against direct division.  search_relations runs
 edskit's exact power test over every small multiset of indices, which is
@@ -27,6 +29,7 @@ test_curve and test_valuation sweep.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, isqrt
@@ -35,8 +38,8 @@ import sympy as sp
 
 from edskit.curve import WeierstrassCurve
 from edskit.errors import BudgetExceeded, TableMiss, TrivialReduction
-from edskit.factor import factorize
-from edskit.intmath import primes_up_to, valuation
+from edskit.factor import Factorization, _split, _trial_divide, factorize
+from edskit.intmath import is_prime, primes_up_to, valuation
 from edskit.obstruction import _congruence, prime_facts
 from edskit.relation import test_relation as product_relation
 
@@ -201,6 +204,38 @@ def trial_divide_per_prime(x, bound):
                 e += 1
             factors.append((p, e))
     return factors, rest
+
+
+def factorize_after_full_trial_division(x, effort):
+    """Trial division to effort.trial_bound, then rho and ECM on what is left.
+
+    Each composite piece gets the whole budget.  edskit.factor.factorize, which
+    trial-divides to 2**15 first and strips a larger prime only where it shows,
+    must return the same Factorization at every budget.
+    """
+    factors, rest = _trial_divide(x, effort.trial_bound)
+    if rest == 1:
+        return Factorization(x, factors)
+    if rest <= effort.trial_bound ** 2:
+        factors.append((rest, 1))
+        return Factorization(x, factors)
+    deadline = time.monotonic() + effort.wall_clock
+    found = set()
+    stack = [rest]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            found.add(m)
+            continue
+        d = _split(m, effort.rho_iterations, deadline)
+        if d is not None:
+            stack.append(d)
+            stack.append(m // d)
+    for p in sorted(found):
+        e = valuation(rest, p)
+        rest //= p ** e
+        factors.append((p, e))
+    return Factorization(x, factors, rest)
 
 
 def radical_data_by_sieve(D, S, sieve_bound, effort):

@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, strategies as st
 
-from edskit import cli
+from edskit import cli, factor, intmath
 from edskit.cli import main
 
 FIXTURE_CURVE = {
@@ -517,12 +517,20 @@ def test_import_loads_only_the_shared_layers():
     ["obstruct", "--tuple", "5,3", "--effort", "oops"],
     # a negative trial bound would pass 22 and 33 off as primes
     ["obstruct", "--tuple", "22,33", "--effort=-60:100:10"],
-], ids=["obstruct", "obstruct-negative-budget"])
+    # trial division of D_47 to 10**12 would sieve a 5 * 10**11-byte array
+    ["obstruct", "--tuple", "47,3", "--effort", "1000000000000:100:5"],
+    ["obstruct", "--tuple", "47,3", "--effort", "%d:100:5" % (cli.MAX_TRIAL + 1)],
+], ids=["obstruct", "obstruct-negative-budget", "obstruct-huge-trial", "obstruct-trial-past-max"])
 def test_bad_effort_spec_exits_2_before_any_work(argv, curve_file, capsys, monkeypatch):
     def setup(args):
         raise AssertionError("work started before the effort spec was parsed")
 
+    def sieve(limit):
+        raise AssertionError(f"sieve to {limit} started before the effort spec was parsed")
+
     monkeypatch.setattr(cli, "_setup", setup)
+    monkeypatch.setattr(intmath, "cached_primes", sieve)
+    monkeypatch.setattr(factor, "cached_primes", sieve)
     assert main(argv + ["--curve", curve_file]) == 2
     assert capsys.readouterr().err.startswith("error: bad effort spec")
 
@@ -664,13 +672,23 @@ def test_write_json_matches_json_dumps(doc):
     assert out.getvalue() == _compact(doc)
 
 
+class _DictBlock(dict):
+    pass
+
+
+class _ListBlock(list):
+    pass
+
+
 @given(_documents)
 def test_write_json_shared_values_match_json_dumps(value):
-    # One object at several positions, at several depths.
-    doc = {"a": [value, value, value], "b": {"c": value, "d": [[value], value]}, "e": value}
-    out = io.StringIO()
-    cli._write_json(doc, out)
-    assert out.getvalue() == _compact(doc)
+    # One object at several positions, at several depths, plain or as a block.
+    for shared in (value, _DictBlock(v=value), _ListBlock([value, value])):
+        doc = {"a": [shared, shared, shared], "b": {"c": shared, "d": [[shared], shared]},
+               "e": shared}
+        out = io.StringIO()
+        cli._write_json(doc, out)
+        assert out.getvalue() == _compact(doc)
 
 
 @pytest.mark.parametrize("flush_pieces", [1, 5, cli._FLUSH_PIECES])
@@ -710,6 +728,39 @@ def test_obstruct_prints_the_reports_the_bench_reference_digests(run, capsys, mo
     assert out.endswith('"tuples":[' + ",".join(blobs) + "]}\n")
     digests = [hashlib.sha256(blob.encode()).hexdigest()[:16] for blob in blobs]
     assert digests == [ref["runs"][run]["reports"][key] for key in keys]
+
+
+@pytest.mark.parametrize("run", ["37:2", "43:3"])
+def test_obstruct_stops_trial_division_at_2_15_and_encodes_each_verdict_once(
+    run, capsys, monkeypatch
+):
+    # At the bench effort, rho and ECM factor every D_l of these tuples completely and
+    # show the one prime between 2**15 and 10**6 (865721 | D_43 on 43), so trial division
+    # never asks for the sieve to 10**6.  Only the ECM plan's stage-2 primes pass 2**15.
+    root = Path(cli.__file__).resolve().parents[2]
+    ref = json.loads((root / "bench" / "reference" / "obstruct-batch.json").read_text())
+    header = ref["runs"][run]["header"]
+    th = header["thresholds"]
+    keys = sorted(ref["runs"][run]["reports"])[::49]
+    monkeypatch.chdir(root)
+    monkeypatch.setattr(intmath, "_sieve", (1, []))
+    asked, docs, encoded = [], [], []
+    sieve, write, encode = factor.cached_primes, cli._write_json, cli._encode
+    monkeypatch.setattr(factor, "cached_primes", lambda limit: asked.append(limit) or sieve(limit))
+    monkeypatch.setattr(cli, "_write_json", lambda doc, out: docs.append(doc) or write(doc, out))
+    monkeypatch.setattr(cli, "_encode", lambda o: encoded.append(o) or encode(o))
+    argv = ["obstruct", "--curve", header["curve_file"], "--format", "json",
+            "--rho", str(th["rho"]), "--n-max", str(th["n_max"]), "--effort", th["effort"]]
+    assert th["effort"] == "1000000:1000000:600"
+    assert main(argv + [arg for key in keys for arg in ("--tuple", key)]) == 0
+    assert max(asked) <= factor.FIRST_TRIAL_BOUND
+    assert intmath._sieve[0] <= max(factor.FIRST_TRIAL_BOUND, factor.ECM_B2)
+    # Each distinct verdict goes through the compact encoder once, whole.
+    verdicts = {id(v) for rep in docs[0]["tuples"] for v in rep["verdicts"]}
+    blocks = [id(o) for o in encoded if isinstance(o, dict)]
+    assert len(verdicts) < sum(len(rep["verdicts"]) for rep in docs[0]["tuples"])
+    assert sorted(blocks) == sorted(verdicts)
+    assert capsys.readouterr().out == _compact(docs[0])
 
 
 def test_write_json_keeps_int_str_digit_limit():

@@ -5,10 +5,11 @@ import random
 import time
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from edskit import factor, intmath
 from edskit.factor import (
+    FIRST_TRIAL_BOUND,
     RHO_SHORT_RUN,
     TRIAL_CHUNK,
     Effort,
@@ -20,7 +21,7 @@ from edskit.factor import (
 from edskit.intmath import is_prime, primes_up_to, valuation
 from edskit.obstruction import _top_primes
 from edskit.valuation import TermRadicalData
-from oracles import brute_is_smooth, trial_divide_per_prime
+from oracles import brute_is_smooth, factorize_after_full_trial_division, trial_divide_per_prime
 
 
 def _product(fac):
@@ -197,6 +198,50 @@ def trial_division_inputs(draw):
 def test_batched_trial_division_matches_per_prime_loop(case):
     x, bound = case
     assert _trial_divide(x, bound) == trial_divide_per_prime(x, bound)
+
+
+def _next_prime(q):
+    while not is_prime(q):
+        q += 1
+    return q
+
+
+def _primes_in(lo, hi):
+    """(the least prime > lo, the largest prime <= hi)."""
+    while not is_prime(hi):
+        hi -= 1
+    return _next_prime(lo + 1), hi
+
+
+# Primes below the first trial bound, up to 10**6, in reach of rho, and past it.
+_PRIME_RANGES = [_primes_in(1, FIRST_TRIAL_BOUND), _primes_in(FIRST_TRIAL_BOUND, 10 ** 6),
+                 _primes_in(10 ** 6, 2 ** 40), _primes_in(2 ** 40, 2 ** 60)]
+# RHO_SHORT_RUN plus one ECM curve is the least budget that starts a curve.
+_CURVE_COST = _ecm_plan()[2]
+_BUDGETS = [0, 1, 200, RHO_SHORT_RUN, RHO_SHORT_RUN + _CURVE_COST - 1,
+            RHO_SHORT_RUN + _CURVE_COST, 10 ** 6]
+
+
+@st.composite
+def staged_trial_division_inputs(draw):
+    x = 1
+    for _ in range(draw(st.integers(1, 4))):
+        lo, hi = draw(st.sampled_from(_PRIME_RANGES))
+        x *= _next_prime(draw(st.integers(lo, hi))) ** draw(st.sampled_from([1, 1, 2]))
+    return x, Effort(draw(st.sampled_from([10 ** 4, 10 ** 6])), draw(st.sampled_from(_BUDGETS)), 600)
+
+
+@settings(max_examples=150, deadline=None)
+@given(staged_trial_division_inputs())
+# With 703267 (resp. 757699) still in, rho and ECM factor these x completely within
+# RHO_SHORT_RUN; on x / 703267 (resp. x / 757699) they leave a cofactor.
+@example((703267 * 9690581 * 534181989487725967, Effort(10 ** 6, RHO_SHORT_RUN, 600)))
+@example((757699 * 50223431 * 1009824142064220947, Effort(10 ** 6, RHO_SHORT_RUN, 600)))
+# Two primes up to 10**6 stay in the cofactor of a zero budget.
+@example((11251 * 464647 * 859609 * 1099511627791 ** 2, Effort(10 ** 6, 0, 600)))
+def test_staged_trial_division_matches_full_trial_division(case):
+    x, effort = case
+    assert factorize(x, effort) == factorize_after_full_trial_division(x, effort)
 
 
 def test_rad_S_rho_examples():
