@@ -275,10 +275,9 @@ def cmd_gen(args) -> int:
     if out is None:
         out = f"eds-table-{table.key}.jsonl"
     try:
-        table.dump(out)
+        digest = table.dump(out)
     except OSError as exc:
         raise ConfigError(f"cannot write table file {out}: {exc.strerror or exc}")
-    digest = table.content_hash()
     shown = table.d_values()[: min(args.n_max, 20)]
     doc = _header(args, S, minim, n_max=args.n_max, max_digits=args.max_digits)
     doc["table_file"] = out

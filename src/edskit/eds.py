@@ -16,11 +16,9 @@ import hashlib
 import json
 import math
 import os
-import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import __version__
 from .curve import RatPoint, WeierstrassCurve
@@ -80,24 +78,6 @@ def curve_point_key(curve: WeierstrassCurve, P: RatPoint) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-@contextmanager
-def _unlimited_int_digits() -> Iterator[None]:
-    """Lift the interpreter's int/str conversion limit (4300 digits) while active.
-
-    Reading a table file converts numbers past the limit; everything else
-    prints through _decimal.  The previous limit is restored on exit.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
-
-
 # _decimal hands str() pieces of about this many digits, and splits larger
 # numbers at 10**h for h = _CHUNK_DIGITS * 2**j.  It stays below 640, the
 # smallest digit limit the interpreter accepts, so no setting stops a piece.
@@ -142,10 +122,6 @@ def _padded_decimal(x: int, h: int) -> str:
     return _padded_decimal(high, h) + _padded_decimal((low << h) | (x & ((1 << h) - 1)), h)
 
 
-def _hash_row(n: int, A: str, D: str) -> bytes:
-    return f"{n}:{A}:{D};".encode()
-
-
 class EdsTable:
     """Contiguous terms 1..N of the sequence for one (E, P) pair."""
 
@@ -154,7 +130,6 @@ class EdsTable:
         self.point = P
         self.terms = terms
         self.key = curve_point_key(curve, P)
-        self._content_hash: Optional[str] = None
 
     @property
     def max_index(self) -> int:
@@ -184,15 +159,6 @@ class EdsTable:
         bad.sort(key=lambda pair: (pair[1], pair[0]))
         return bad
 
-    def content_hash(self) -> str:
-        """Digest of the key and every (n, A_n, D_n) in decimal; computed once per table."""
-        if self._content_hash is None:
-            digest = hashlib.sha256(self.key.encode())
-            for t in self.terms:
-                digest.update(_hash_row(t.n, _decimal(t.A), _decimal(t.D)))
-            self._content_hash = digest.hexdigest()[:16]
-        return self._content_hash
-
     # -- JSON-lines persistence ----------------------------------------
 
     def _header_line(self, content_hash: str) -> str:
@@ -204,12 +170,15 @@ class EdsTable:
         }
         return json.dumps(header, sort_keys=True) + "\n"
 
-    def dump(self, path: str) -> None:
-        """Write the table atomically: a temp file beside ``path``, then ``os.replace``.
+    def dump(self, path: str) -> str:
+        """Write the table atomically and return its content hash.
 
-        Each term is converted to decimal once, for its line and the content
-        hash together.  The header goes first with a placeholder hash of the
-        same length and is rewritten in place once the hash is known.
+        The file goes to a temp file beside ``path``, then ``os.replace``.  The
+        content hash is the first 16 hex digits of the sha256 of the key and
+        every "n:A_n:D_n;" row in decimal.  Each term is converted to decimal
+        once, for its line and the hash together.  The header goes first with
+        a placeholder hash of the same length and is rewritten in place once
+        the hash is known.
         """
         digest = hashlib.sha256(self.key.encode())
         tmp = f"{path}.{os.getpid()}.tmp"
@@ -218,49 +187,16 @@ class EdsTable:
                 fh.write(self._header_line("0" * 16))
                 for t in self.terms:
                     A, D = _decimal(t.A), _decimal(t.D)
-                    digest.update(_hash_row(t.n, A, D))
+                    digest.update(f"{t.n}:{A}:{D};".encode())
                     fh.write(json.dumps({"n": t.n, "A": A, "D": D}) + "\n")
-                self._content_hash = digest.hexdigest()[:16]
+                content_hash = digest.hexdigest()[:16]
                 fh.seek(0)
-                fh.write(self._header_line(self._content_hash))
+                fh.write(self._header_line(content_hash))
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-
-    @staticmethod
-    def load(path: str, curve: WeierstrassCurve, P: RatPoint) -> "EdsTable":
-        """Read a table written by ``dump`` and verify it.
-
-        Raises ValueError if the file is malformed, belongs to another
-        (E, P), is not contiguous from 1, disagrees with its header's
-        ``n_max`` or ``content_hash``, holds a term with ``D_n < 1``, or
-        fails the divisibility scan.
-        """
-        try:
-            with open(path) as fh, _unlimited_int_digits():
-                header = json.loads(fh.readline())
-                if header.get("curve_hash") != curve_point_key(curve, P):
-                    raise ValueError("table file does not match the given curve/point")
-                terms = []
-                for line in fh:
-                    rec = json.loads(line)
-                    terms.append(EdsTerm(n=rec["n"], A=int(rec["A"]), D=int(rec["D"])))
-            terms.sort(key=lambda t: t.n)
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ValueError(f"malformed table file {path}: {exc!r}") from exc
-        if [t.n for t in terms] != list(range(1, len(terms) + 1)):
-            raise ValueError("table file is not contiguous from 1")
-        if any(t.D < 1 for t in terms):
-            raise ValueError("table file holds a term with D_n < 1")
-        table = EdsTable(curve, P, terms)
-        if header.get("n_max") != table.max_index:
-            raise ValueError("table file does not hold the n_max terms its header names")
-        if header.get("content_hash") != table.content_hash():
-            raise ValueError("table file does not match its content hash")
-        if table.check_divisibility():
-            raise ValueError("table file violates the divisibility property")
-        return table
+        return content_hash
 
 
 def _projected_digits(terms: List[EdsTerm], N: int) -> float:

@@ -24,12 +24,21 @@ as edskit computed it before it certified the least multiple: BSGS for
 some multiple of r_p in the Hasse interval, then every prime of that
 multiple stripped with a full-size scalar multiplication.
 
+read_table_file is the one reader of gen's table format, which nothing in
+edskit reads back.  It parses every row with int() and recomputes the
+content hash with str(), so it shares no code with the writer's
+decimal-by-halving.
+
 random_pairs is no oracle: it draws the seeded (E, P) that test_eds,
 test_curve and test_valuation sweep.
 """
 
+import hashlib
+import json
 import random
+import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, isqrt
@@ -37,6 +46,7 @@ from math import comb, gcd, isqrt
 import sympy as sp
 
 from edskit.curve import WeierstrassCurve
+from edskit.eds import EdsTerm, curve_point_key
 from edskit.errors import BudgetExceeded, TableMiss, TrivialReduction
 from edskit.factor import Factorization, _split, _trial_divide, factorize
 from edskit.intmath import is_prime, primes_up_to, valuation
@@ -370,3 +380,48 @@ def search_relations(table, k, N, rho, space_cap=DEFAULT_SEARCH_CAP):
         if rel.is_power:
             found.append(rel)
     return found
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the interpreter's int/str conversion limit (4300 digits) while active.
+
+    The previous limit is restored on exit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def read_table_file(path, curve, P):
+    """(terms, content_hash) of a table file that gen wrote for (E, P).
+
+    Raises ValueError unless the header names this (E, P), the rows run
+    n = 1..n_max with n_max the header's, and the header's content hash is
+    the first 16 hex digits of the sha256 of the key and every "n:A:D;" row
+    recomputed with str().
+    """
+    key = curve_point_key(curve, P)
+    with open(path) as fh, unlimited_int_digits():
+        header = json.loads(fh.readline())
+        terms = []
+        for line in fh:
+            rec = json.loads(line)
+            terms.append(EdsTerm(rec["n"], int(rec["A"]), int(rec["D"])))
+        digest = hashlib.sha256(key.encode())
+        for t in terms:
+            digest.update(f"{t.n}:{t.A}:{t.D};".encode())
+    content_hash = digest.hexdigest()[:16]
+    if header["curve_hash"] != key:
+        raise ValueError("table file does not match the given curve/point")
+    if [t.n for t in terms] != list(range(1, header["n_max"] + 1)):
+        raise ValueError("table file rows do not run 1..n_max")
+    if header["content_hash"] != content_hash:
+        raise ValueError("table file does not match its content hash")
+    return terms, content_hash

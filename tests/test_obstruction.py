@@ -8,6 +8,7 @@ whose table starts D = 1,1,1,1,2,1,3,5,... and has detecting primes
 import math
 import random
 import sys
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -42,6 +43,7 @@ from edskit.obstruction import (
 )
 from edskit.relation import test_relation as product_relation
 from edskit.valuation import TermRadicalData, build_exceptional_set
+from census import census, census_reports
 from oracles import (
     brute_is_squarefree, brute_valuation, congruence, oracle_lq_count, oracle_pairing,
 )
@@ -293,17 +295,66 @@ def test_pair_census_is_sound_and_independent_of_effort(fixture, rho, request):
     certified = []
     for effort in (Effort(0, 0, 0), Effort()):
         ctx = ObstructionContext(table, S, rho, effort=effort)
-        reports = [evaluate_tuple(ctx, n) for n in tuples]
-        certified.append({rep.n for rep in reports if rep.certified_exclusions})
+        rows = list(census_reports(ctx, tuples))
+        certified.append({rep.n for rep, _ in rows if rep.certified_exclusions})
     assert certified[0] == certified[1]
-    assert not [n for n in certified[1] if product_relation(table, n, rho).is_power]
+    assert not [rep.n for rep, is_power in rows if is_power and rep.certified_exclusions]
     # The paper's Hasse step, at the default effort: r_q = l for each radical prime q gives
     # l <= (sqrt(q)+1)^2, and at a simple top prime l, q divides prod n_i / l, so q < l.
-    support = [v for rep in reports for v in rep.verdicts if v.statement == "prime_support_check"]
+    support = [v for rep, _ in rows for v in rep.verdicts if v.statement == "prime_support_check"]
     assert sum("top_prime_interval_ok" in v.witnesses for v in support) > 0
     notes = {note for v in support for note in v.notes}
     assert "Hasse-scale inequality violated by a radical prime" not in notes
     assert "top-prime interval violated by a radical prime" not in notes
+
+
+_PAPER_CRITERIA = {
+    "smooth_cofactor_balance", "cluster_packing", "repeated_top_prime",
+    "large_prime_gap", "radical_lower_bound",
+}
+_CONGRUENCE_VIEWS = ("absorption_congruence", "incidence_pairing", "multiplicity_obstruction")
+
+# Every multiset of 1..3 entries from {2..60}, 37,819 per fixture, at the default effort.
+_CENSUS_COUNTS = {
+    "37": {
+        "powers": 379, "certified": 33916, "by_paper_criterion": 30628,
+        "per_checker": {
+            "absorption_congruence": 33916, "cluster_packing": 27627,
+            "incidence_pairing": 33916, "large_prime_gap": 940,
+            "multiplicity_obstruction": 33916, "prime_support_check": 32631,
+            "radical_lower_bound": 26851, "repeated_top_prime": 3234,
+            "smooth_cofactor_balance": 27627, "squarefree_incidence": 8649,
+        },
+    },
+    "43": {
+        "powers": 89, "certified": 34303, "by_paper_criterion": 29230,
+        "per_checker": {
+            "absorption_congruence": 34303, "cluster_packing": 22903,
+            "incidence_pairing": 34303, "large_prime_gap": 898,
+            "multiplicity_obstruction": 34303, "prime_support_check": 32329,
+            "radical_lower_bound": 19318, "repeated_top_prime": 1980,
+            "smooth_cofactor_balance": 26589, "squarefree_incidence": 8901,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("fixture, rho", [("37", 2), ("43", 3)])
+def test_census_counts(fixture, rho, request):
+    S, table = (request.getfixturevalue(name + fixture) for name in ("s", "table"))
+    rows = census(table, S, rho, 60, 3)
+    assert len(rows) == 37819
+    certified = [row.certified for row in rows.values() if row.certified]
+    assert not [n for n, row in rows.items() if row.is_power and row.certified]
+    for view in _CONGRUENCE_VIEWS:
+        assert all(view in c for c in certified), view  # each view certifies every certified tuple
+    per_checker = Counter(statement for c in certified for statement in c)
+    assert {
+        "powers": sum(row.is_power for row in rows.values()),
+        "certified": len(certified),
+        "by_paper_criterion": sum(bool(c & _PAPER_CRITERIA) for c in certified),
+        "per_checker": dict(per_checker),
+    } == _CENSUS_COUNTS[fixture]
 
 
 def test_smooth_cofactor_threshold_exact():

@@ -1,5 +1,6 @@
 """Claims of README.md: the library example prints what its comments say, the Command line
-section names exactly the parser's options, and the package holds no assert."""
+section names exactly the parser's options, the package holds no assert and never lifts the
+interpreter's int-digit limit."""
 
 import argparse
 import ast
@@ -34,6 +35,21 @@ def test_package_holds_no_assert():
         for path in modules
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_package_never_lifts_the_int_digit_limit():
+    # Large integers print through eds._decimal, and nothing reads them back.
+    modules = sorted((ROOT / "src" / "edskit").glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "set_int_max_str_digits" in (
+            getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "value", None)
+        )
     ]
     assert found == []
 

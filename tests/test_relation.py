@@ -5,10 +5,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from edskit.eds import _unlimited_int_digits, eds_range
+from edskit.eds import eds_range
 from edskit.errors import BudgetExceeded, TableMiss
 from edskit.relation import test_relation as product_relation
-from oracles import brute_nth_root, search_relations
+from oracles import brute_nth_root, search_relations, unlimited_int_digits
 
 
 def test_relation_examples(table37):
@@ -85,7 +85,7 @@ def test_relation_json_past_int_str_digit_limit(curve37, point37):
         doc = rel.to_json()
         assert sys.get_int_max_str_digits() == 4300
         assert len(doc["product"]) > 4300
-        with _unlimited_int_digits():
+        with unlimited_int_digits():
             assert int(doc["product"]) == rel.product
     finally:
         sys.set_int_max_str_digits(limit)
