@@ -37,7 +37,7 @@ from . import __version__
 from .curve import WeierstrassCurve, minimality_report
 from .errors import EdskitError, SoundnessError
 from .eds import DEFAULT_MAX_DIGITS, eds_range
-from .factor import Effort
+from .factor import MAX_TRIAL, Effort
 from .intmath import is_prime, primes_up_to
 from .valuation import SIEVE_BOUND, build_exceptional_set, check_valuation_law
 from .valuation import detecting_prime_exists, s_free_part
@@ -79,22 +79,16 @@ def load_curve_file(path: str):
     return E, P
 
 
-# The largest TRIAL of --effort.  Trial division past 2**15 sieves up to TRIAL,
-# which SECONDS does not cover; the sieve to 10**7 takes about 0.16 s and 50 MB
-# on a 2-core x86-64 host.
-MAX_TRIAL = 10 ** 7
-
-
 def _parse_effort(spec: str) -> Effort:
-    """Effort spec "TRIAL:RHO_ITERS:SECONDS", e.g. "1000000:10000000:60"."""
+    """Effort spec "TRIAL:UNITS:SECONDS", e.g. "1000000:10000000:60"."""
     try:
-        trial, rho_iters, seconds = spec.split(":")
-        effort = Effort(int(trial), int(rho_iters), float(seconds))
+        trial, units, seconds = spec.split(":")
+        return Effort(int(trial), int(units), float(seconds))
     except ValueError:
-        raise ConfigError(f"bad effort spec {spec!r}; expected TRIAL:RHO:SECONDS")
-    if effort.trial_bound > MAX_TRIAL:
-        raise ConfigError(f"bad effort spec {spec!r}; TRIAL may be at most {MAX_TRIAL}")
-    return effort
+        raise ConfigError(
+            f"bad effort spec {spec!r}; expected TRIAL:UNITS:SECONDS, none negative,"
+            f" TRIAL at most {MAX_TRIAL}"
+        )
 
 
 def _prime(s: str) -> int:

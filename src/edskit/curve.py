@@ -17,7 +17,7 @@ from math import isqrt, prod
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BadReduction, SoundnessError, TrivialReduction
-from .factor import Effort, Factorization, factorize
+from .factor import Factorization, _trial_divide, factorize
 from .intmath import valuation
 
 RatPoint = Optional[Tuple[Fraction, Fraction]]
@@ -280,10 +280,12 @@ class FpCurve(_Group):
         bound = least if least == start else (least - 1) // (least - start)
         if bound < 2:
             return least
-        # Trial division to sqrt(least) leaves no composite, so fac is complete.
-        fac = factorize(least, Effort(isqrt(least) + 1, 0, 0))
-        small = [q for q, _ in fac.factors if q <= bound]
-        s = prod(q ** e for q, e in fac.factors if q <= bound)
+        # Trial division to sqrt(least) leaves 1 or a prime, so factors is complete.
+        factors, rest = _trial_divide(least, isqrt(least) + 1)
+        if rest > 1:
+            factors.append((rest, 1))
+        small = [q for q, _ in factors if q <= bound]
+        s = prod(q ** e for q, e in factors if q <= bound)
         if s == 1:
             return least
         cofactor = least // s

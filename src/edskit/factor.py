@@ -1,5 +1,8 @@
 """Integer factorization with explicit partiality.
 
+Trial division finds the small primes; ECM is the one algorithm that splits
+a composite piece past them, within a counted budget.
+
 Partial factorizations are a first-class outcome: a ``Factorization``
 carries the unfactored cofactor, so downstream theorem checkers can
 downgrade to "inconclusive" instead of silently trusting a lower bound.
@@ -19,34 +22,40 @@ from .intmath import cached_primes, is_prime, primes_up_to, valuation
 
 class _EffortFields(NamedTuple):
     trial_bound: int
-    rho_iterations: int
+    units: int
     wall_clock: float
+
+
+# The largest trial bound, since wall_clock does not cover the sieve up to it: the
+# sieve to 10**7 takes about 0.16 s and 50 MB on a 2-core x86-64 host.
+MAX_TRIAL = 10 ** 7
 
 
 class Effort(_EffortFields):
     """Budget for a factorization attempt.
 
-    ``rho_iterations`` is a counted budget per composite cofactor, shared
-    by Pollard rho and ECM.  A rho step y -> y*y + c costs one unit (it
-    takes one or two modular multiplications); an ECM curve costs one
-    unit per modular multiplication, squaring or inverse, about 22 000
-    in all, and starts only if that much is left.  ``wall_clock`` is only
-    a safety stop, checked by rho and between ECM curves.
+    ``trial_bound`` is at most MAX_TRIAL.  ``units`` is a counted ECM budget
+    per composite cofactor: a curve costs one unit per modular
+    multiplication, squaring or inverse, about 22 000 in all, and starts
+    only if that much is left.  ``wall_clock`` is only a safety stop,
+    checked between curves.
 
     Build every Effort through this constructor: ``_replace`` and ``_make``
-    skip the field check.
+    skip the field checks.
     """
 
     __slots__ = ()
 
     def __new__(
-        cls, trial_bound: int = 10 ** 6, rho_iterations: int = 10 ** 7, wall_clock: float = 60.0
+        cls, trial_bound: int = 10 ** 6, units: int = 10 ** 7, wall_clock: float = 60.0
     ) -> "Effort":
-        self = super().__new__(cls, trial_bound, rho_iterations, wall_clock)
+        self = super().__new__(cls, trial_bound, units, wall_clock)
         # factorize takes any survivor below trial_bound**2 for a prime: no field may be negative.
         for name, value in zip(self._fields, self):
             if not value >= 0:  # NaN compares false
                 raise ValueError(f"effort {name} must be non-negative, not {value}")
+        if trial_bound > MAX_TRIAL:
+            raise ValueError(f"effort trial_bound may be at most {MAX_TRIAL}, not {trial_bound}")
         return self
 
 
@@ -55,11 +64,8 @@ DEFAULT_EFFORT = Effort()
 # Trial division tests this many consecutive primes with one gcd.
 TRIAL_CHUNK = 256
 # Trial division first stops here; the primes up to a larger trial bound are
-# stripped only where rho, ECM or the cofactor they leave show one.
+# stripped only where ECM or the cofactor it leaves shows one.
 FIRST_TRIAL_BOUND = 1 << 15
-# Each composite cofactor first gets this many rho steps, which find
-# factors of up to about 24 bits more cheaply than one ECM curve.
-RHO_SHORT_RUN = 1 << 13
 # ECM bounds: stage 1 multiplies by every prime power <= B1, stage 2 looks
 # for one more prime in (B1, B2], in giant steps of 2 * 210.
 ECM_B1 = 800
@@ -136,51 +142,6 @@ def _trial_divide(x: int, bound: int) -> Tuple[List[Tuple[int, int]], int]:
                     e += 1
                 factors.append((p, e))
     return factors, rest
-
-
-def _brent_rho(n: int, iteration_cap: int, deadline: float) -> Tuple[int | None, int]:
-    """Brent's cycle variant of Pollard rho.
-
-    Returns (a nontrivial factor or None, iterations spent).  Every step
-    y -> y*y + c counts as one iteration, and a run stops before it would
-    pass iteration_cap, bar the backtrack of at most 128 steps that
-    recovers a factor from a batched gcd equal to n.
-    """
-    if n % 2 == 0:
-        return 2, 0
-    rng = random.Random(1 ^ n)
-    spent = 0
-    while spent + 1 < iteration_cap and time.monotonic() < deadline:
-        y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
-        g, r, q = 1, 1, 1
-        x = ys = y
-        while g == 1 and spent + r < iteration_cap:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            spent += r
-            k = 0
-            while k < r and g == 1 and spent < iteration_cap:
-                ys = y
-                steps = min(m, r - k, iteration_cap - spent)
-                for _ in range(steps):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                spent += steps
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-            if time.monotonic() >= deadline:
-                break
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-                spent += 1
-        if 1 < g < n:
-            return g, spent
-    return None, spent
 
 
 # -- ECM on Montgomery curves By^2 = x^3 + Ax^2 + x, x-only (X:Z) ---------
@@ -344,23 +305,12 @@ def _ecm(n: int, budget: int, deadline: float) -> int | None:
     return None
 
 
-def _split(n: int, budget: int, deadline: float) -> int | None:
-    """A nontrivial factor of the composite n within the counted budget, or None.
-
-    A short Brent rho run goes first, since it finds small factors faster
-    than one ECM curve; ECM gets what the rho run left.
-    """
-    d, spent = _brent_rho(n, min(RHO_SHORT_RUN, budget), deadline)
-    if d is None:
-        d = _ecm(n, budget - spent, deadline)
-    return d
-
-
 def _split_survivor(
     rest: int, small: int, budget: int, deadline: float
 ) -> Tuple[Optional[Set[int]], int]:
-    """The primes of rest that rho and ECM find, each composite piece within the budget.
+    """The primes of rest that ECM finds, each composite piece within the budget.
 
+    An even piece splits off 2 at no cost, so a zero budget still factors 4.
     Returns (those primes, 1), or (None, piece) as soon as a piece <= small
     turns up.
     """
@@ -373,7 +323,7 @@ def _split_survivor(
         if is_prime(m):  # the one primality test of each cofactor
             found.add(m)
             continue
-        d = _split(m, budget, deadline)
+        d = 2 if m % 2 == 0 else _ecm(m, budget, deadline)
         if d is not None:
             stack.append(d)
             stack.append(m // d)
@@ -388,14 +338,13 @@ def _primes_to(x: int, bound: int) -> List[int]:
 
 
 def factorize(x: int, effort: Effort = DEFAULT_EFFORT) -> Factorization:
-    """Trial division to effort.trial_bound, then rho and ECM within budget.
+    """Trial division to effort.trial_bound, then ECM within budget.
 
     Trial division stops first at FIRST_TRIAL_BOUND.  A prime above that and
     at most effort.trial_bound is stripped only once it shows: as a piece that
-    rho or ECM split off, or in the cofactor they leave, which trial division
-    then searches.  Rho and ECM start again on what is left.  So they end on
-    the number that trial division to the whole bound leaves, and the result
-    is the same.
+    ECM split off, or in the cofactor it leaves, which trial division then
+    searches.  ECM starts again on what is left.  So it ends on the number
+    that trial division to the whole bound leaves, and the result is the same.
     """
     if x < 1:
         raise ValueError("x must be positive")
@@ -411,7 +360,7 @@ def factorize(x: int, effort: Effort = DEFAULT_EFFORT) -> Factorization:
             # Below the square of the trial bound any survivor is 1 or prime.
             found, cofactor = ([(rest, 1)] if rest > 1 else []), 1
             break
-        primes, piece = _split_survivor(rest, small, effort.rho_iterations, deadline)
+        primes, piece = _split_survivor(rest, small, effort.units, deadline)
         if primes is not None:
             # A prime found in one piece may also divide a piece left unsplit, so
             # its exponent is counted in rest itself; what is left is the cofactor.

@@ -175,11 +175,11 @@ def term_radical_data(
 ) -> TermRadicalData:
     """All primes p outside S with p | D_l, with v_p(D_l), as far as the budget reaches.
 
-    Trial division of D_l reaches at least SIEVE_BOUND, rho and ECM take the
+    Trial division of D_l reaches at least SIEVE_BOUND, ECM takes the
     cofactor.  When l is prime, every prime found is verified to have
     reduction order exactly l.  The S-free part is exact whatever the budget.
     """
-    effort = Effort(max(effort.trial_bound, SIEVE_BOUND), effort.rho_iterations, effort.wall_clock)
+    effort = Effort(max(effort.trial_bound, SIEVE_BOUND), effort.units, effort.wall_clock)
     D = table.D(l)
     fac = factorize(D, effort)
     entries = [(p, v) for p, v in fac.factors if p not in S]

@@ -12,7 +12,7 @@ double-and-add, and recomputes only the bad-prime correction.
 
 Five slow paths live here as oracles only.
 factorize_after_full_trial_division trial-divides to the whole trial bound
-before edskit's rho and ECM split what is left.  valuation_via_law reads
+before edskit's ECM splits what is left.  valuation_via_law reads
 v_p(D_n) off D_{r_p} as the law states it, with edskit's reduction order;
 test_valuation checks it against direct division.  search_relations runs
 edskit's exact power test over every small multiset of indices, which is
@@ -48,7 +48,7 @@ import sympy as sp
 from edskit.curve import WeierstrassCurve
 from edskit.eds import EdsTerm, curve_point_key
 from edskit.errors import BudgetExceeded, TableMiss, TrivialReduction
-from edskit.factor import Factorization, _split, _trial_divide, factorize
+from edskit.factor import Factorization, _ecm, _trial_divide, factorize
 from edskit.intmath import is_prime, primes_up_to, valuation
 from edskit.obstruction import _congruence, prime_facts
 from edskit.relation import test_relation as product_relation
@@ -217,9 +217,9 @@ def trial_divide_per_prime(x, bound):
 
 
 def factorize_after_full_trial_division(x, effort):
-    """Trial division to effort.trial_bound, then rho and ECM on what is left.
+    """Trial division to effort.trial_bound, then ECM on what is left.
 
-    Each composite piece gets the whole budget.  edskit.factor.factorize, which
+    Each composite piece gets the whole budget; an even one splits off 2.  edskit.factor.factorize, which
     trial-divides to 2**15 first and strips a larger prime only where it shows,
     must return the same Factorization at every budget.
     """
@@ -237,7 +237,7 @@ def factorize_after_full_trial_division(x, effort):
         if is_prime(m):
             found.add(m)
             continue
-        d = _split(m, effort.rho_iterations, deadline)
+        d = 2 if m % 2 == 0 else _ecm(m, effort.units, deadline)
         if d is not None:
             stack.append(d)
             stack.append(m // d)

@@ -519,7 +519,7 @@ def test_import_loads_only_the_shared_layers():
     ["obstruct", "--tuple", "22,33", "--effort=-60:100:10"],
     # trial division of D_47 to 10**12 would sieve a 5 * 10**11-byte array
     ["obstruct", "--tuple", "47,3", "--effort", "1000000000000:100:5"],
-    ["obstruct", "--tuple", "47,3", "--effort", "%d:100:5" % (cli.MAX_TRIAL + 1)],
+    ["obstruct", "--tuple", "47,3", "--effort", "%d:100:5" % (factor.MAX_TRIAL + 1)],
 ], ids=["obstruct", "obstruct-negative-budget", "obstruct-huge-trial", "obstruct-trial-past-max"])
 def test_bad_effort_spec_exits_2_before_any_work(argv, curve_file, capsys, monkeypatch):
     def setup(args):
@@ -734,8 +734,8 @@ def test_obstruct_prints_the_reports_the_bench_reference_digests(run, capsys, mo
 def test_obstruct_stops_trial_division_at_2_15_and_encodes_each_verdict_once(
     run, capsys, monkeypatch
 ):
-    # At the bench effort, rho and ECM factor every D_l of these tuples completely and
-    # show the one prime between 2**15 and 10**6 (865721 | D_43 on 43), so trial division
+    # At the bench effort, ECM factors every D_l of these tuples completely and
+    # shows the one prime between 2**15 and 10**6 (865721 | D_43 on 43), so trial division
     # never asks for the sieve to 10**6.  Only the ECM plan's stage-2 primes pass 2**15.
     root = Path(cli.__file__).resolve().parents[2]
     ref = json.loads((root / "bench" / "reference" / "obstruct-batch.json").read_text())

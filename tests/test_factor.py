@@ -10,10 +10,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from edskit import factor, intmath
 from edskit.factor import (
     FIRST_TRIAL_BOUND,
-    RHO_SHORT_RUN,
+    MAX_TRIAL,
     TRIAL_CHUNK,
     Effort,
-    _brent_rho,
     _ecm_plan,
     _trial_divide,
     factorize,
@@ -34,7 +33,7 @@ def _product(fac):
 # Two 150-bit primes: far beyond any small budget.
 BIG_A = 1427247692705959881058285969449495136382747711
 BIG_B = 1427247692705959881058285969449495136382746619
-# Two 41-bit primes: their product needs ECM after the short rho run.
+# Two 41-bit primes: their product takes a few ECM curves.
 P41, Q41 = 1099511627791, 1100511627793
 
 
@@ -78,7 +77,7 @@ def test_zero_effort_still_factors():
 
 def test_factorize_semiprime_beyond_trial_bound():
     p, q = 1000003, 1000033
-    fac = factorize(p * q, Effort(trial_bound=100, rho_iterations=10 ** 7))
+    fac = factorize(p * q, Effort(trial_bound=100, units=10 ** 7))
     assert fac.complete
     assert fac.factors == [(p, 1), (q, 1)]
 
@@ -97,28 +96,27 @@ def test_factorize_tests_each_cofactor_for_primality_once(monkeypatch):
 
 
 def test_factorize_partial_within_tiny_budget():
-    fac = factorize(BIG_A * BIG_B, Effort(trial_bound=100, rho_iterations=1, wall_clock=0.01))
+    fac = factorize(BIG_A * BIG_B, Effort(trial_bound=100, units=1, wall_clock=0.01))
     assert not fac.complete
     assert _product(fac) == BIG_A * BIG_B
 
 
 def test_factorize_exponents_are_exact_when_a_piece_stays_unsplit():
-    # The split phase finds p in one piece while another piece, p times a
-    # 41-bit prime, stays unsplit within the short budget.
-    p, A, B = 13211347, P41, 2199023267911  # B = nextprime(2**41 + 12345)
+    # One ECM curve splits n into p and p * A * B, which stays unsplit: p is
+    # found in one piece while another piece still holds it.
+    p, A, B = 30000001, P41, 4398046511119  # B = nextprime(2**42)
     n = p * p * A * B
-    fac = factorize(n, Effort(100, RHO_SHORT_RUN, 600))
+    fac = factorize(n, Effort(100, _ecm_plan()[2], 600))
     assert fac.factors and _product(fac) == n
     for q, e in fac.factors:
         assert valuation(n, q) == e
         assert math.gcd(fac.cofactor, q) == 1
-    assert (p, 2) in fac.factors
+    assert fac.factors == [(p, 2)] and fac.cofactor == A * B
 
 
-def test_ecm_splits_what_the_short_rho_run_cannot():
+def test_ecm_splits_a_product_of_two_41_bit_primes():
     n = P41 * Q41
     assert is_prime(P41) and is_prime(Q41)
-    assert _brent_rho(n, RHO_SHORT_RUN, math.inf)[0] is None
     fac = factorize(n, Effort(100, 10 ** 6, 600))
     assert fac.complete
     assert fac.factors == [(P41, 1), (Q41, 1)]
@@ -127,7 +125,7 @@ def test_ecm_splits_what_the_short_rho_run_cannot():
 def test_counted_budget_decides_not_the_clock():
     assert is_prime(BIG_A) and is_prime(BIG_B)
     start = time.monotonic()
-    fac = factorize(BIG_A * BIG_B, Effort(trial_bound=100, rho_iterations=1, wall_clock=600))
+    fac = factorize(BIG_A * BIG_B, Effort(trial_bound=100, units=1, wall_clock=600))
     assert not fac.complete and fac.cofactor == BIG_A * BIG_B
     assert time.monotonic() - start < 5
 
@@ -139,9 +137,9 @@ def test_ecm_curve_starts_only_if_its_cost_fits(monkeypatch):
     curves = []
     real = factor._ecm_curve
     monkeypatch.setattr(factor, "_ecm_curve", lambda n, sigma: curves.append(sigma) or real(n, sigma))
-    for budget, expected in ((RHO_SHORT_RUN + 2 * cost - 1, 1), (RHO_SHORT_RUN + 2 * cost, 2)):
+    for budget, expected in ((cost - 1, 0), (2 * cost - 1, 1), (2 * cost, 2)):
         curves.clear()
-        fac = factorize(BIG_A * BIG_B, Effort(trial_bound=100, rho_iterations=budget, wall_clock=600))
+        fac = factorize(BIG_A * BIG_B, Effort(trial_bound=100, units=budget, wall_clock=600))
         assert not fac.complete
         assert len(curves) == expected
 
@@ -213,13 +211,12 @@ def _primes_in(lo, hi):
     return _next_prime(lo + 1), hi
 
 
-# Primes below the first trial bound, up to 10**6, in reach of rho, and past it.
+# Primes below the first trial bound, up to 10**6, in easy reach of ECM, and past it.
 _PRIME_RANGES = [_primes_in(1, FIRST_TRIAL_BOUND), _primes_in(FIRST_TRIAL_BOUND, 10 ** 6),
                  _primes_in(10 ** 6, 2 ** 40), _primes_in(2 ** 40, 2 ** 60)]
-# RHO_SHORT_RUN plus one ECM curve is the least budget that starts a curve.
+# The cost of one ECM curve is the least budget that starts a curve.
 _CURVE_COST = _ecm_plan()[2]
-_BUDGETS = [0, 1, 200, RHO_SHORT_RUN, RHO_SHORT_RUN + _CURVE_COST - 1,
-            RHO_SHORT_RUN + _CURVE_COST, 10 ** 6]
+_BUDGETS = [0, _CURVE_COST - 1, _CURVE_COST, 2 * _CURVE_COST, 10 ** 6]
 
 
 @st.composite
@@ -233,10 +230,10 @@ def staged_trial_division_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(staged_trial_division_inputs())
-# With 703267 (resp. 757699) still in, rho and ECM factor these x completely within
-# RHO_SHORT_RUN; on x / 703267 (resp. x / 757699) they leave a cofactor.
-@example((703267 * 9690581 * 534181989487725967, Effort(10 ** 6, RHO_SHORT_RUN, 600)))
-@example((757699 * 50223431 * 1009824142064220947, Effort(10 ** 6, RHO_SHORT_RUN, 600)))
+# With 139697 (resp. 866623) still in, one (resp. two) ECM curves per piece factor
+# these x completely; on x / 139697 (resp. x / 866623) they leave a cofactor.
+@example((139697 * 617264657 * 15120729789178729, Effort(10 ** 6, _CURVE_COST, 600)))
+@example((866623 * 742361671 * 970197188812762129, Effort(10 ** 6, 2 * _CURVE_COST, 600)))
 # Two primes up to 10**6 stay in the cofactor of a zero budget.
 @example((11251 * 464647 * 859609 * 1099511627791 ** 2, Effort(10 ** 6, 0, 600)))
 def test_staged_trial_division_matches_full_trial_division(case):
@@ -252,7 +249,7 @@ def test_rad_S_rho_examples():
 
 def test_rad_S_rho_partial_is_lower_bound():
     value, complete = power_radical(
-        BIG_A * BIG_B * 3, set(), 2, Effort(trial_bound=100, rho_iterations=1, wall_clock=0.01)
+        BIG_A * BIG_B * 3, set(), 2, Effort(trial_bound=100, units=1, wall_clock=0.01)
     )
     assert not complete
     assert value % 3 == 0
@@ -331,11 +328,15 @@ def test_is_B_smooth_fractional_bound():
     assert not is_B_smooth(1000003, 1000002.5)
 
 
-def test_factorize_huge_trial_bound_keeps_the_sieve():
-    # Trial division sieves only up to sqrt(x), however large the trial bound.
+def test_effort_rejects_a_trial_bound_past_max_trial():
+    # Trial division of an unsplit cofactor sieves to the trial bound: 10**12 asked
+    # for a 5 * 10**11-byte sieve.  Below the cap it sieves only up to sqrt(x).
+    for trial_bound in (MAX_TRIAL + 1, 10 ** 12):
+        with pytest.raises(ValueError):
+            Effort(trial_bound=trial_bound)
     primes_up_to(10 ** 6)
     bound, primes = intmath._sieve
-    huge = Effort(trial_bound=10 ** 12)
+    huge = Effort(trial_bound=MAX_TRIAL)
     assert factorize(6, huge).factors == [(2, 1), (3, 1)]
     assert factorize(2 * 1000003, huge).factors == [(2, 1), (1000003, 1)]
     assert factorize(3 ** 25, huge).factors == [(3, 25)]

@@ -43,7 +43,7 @@ from edskit.obstruction import (
 )
 from edskit.relation import test_relation as product_relation
 from edskit.valuation import TermRadicalData, build_exceptional_set
-from census import census, census_reports
+from census import census, census_reports, random_pair_census
 from oracles import (
     brute_is_squarefree, brute_valuation, congruence, oracle_lq_count, oracle_pairing,
 )
@@ -356,6 +356,37 @@ def test_census_counts(fixture, rho, request):
         "per_checker": dict(per_checker),
     } == _CENSUS_COUNTS[fixture]
 
+
+
+def _random_pair_counts(seed, count):
+    """Reports, rho-th powers and certified exclusions of random_pair_census(seed, count).
+
+    Asserts on the way that no certified exclusion is a rho-th power.
+    """
+    counts = Counter()
+    for i, rho, rows in random_pair_census(seed, count):
+        assert not [n for n, row in rows.items() if row.is_power and row.certified], (seed, i, rho)
+        counts.update(reports=len(rows), powers=sum(row.is_power for row in rows.values()),
+                      certified=sum(bool(row.certified) for row in rows.values()))
+    return dict(counts)
+
+
+@pytest.mark.parametrize("seed, counts", [
+    (31, {"reports": 5980, "powers": 242, "certified": 5425}),
+    (32, {"reports": 5980, "powers": 239, "certified": 5336}),
+])
+def test_random_pair_census_slice(seed, counts):
+    # The first 10 of the 40 pairs per seed that the slow sweep takes, about 4 s in all.
+    assert _random_pair_counts(seed, 10) == counts
+
+
+@pytest.mark.slow
+def test_random_pair_census_sweep():
+    # All 80 pairs, 47,840 reports, about 17 s on a 2-core host: run with pytest -m slow.
+    assert [_random_pair_counts(seed, 40) for seed in (31, 32)] == [
+        {"reports": 23920, "powers": 970, "certified": 21727},
+        {"reports": 23920, "powers": 992, "certified": 21180},
+    ]
 
 def test_smooth_cofactor_threshold_exact():
     from edskit.obstruction import _exceeds_sqrtB_plus_1_sq

@@ -265,7 +265,7 @@ def test_term_radical_data_matches_sieve_oracle(all_fixtures):
     # division below 10 and no rho step, only a search that reaches the sieve
     # bound finds the primes in (10, 10^4] (checked on 37 and 43).
     cases = [(fx, Effort(10 ** 4, 200)) for fx in all_fixtures]
-    cases += [(fx, Effort(trial_bound=10, rho_iterations=1)) for fx in all_fixtures[::2]]
+    cases += [(fx, Effort(trial_bound=10, units=1)) for fx in all_fixtures[::2]]
     for (_, _, table, S), effort in cases:
         for l in range(1, 61):
             data = term_radical_data(table, S, l, effort)
