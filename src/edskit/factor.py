@@ -37,8 +37,10 @@ class Effort(_EffortFields):
     ``trial_bound`` is at most MAX_TRIAL.  ``units`` is a counted ECM budget
     per composite cofactor: a curve costs one unit per modular
     multiplication, squaring or inverse, about 22 000 in all, and starts
-    only if that much is left.  ``wall_clock`` is only a safety stop,
-    checked between curves.
+    only if that much is left.  A curve whose stage 1 catches every prime of
+    the cofactor at once repeats stage 1 one prime at a time to split it, and
+    those 12 600 or so units are not counted.  ``wall_clock`` is only a
+    safety stop, checked between curves.
 
     Build every Effort through this constructor: ``_replace`` and ``_make``
     skip the field checks.
@@ -240,6 +242,24 @@ def _ecm_plan() -> Tuple[int, List[Tuple[int, List[int]]], int]:
     return scalar, steps, cost
 
 
+def _stage1_split(n: int, X: int, Z: int, a24: int) -> int | None:
+    """Stage 1 from (X:Z) again, one prime at a time, with a gcd after each step.
+
+    For a stage 1 that reached O modulo every prime of n, as it does on a piece
+    whose primes all have B1-smooth curve orders: the first proper factor, or
+    None if the point reaches O modulo every prime of n at the same step.
+    """
+    for p in primes_up_to(ECM_B1):
+        q = p
+        while q <= ECM_B1:
+            X, Z, _, _ = _ladder(p, X, Z, n, a24)
+            g = math.gcd(Z, n)
+            if g != 1:
+                return g if g < n else None
+            q *= p
+    return None
+
+
 def _ecm_curve(n: int, sigma: int) -> int | None:
     """One ECM curve on odd n with Suyama's parameter sigma; a factor or None."""
     scalar, steps, _ = _ecm_plan()
@@ -252,10 +272,13 @@ def _ecm_curve(n: int, sigma: int) -> int | None:
         return g if g < n else None
     t = v - u
     a24 = t * t * t % n * (3 * u + v) * pow(den, -1, n) % n
-    X, Z, _, _ = _ladder(scalar, u3, v * v * v % n, n, a24)
+    PX, PZ = u3, v * v * v % n
+    X, Z, _, _ = _ladder(scalar, PX, PZ, n, a24)
     g = math.gcd(Z, n)
+    if g == n:
+        return _stage1_split(n, PX, PZ, a24)
     if g != 1:
-        return g if g < n else None
+        return g
     # Baby steps: [j]Q for odd j < 210, then x([j]Q) for j in _BABY.
     X2, Z2 = _xdbl(X, Z, n, a24)
     odd = [(X, Z), _xadd(X2, Z2, X, Z, X, Z, n)]  # [1]Q, [3]Q
@@ -279,13 +302,18 @@ def _ecm_curve(n: int, sigma: int) -> int | None:
     m = steps[0][0]
     X0, Z0, X1, Z1 = _ladder(m, TX, TZ, n, a24)
     acc = 1
+    running = []  # acc after each giant step
     for mp, js in steps:
         while m < mp:
             X0, Z0, (X1, Z1) = X1, Z1, _xadd(X1, Z1, TX, TZ, X0, Z0, n)
             m += 1
         for j in js:
             acc = acc * (X0 - affine[j] * Z0) % n
+        running.append(acc)
     g = math.gcd(acc, n)
+    if g == n:
+        # Every prime of n was caught: take the first giant step that caught one.
+        g = next(h for h in (math.gcd(a, n) for a in running) if h != 1)
     return g if 1 < g < n else None
 
 

@@ -122,6 +122,30 @@ def test_ecm_splits_a_product_of_two_41_bit_primes():
     assert fac.factors == [(P41, 1), (Q41, 1)]
 
 
+def test_ecm_curve_splits_when_stage_1_catches_every_prime():
+    # Both curve orders divide the stage-1 scalar, so the whole ladder reaches O modulo
+    # 101 and 103; stage 1 repeated one prime at a time reaches it modulo 101 first.
+    assert factor._ecm_curve(101 * 103, 7013) == 101
+    # Here P has order 24 modulo both primes: no step of stage 1 separates them.
+    assert factor._ecm_curve(101 * 103, 6742) is None
+
+
+@pytest.mark.parametrize("p, q, sigma", [(28163, 30133, 507069470), (36809, 39443, 1194521197)])
+def test_ecm_curve_splits_when_stage_2_catches_every_prime(p, q, sigma):
+    # Stage 1 leaves gcd 1 and the stage-2 product is 0 modulo p and q; the giant
+    # steps that catch them differ.
+    assert factor._ecm_curve(p * q, sigma) in (p, q)
+
+
+@pytest.mark.parametrize("lo, hi, trial, curves", [(100, 800, 100, 4), (10 ** 4, 14009, 10 ** 4, 3)])
+def test_ecm_splits_products_of_primes_with_smooth_curve_orders(lo, hi, trial, curves):
+    # Most curves reach O modulo both primes of such a product at once; the first
+    # pairs are 101 * 103 and 10007 * 10009.
+    primes = [p for p in primes_up_to(hi) if p > lo]
+    effort = Effort(trial, curves * _CURVE_COST, 600)
+    assert [(p, q) for p, q in zip(primes, primes[1:]) if not factorize(p * q, effort).complete] == []
+
+
 def test_counted_budget_decides_not_the_clock():
     assert is_prime(BIG_A) and is_prime(BIG_B)
     start = time.monotonic()

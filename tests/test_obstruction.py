@@ -357,7 +357,6 @@ def test_census_counts(fixture, rho, request):
     } == _CENSUS_COUNTS[fixture]
 
 
-
 def _random_pair_counts(seed, count):
     """Reports, rho-th powers and certified exclusions of random_pair_census(seed, count).
 
@@ -376,17 +375,9 @@ def _random_pair_counts(seed, count):
     (32, {"reports": 5980, "powers": 239, "certified": 5336}),
 ])
 def test_random_pair_census_slice(seed, counts):
-    # The first 10 of the 40 pairs per seed that the slow sweep takes, about 4 s in all.
+    # The first 10 random pairs per seed, about 4 s in all.
     assert _random_pair_counts(seed, 10) == counts
 
-
-@pytest.mark.slow
-def test_random_pair_census_sweep():
-    # All 80 pairs, 47,840 reports, about 17 s on a 2-core host: run with pytest -m slow.
-    assert [_random_pair_counts(seed, 40) for seed in (31, 32)] == [
-        {"reports": 23920, "powers": 970, "certified": 21727},
-        {"reports": 23920, "powers": 992, "certified": 21180},
-    ]
 
 def test_smooth_cofactor_threshold_exact():
     from edskit.obstruction import _exceeds_sqrtB_plus_1_sq
