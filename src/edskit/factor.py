@@ -15,7 +15,7 @@ import math
 import random
 import time
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .intmath import cached_primes, is_prime, primes_up_to, valuation
 
@@ -66,7 +66,7 @@ DEFAULT_EFFORT = Effort()
 # Trial division tests this many consecutive primes with one gcd.
 TRIAL_CHUNK = 256
 # Trial division first stops here; the primes up to a larger trial bound are
-# stripped only where ECM or the cofactor it leaves shows one.
+# stripped only where an ECM pass or the cofactor it leaves shows one.
 FIRST_TRIAL_BOUND = 1 << 15
 # ECM bounds: stage 1 multiplies by every prime power <= B1, stage 2 looks
 # for one more prime in (B1, B2], in giant steps of 2 * 210.
@@ -169,37 +169,15 @@ def _xadd(X1: int, Z1: int, X2: int, Z2: int, Xd: int, Zd: int, n: int) -> Tuple
 
 
 def _ladder(k: int, X: int, Z: int, n: int, a24: int) -> Tuple[int, int, int, int]:
-    """(X:Z) of [k]P and [k+1]P for k >= 1, by the Montgomery ladder.
-
-    The loop writes out _xadd and _xdbl, with the same products, since it runs
-    once per bit of the stage-1 scalar.  The sum x(P0 + P1) is computed before
-    the branch: swapping P0 and P1 in _xadd only negates z.
-    """
+    """(X:Z) of [k]P and [k+1]P for k >= 1, by the Montgomery ladder."""
     X0, Z0 = X, Z
     X1, Z1 = _xdbl(X, Z, n, a24)
     for bit in bin(k)[3:]:
-        a0, b0 = X0 + Z0, X0 - Z0
-        a1, b1 = X1 + Z1, X1 - Z1
-        u = b0 * a1 % n
-        v = a0 * b1 % n
-        w = u + v
-        z = u - v
+        total = _xadd(X0, Z0, X1, Z1, X, Z, n)
         if bit == "1":
-            X0 = Z * w * w % n
-            Z0 = X * z * z % n
-            s = a1 * a1 % n
-            d = b1 * b1 % n
-            t = s - d
-            X1 = s * d % n
-            Z1 = t * (d + a24 * t % n) % n
+            (X0, Z0), (X1, Z1) = total, _xdbl(X1, Z1, n, a24)
         else:
-            X1 = Z * w * w % n
-            Z1 = X * z * z % n
-            s = a0 * a0 % n
-            d = b0 * b0 % n
-            t = s - d
-            X0 = s * d % n
-            Z0 = t * (d + a24 * t % n) % n
+            (X0, Z0), (X1, Z1) = _xdbl(X0, Z0, n, a24), total
     return X0, Z0, X1, Z1
 
 
@@ -333,29 +311,27 @@ def _ecm(n: int, budget: int, deadline: float) -> int | None:
     return None
 
 
-def _split_survivor(
-    rest: int, small: int, budget: int, deadline: float
-) -> Tuple[Optional[Set[int]], int]:
-    """The primes of rest that ECM finds, each composite piece within the budget.
+def _split_survivor(rest: int, budget: int, deadline: float) -> Tuple[List[Tuple[int, int]], int]:
+    """One ECM pass on rest, run to its end: each composite piece gets the whole budget.
 
     An even piece splits off 2 at no cost, so a zero budget still factors 4.
-    Returns (those primes, 1), or (None, piece) as soon as a piece <= small
-    turns up.
+    Returns (the primes found with their exponents in rest, the cofactor).  A
+    prime found in one piece may also divide a piece left unsplit, so its
+    exponent is counted in rest itself; what is left is the cofactor.
     """
-    found = set()
+    primes = set()
     stack = [rest]
     while stack:
         m = stack.pop()
-        if m <= small:
-            return None, m
         if is_prime(m):  # the one primality test of each cofactor
-            found.add(m)
+            primes.add(m)
             continue
         d = 2 if m % 2 == 0 else _ecm(m, budget, deadline)
         if d is not None:
             stack.append(d)
             stack.append(m // d)
-    return found, 1
+    found = [(p, valuation(rest, p)) for p in primes]
+    return found, rest // math.prod(p ** e for p, e in found)
 
 
 def _primes_to(x: int, bound: int) -> List[int]:
@@ -369,39 +345,32 @@ def factorize(x: int, effort: Effort = DEFAULT_EFFORT) -> Factorization:
     """Trial division to effort.trial_bound, then ECM within budget.
 
     Trial division stops first at FIRST_TRIAL_BOUND.  A prime above that and
-    at most effort.trial_bound is stripped only once it shows: as a piece that
-    ECM split off, or in the cofactor it leaves, which trial division then
-    searches.  ECM starts again on what is left.  So it ends on the number
-    that trial division to the whole bound leaves, and the result is the same.
+    at most effort.trial_bound is stripped only once it shows: as a prime that
+    an ECM pass found, or in the cofactor the pass leaves, which trial division
+    then searches.  ECM passes again on what is left, until no such prime
+    shows.  So it ends on the number that trial division to the whole bound
+    leaves, and the result is the same.
     """
     if x < 1:
         raise ValueError("x must be positive")
     bound = effort.trial_bound
     first = min(bound, FIRST_TRIAL_BOUND)
-    # A piece at most this holds a prime that trial division to bound strips.
-    small = bound if first < bound else 0
     factors, rest = _trial_divide(x, first)
     deadline = time.monotonic() + effort.wall_clock
     stripped: List[Tuple[int, int]] = []
-    while True:
-        if rest <= first * first:
-            # Below the square of the trial bound any survivor is 1 or prime.
-            found, cofactor = ([(rest, 1)] if rest > 1 else []), 1
+    while rest > max(first, 1) ** 2:
+        found, cofactor = _split_survivor(rest, effort.units, deadline)
+        if first == bound:
             break
-        primes, piece = _split_survivor(rest, small, effort.units, deadline)
-        if primes is not None:
-            # A prime found in one piece may also divide a piece left unsplit, so
-            # its exponent is counted in rest itself; what is left is the cofactor.
-            found = [(p, valuation(rest, p)) for p in primes]
-            cofactor = rest // math.prod(p ** e for p, e in found)
-            if cofactor == 1 or not small:
-                break
-            piece = cofactor
-        more = _primes_to(piece, bound)
+        more = [p for p, _ in found if p <= bound] + _primes_to(cofactor, bound)
         if not more:
             break
         for p in more:
             e = valuation(rest, p)
             rest //= p ** e
             stripped.append((p, e))
+    else:
+        # Below the square of the first trial bound (and 1 at trial bound 0) any
+        # survivor is 1 or prime.
+        found, cofactor = ([(rest, 1)] if rest > 1 else []), 1
     return Factorization(x, factors + sorted(stripped + found), cofactor)

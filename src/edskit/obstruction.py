@@ -332,7 +332,8 @@ def prime_support_check(
     if not hyp["rho_not_dividing_I"]:
         return verdict(INCONCLUSIVE, "vacuous: rho divides |I_l(n)|")
     data = ctx.radical_data(l)
-    rad = data.power_radical(rho)
+    radical_primes = [p for p, _ in data.detecting(rho)]
+    rad = prod(radical_primes)
     quotient = prod(n[i - 1] // l for i in I)
     hyp["radical_complete"] = data.complete
     wit.update(radical=rad, quotient=quotient)
@@ -343,7 +344,6 @@ def prime_support_check(
     # Divisibility by the certain part is checked even when partial.
     if quotient % rad != 0:
         return verdict(FAILS, "certain radical part does not divide the quotient product")
-    radical_primes = [p for p, _ in data.detecting(rho)]
     wit["radical_primes"] = radical_primes
     if not all(_hasse_compatible(l, q) for q in radical_primes):
         return verdict(FAILS, "Hasse-scale inequality violated by a radical prime")

@@ -139,10 +139,6 @@ class TermRadicalData(NamedTuple):
     complete: bool
     s_free: int  # D_l with every prime of S divided out
 
-    def power_radical(self, rho: int) -> int:
-        """The product of the detecting primes found; a lower bound unless complete."""
-        return prod(p for p, _ in self.detecting(rho))
-
     def detecting(self, rho: int) -> List[Tuple[int, int]]:
         """(p, v) with rho not dividing v; empty and incomplete means "not found", never "none"."""
         return [(p, v) for p, v in self.entries if v % rho != 0]

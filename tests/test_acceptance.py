@@ -6,7 +6,7 @@ its time budget.  Budgets are asserted, not just hoped for.
 
 import time
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, prod
 
 from edskit.eds import eds_range
 from edskit.intmath import is_rho_power, primes_up_to, valuation
@@ -84,7 +84,7 @@ def test_05_hasse_interval_for_divisor_primes(ctx37):
 def test_06_radical_coprimality(ctx37):
     """Certain parts of rad_{S,2}(D_l), rad_{S,2}(D_l') coprime for distinct prime l, l' <= 31."""
     ells = primes_up_to(31)
-    rads = {l: ctx37.radical_data(l).power_radical(2) for l in ells}
+    rads = {l: prod(p for p, _ in ctx37.radical_data(l).detecting(2)) for l in ells}
     for i, a in enumerate(ells):
         for b in ells[i + 1 :]:
             assert gcd(rads[a], rads[b]) == 1, (a, b)

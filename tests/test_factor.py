@@ -38,12 +38,12 @@ P41, Q41 = 1099511627791, 1100511627793
 
 
 def power_radical(x, S, rho, effort=Effort()):
-    """rad_{S,rho}(x) with its completeness, through TermRadicalData.power_radical."""
+    """rad_{S,rho}(x) with its completeness: the product of TermRadicalData.detecting(rho)."""
     fac = factorize(x, effort)
     data = TermRadicalData(l=0, entries=[(p, e) for p, e in fac.factors if p not in S],
                            complete=fac.complete,
                            s_free=x // math.prod(p ** valuation(x, p) for p in S))
-    return data.power_radical(rho), data.complete
+    return math.prod(p for p, _ in data.detecting(rho)), data.complete
 
 
 def test_factorize_examples():
@@ -241,6 +241,8 @@ _PRIME_RANGES = [_primes_in(1, FIRST_TRIAL_BOUND), _primes_in(FIRST_TRIAL_BOUND,
 # The cost of one ECM curve is the least budget that starts a curve.
 _CURVE_COST = _ecm_plan()[2]
 _BUDGETS = [0, _CURVE_COST - 1, _CURVE_COST, 2 * _CURVE_COST, 10 ** 6]
+# Three primes in (2**15, 10**6], then a 41-bit and a 50-bit prime.
+_FIVE_PRIMES = 40009 * 500009 * 999983 * P41 * 1125899906842679
 
 
 @st.composite
@@ -260,9 +262,24 @@ def staged_trial_division_inputs(draw):
 @example((866623 * 742361671 * 970197188812762129, Effort(10 ** 6, 2 * _CURVE_COST, 600)))
 # Two primes up to 10**6 stay in the cofactor of a zero budget.
 @example((11251 * 464647 * 859609 * 1099511627791 ** 2, Effort(10 ** 6, 0, 600)))
+# At trial bound 0, 1 is no survivor to hand to ECM.
+@example((1, Effort(0, _CURVE_COST, 600)))
+# One ECM pass finds the three primes in (2**15, 10**6] together.
+@example((_FIVE_PRIMES, Effort(10 ** 6, 10 ** 6, 600)))
 def test_staged_trial_division_matches_full_trial_division(case):
     x, effort = case
     assert factorize(x, effort) == factorize_after_full_trial_division(x, effort)
+
+
+def test_every_prime_an_ecm_pass_finds_up_to_the_trial_bound_is_stripped_at_once(monkeypatch):
+    # The first pass finds 40009, 500009 and 999983 and strips all three; the
+    # second, on what trial division to 10**6 leaves, finds the rest.
+    calls = []
+    real = factor._split_survivor
+    monkeypatch.setattr(factor, "_split_survivor", lambda rest, *a: calls.append(rest) or real(rest, *a))
+    fac = factorize(_FIVE_PRIMES, Effort(10 ** 6, 10 ** 6, 600))
+    assert fac.complete and [p for p, _ in fac.factors] == [40009, 500009, 999983, P41, 1125899906842679]
+    assert calls == [_FIVE_PRIMES, P41 * 1125899906842679]
 
 
 def test_rad_S_rho_examples():

@@ -231,12 +231,13 @@ def test_detecting_primes_are_primitive(curve37, point37, s37, table37):
 
 
 def test_radical_coprimality(s37, table37):
+    from math import gcd, prod
+
     ells = [l for l in primes_up_to(31)]
     rads = {}
     for l in ells:
         data = term_radical_data(table37, s37, l)
-        rads[l] = data.power_radical(2)
-    from math import gcd
+        rads[l] = prod(p for p, _ in data.detecting(2))
 
     for i, a in enumerate(ells):
         for b in ells[i + 1 :]:
@@ -256,7 +257,7 @@ def test_term_radical_data_excludes_s(curve37, point37, table37):
     data = term_radical_data(table37, S, 5)
     assert data.entries == []  # D_5 = 2 is entirely inside S
     assert data.complete
-    assert data.power_radical(2) == 1
+    assert data.detecting(2) == []
 
 
 def test_term_radical_data_matches_sieve_oracle(all_fixtures):
